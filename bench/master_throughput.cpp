@@ -291,8 +291,8 @@ int Run(int argc, char** argv) {
 
     double single_client_qps = 0.0;
     for (const uint32_t clients : client_counts) {
-      const ConcurrentGatherReport report = cluster.CountByTypeAllConcurrent(
-          workload, clients, static_cast<uint32_t>(queries), options);
+      const ConcurrentGatherReport report = cluster.GatherConcurrent(
+          MakeCountPlan(workload), clients, static_cast<uint32_t>(queries), options);
       if (clients == 1) single_client_qps = report.queries_per_sec;
       double queue_wait_us = 0.0;
       std::vector<double> latencies;

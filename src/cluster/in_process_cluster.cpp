@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "common/check.hpp"
 #include "telemetry/metrics_registry.hpp"
@@ -23,13 +22,6 @@ double ElapsedMicros(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-/// Grows a per-node tally vector to cover `node` (a slot added by a
-/// membership change after the gather's vectors were sized).
-template <typename T>
-void EnsureSlot(std::vector<T>& v, size_t node) {
-  if (v.size() <= node) v.resize(node + 1);
-}
-
 }  // namespace
 
 InProcessCluster::InProcessCluster(uint32_t nodes, PlacementKind placement,
@@ -41,6 +33,14 @@ InProcessCluster::InProcessCluster(uint32_t nodes, PlacementKind placement,
       base_store_options_(store_options) {
   KV_CHECK(nodes >= 1);
   RegisterClusterMessages(codec_registry_);
+  handlers_.read = [this](uint32_t node, const SubQueryRequest& req,
+                          ReadProbe* probe) {
+    return ServeRead(node, req, probe);
+  };
+  handlers_.write = [this](uint32_t node, const WriteBatch& batch,
+                           NodeRuntime* runtime) {
+    return ServeWrite(node, batch, runtime);
+  };
   owned_injector_ = std::make_unique<FaultInjector>();
   injector_ = owned_injector_.get();
   MutexLock route_lock(route_mu_);
@@ -103,77 +103,55 @@ void InProcessCluster::AttachTelemetry(SpanTracer* spans,
         metrics != nullptr ? &metrics->GetCounter("telemetry.spans.dropped")
                            : nullptr);
   }
-  if (metrics != nullptr) {
-    subqueries_counter_ = &metrics->GetCounter("cluster.subqueries");
-    missing_counter_ = &metrics->GetCounter("cluster.partitions_missing");
-    errors_counter_ = &metrics->GetCounter("cluster.read.errors");
-    retries_counter_ = &metrics->GetCounter("cluster.read.retries");
-    hedged_counter_ = &metrics->GetCounter("cluster.read.hedged");
-    failed_counter_ = &metrics->GetCounter("cluster.subqueries.failed");
-    put_errors_counter_ = &metrics->GetCounter("cluster.put.errors");
-    put_keys_counter_ = &metrics->GetCounter("cluster.put.keys");
-    put_batches_counter_ = &metrics->GetCounter("cluster.put.batches");
-    put_quorum_failures_counter_ =
-        &metrics->GetCounter("cluster.put.quorum_failures");
-    put_epoch_retries_counter_ =
-        &metrics->GetCounter("cluster.put.epoch_retries");
-    put_latency_ = &metrics->GetHistogram("cluster.put.latency_us");
-    subquery_latency_ = &metrics->GetHistogram("cluster.subquery.latency_us");
-    failover_latency_ = &metrics->GetHistogram("cluster.failover.latency_us");
-    joins_counter_ = &metrics->GetCounter("cluster.membership.joins");
-    decommissions_counter_ =
-        &metrics->GetCounter("cluster.membership.decommissions");
-    perma_failures_counter_ =
-        &metrics->GetCounter("cluster.membership.permanent_failures");
-    epoch_gauge_ = &metrics->GetGauge("cluster.membership.epoch");
-    migrated_partitions_counter_ =
-        &metrics->GetCounter("cluster.migration.partitions");
-    migrated_blocks_counter_ = &metrics->GetCounter("cluster.migration.blocks");
-    migrated_bytes_counter_ = &metrics->GetCounter("cluster.migration.bytes");
-    migration_retries_counter_ =
-        &metrics->GetCounter("cluster.migration.block_retries");
-    migration_failovers_counter_ =
-        &metrics->GetCounter("cluster.migration.source_failovers");
-    repaired_counter_ = &metrics->GetCounter("cluster.repair.partitions");
-    lost_counter_ = &metrics->GetCounter("cluster.repair.lost_partitions");
-    for (size_t k = 0; k < kQueryKindCount; ++k) {
-      query_kind_counters_[k] = &metrics->GetCounter(
-          "cluster.query." +
-          std::string(QueryKindName(static_cast<QueryKind>(k))));
-    }
-  } else {
-    subqueries_counter_ = nullptr;
-    missing_counter_ = nullptr;
-    errors_counter_ = nullptr;
-    retries_counter_ = nullptr;
-    hedged_counter_ = nullptr;
-    failed_counter_ = nullptr;
-    put_errors_counter_ = nullptr;
-    put_keys_counter_ = nullptr;
-    put_batches_counter_ = nullptr;
-    put_quorum_failures_counter_ = nullptr;
-    put_epoch_retries_counter_ = nullptr;
-    put_latency_ = nullptr;
-    subquery_latency_ = nullptr;
-    failover_latency_ = nullptr;
-    joins_counter_ = nullptr;
-    decommissions_counter_ = nullptr;
-    perma_failures_counter_ = nullptr;
-    epoch_gauge_ = nullptr;
-    migrated_partitions_counter_ = nullptr;
-    migrated_blocks_counter_ = nullptr;
-    migrated_bytes_counter_ = nullptr;
-    migration_retries_counter_ = nullptr;
-    migration_failovers_counter_ = nullptr;
-    repaired_counter_ = nullptr;
-    lost_counter_ = nullptr;
-    for (size_t k = 0; k < kQueryKindCount; ++k) {
-      query_kind_counters_[k] = nullptr;
-    }
-  }
+  inst_ = metrics != nullptr ? Instruments(*metrics) : Instruments();
   // The shared runtime captured the old pointers at build; the next
   // message gather rebuilds it against the new ones.
   InvalidateRuntime();
+}
+
+InProcessCluster::Instruments::Instruments(MetricsRegistry& metrics)
+    : subqueries(&metrics.GetCounter("cluster.subqueries")),
+      missing(&metrics.GetCounter("cluster.partitions_missing")),
+      read_errors(&metrics.GetCounter("cluster.read.errors")),
+      retries(&metrics.GetCounter("cluster.read.retries")),
+      hedged(&metrics.GetCounter("cluster.read.hedged")),
+      failed(&metrics.GetCounter("cluster.subqueries.failed")),
+      put_errors(&metrics.GetCounter("cluster.put.errors")),
+      put_keys(&metrics.GetCounter("cluster.put.keys")),
+      put_batches(&metrics.GetCounter("cluster.put.batches")),
+      put_quorum_failures(&metrics.GetCounter("cluster.put.quorum_failures")),
+      put_epoch_retries(&metrics.GetCounter("cluster.put.epoch_retries")),
+      put_latency(&metrics.GetHistogram("cluster.put.latency_us")),
+      subquery_latency(&metrics.GetHistogram("cluster.subquery.latency_us")),
+      failover_latency(&metrics.GetHistogram("cluster.failover.latency_us")),
+      joins(&metrics.GetCounter("cluster.membership.joins")),
+      decommissions(&metrics.GetCounter("cluster.membership.decommissions")),
+      perma_failures(
+          &metrics.GetCounter("cluster.membership.permanent_failures")),
+      epoch(&metrics.GetGauge("cluster.membership.epoch")),
+      migrated_partitions(&metrics.GetCounter("cluster.migration.partitions")),
+      migrated_blocks(&metrics.GetCounter("cluster.migration.blocks")),
+      migrated_bytes(&metrics.GetCounter("cluster.migration.bytes")),
+      migration_retries(
+          &metrics.GetCounter("cluster.migration.block_retries")),
+      migration_failovers(
+          &metrics.GetCounter("cluster.migration.source_failovers")),
+      repaired(&metrics.GetCounter("cluster.repair.partitions")),
+      lost(&metrics.GetCounter("cluster.repair.lost_partitions")) {
+  for (size_t k = 0; k < kQueryKindCount; ++k) {
+    query_kinds[k] = &metrics.GetCounter(
+        "cluster.query." +
+        std::string(QueryKindName(static_cast<QueryKind>(k))));
+  }
+}
+
+void InProcessCluster::Instruments::Add(Counter* counter, uint64_t n) {
+  if (counter != nullptr) counter->Increment(n);
+}
+
+void InProcessCluster::Instruments::Observe(LatencyHistogram* histogram,
+                                            double micros) {
+  if (histogram != nullptr) histogram->Record(micros);
 }
 
 void InProcessCluster::AttachStageTracer(StageTracer* stages) {
@@ -407,22 +385,12 @@ Status InProcessCluster::ExecutePlan(RingPlan plan, MembershipReport& report) {
   // per-pass sums.
   report.partitions_lost = report.lost_partitions.size();
 
-  if (epoch_gauge_ != nullptr) epoch_gauge_->Set(static_cast<double>(epoch));
-  if (migrated_partitions_counter_ != nullptr) {
-    migrated_partitions_counter_->Increment(stats.partitions);
-  }
-  if (migrated_blocks_counter_ != nullptr) {
-    migrated_blocks_counter_->Increment(stats.blocks);
-  }
-  if (migrated_bytes_counter_ != nullptr) {
-    migrated_bytes_counter_->Increment(stats.bytes);
-  }
-  if (migration_retries_counter_ != nullptr) {
-    migration_retries_counter_->Increment(stats.block_retries);
-  }
-  if (migration_failovers_counter_ != nullptr) {
-    migration_failovers_counter_->Increment(stats.source_failovers);
-  }
+  if (inst_.epoch != nullptr) inst_.epoch->Set(static_cast<double>(epoch));
+  Instruments::Add(inst_.migrated_partitions, stats.partitions);
+  Instruments::Add(inst_.migrated_blocks, stats.blocks);
+  Instruments::Add(inst_.migrated_bytes, stats.bytes);
+  Instruments::Add(inst_.migration_retries, stats.block_retries);
+  Instruments::Add(inst_.migration_failovers, stats.source_failovers);
   return Status::Ok();
 }
 
@@ -466,7 +434,7 @@ Result<MembershipReport> InProcessCluster::AddNode() {
     members_.erase(id);
     return streamed;
   }
-  if (joins_counter_ != nullptr) joins_counter_->Increment();
+  Instruments::Add(inst_.joins);
   // The shared runtime was sized for the old member count; rebuild so
   // message gathers can reach the new node. In-flight gathers keep the
   // old runtime and see kUnavailable for the new id, which retries
@@ -518,7 +486,7 @@ Result<MembershipReport> InProcessCluster::DecommissionNode(NodeId node) {
   // Only now does the node go dark: gathers that resolved replicas
   // before the flip can still drain their reads from it.
   fault_injector().KillNode(node);
-  if (decommissions_counter_ != nullptr) decommissions_counter_->Increment();
+  Instruments::Add(inst_.decommissions);
   InvalidateRuntime();
   report.wall_us = ElapsedMicros(t0);
   return report;
@@ -573,15 +541,9 @@ Result<MembershipReport> InProcessCluster::FailNodePermanently(NodeId node) {
     return streamed;
   }
   report.partitions_repaired = report.partitions_moved - moved_before;
-  if (perma_failures_counter_ != nullptr) {
-    perma_failures_counter_->Increment();
-  }
-  if (repaired_counter_ != nullptr) {
-    repaired_counter_->Increment(report.partitions_repaired);
-  }
-  if (lost_counter_ != nullptr) {
-    lost_counter_->Increment(report.partitions_lost);
-  }
+  Instruments::Add(inst_.perma_failures);
+  Instruments::Add(inst_.repaired, report.partitions_repaired);
+  Instruments::Add(inst_.lost, report.partitions_lost);
   InvalidateRuntime();
   report.wall_us = ElapsedMicros(t0);
   return report;

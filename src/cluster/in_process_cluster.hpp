@@ -18,14 +18,17 @@
 // Section VII story ("the driver selects a replica only if the original
 // node is malfunctioning") with real bytes instead of virtual time.
 //
-// The message transport runs through a single long-lived NodeRuntime the
-// cluster owns: queues and worker pools are built lazily on the first
-// message-path gather and reused by every one after it — including
-// *concurrent* gathers, each a registered query with its own reply
-// channel, virtual clock, and wire accounting, bounded by the runtime's
-// admission controller. CountByTypeAllConcurrent drives that path with N
-// client threads, which is how the Fig. 11 master-saturation curve is
-// measured on real bytes (bench/master_throughput.cpp).
+// Reads and writes each have one scatter/collect loop, written once
+// against the Transport interface (cluster/transport.hpp): the inline
+// transport calls the node handlers directly, the message transport runs
+// through a single long-lived NodeRuntime the cluster owns. Its queues and
+// worker pools are built lazily on the first message-path query and
+// reused by every one after it — including *concurrent* queries, each a
+// registered query with its own reply channel, virtual clock, and wire
+// accounting, bounded by the runtime's admission controller.
+// GatherConcurrent drives that path with N client threads, which is how
+// the Fig. 11 master-saturation curve is measured on real bytes
+// (bench/master_throughput.cpp).
 #pragma once
 
 #include <atomic>
@@ -42,6 +45,7 @@
 #include "cluster/node_runtime.hpp"
 #include "cluster/placement.hpp"
 #include "cluster/query_plan.hpp"
+#include "cluster/transport.hpp"
 #include "common/thread_annotations.hpp"
 #include "fault/fault_injector.hpp"
 #include "hash/token_ring.hpp"
@@ -58,19 +62,9 @@ class LatencyHistogram;
 class StageTracer;        // trace/stage_trace.hpp
 class MetricsTimeSeries;  // telemetry/timeseries.hpp
 
-/// How the master reaches the slaves' stores.
-enum class GatherTransport : uint8_t {
-  /// Plain function calls into each node's store (the original path).
-  kDirect = 0,
-  /// Real encoded messages through per-node queues and worker pools
-  /// (node_runtime.hpp): sub-queries are serialized with the selected
-  /// codec, optionally batched per node, executed by worker threads, and
-  /// answered with encoded reply frames the master decodes and folds.
-  kMessage = 1,
-};
-
-/// Fault-tolerance knobs of one scatter/gather execution.
-struct GatherOptions {
+/// Knobs of one scatter/gather execution: fault tolerance here, the
+/// transport in the TransportOptions base.
+struct GatherOptions : TransportOptions {
   /// Preferred starting copy (0 = primary; taken modulo the replica-set
   /// size). Failover proceeds to the following replicas in set order.
   uint32_t replica = 0;
@@ -97,32 +91,9 @@ struct GatherOptions {
   /// is private, so a concurrent gather's backoff never burns this one's
   /// deadline.
   Micros deadline_us = 0.0;
-
-  // -- Message-transport knobs (ignored under kDirect) --------------------
-
-  GatherTransport transport = GatherTransport::kDirect;
-  /// Wire codec for requests and replies (the Section V-B axis). Per
-  /// query: concurrent gathers with different codecs share the runtime.
-  WireCodecKind codec = WireCodecKind::kCompact;
-  /// Coalesce the initial scatter into one SubQueryBatch frame per node
-  /// (failover re-sends still travel one per frame).
+  /// Coalesce the initial scatter into one SubQueryBatch per node
+  /// (failover re-sends still travel one per request).
   bool batch = false;
-  /// Request-queue capacity per node. Structural: changing it rebuilds
-  /// the shared runtime.
-  uint32_t queue_depth = 64;
-  /// Worker threads draining each node's queue. Structural: changing it
-  /// rebuilds the shared runtime.
-  uint32_t workers_per_node = 1;
-  /// Full-queue behavior: block (lossless backpressure) or reject (the
-  /// dispatch fails over like any other transport error). Structural.
-  QueueFullPolicy queue_policy = QueueFullPolicy::kBlock;
-  /// Admission bound on concurrently in-flight queries through the
-  /// shared runtime (0 = unbounded). Re-arms the admission controller on
-  /// every message-path gather without rebuilding the runtime.
-  uint32_t max_inflight = 0;
-  /// Full-admission behavior: block until a slot frees, or shed the
-  /// whole gather with kResourceExhausted (GatherResult::shed_by_admission).
-  QueueFullPolicy admission_policy = QueueFullPolicy::kBlock;
 };
 
 // GatherResult lives in cluster/query_plan.hpp, next to the plans and the
@@ -142,9 +113,10 @@ std::string_view PutQuorumName(PutQuorum quorum);
 /// Parses "all" / "majority" / "one" (CLI flag spelling).
 Result<PutQuorum> ParsePutQuorum(std::string_view name);
 
-/// Knobs of one batched replicated write (PutBatch). Put() uses the
-/// defaults: direct transport, quorum all, one batch.
-struct PutOptions {
+/// Knobs of one batched replicated write (PutBatch), on top of the
+/// shared TransportOptions. Put() uses the defaults: direct transport,
+/// quorum all, one batch.
+struct PutOptions : TransportOptions {
   PutQuorum quorum = PutQuorum::kAll;
   /// Max keys per WriteBatch applied to one node (0 = everything bound
   /// for a node travels in a single batch). Each batch pays exactly one
@@ -161,16 +133,6 @@ struct PutOptions {
   /// background flush on the node's own worker pool — maintenance
   /// competes with reads and writes for the same threads (0 = never).
   uint64_t flush_watermark_bytes = 0;
-
-  // -- Transport knobs (mirrors GatherOptions) ----------------------------
-
-  GatherTransport transport = GatherTransport::kDirect;
-  WireCodecKind codec = WireCodecKind::kCompact;  ///< message-path codec
-  uint32_t queue_depth = 64;        ///< structural: rebuilds the runtime
-  uint32_t workers_per_node = 1;    ///< structural: rebuilds the runtime
-  QueueFullPolicy queue_policy = QueueFullPolicy::kBlock;  ///< structural
-  uint32_t max_inflight = 0;        ///< admission bound (0 = unbounded)
-  QueueFullPolicy admission_policy = QueueFullPolicy::kBlock;
 };
 
 /// Outcome of one Put / PutBatch — the write-side GatherResult. Beyond
@@ -317,18 +279,18 @@ class InProcessCluster {
   /// telemetry pointers at build), so attach before gathering.
   void AttachTelemetry(SpanTracer* spans, MetricsRegistry* metrics);
 
-  /// Attaches a per-request stage tracer to the *message* transport:
-  /// every sub-query that reaches a store records the paper's five
-  /// timestamps (issued / received / db_start / db_end / completed), so
-  /// the four stage durations are real wall-clock intervals. Null
-  /// detaches; must outlive the cluster. The direct transport never
-  /// records stages (it has no queue or wire to time).
+  /// Attaches a per-request stage tracer: every sub-query that reaches a
+  /// store records the paper's five timestamps (issued / received /
+  /// db_start / db_end / completed), so the four stage durations are real
+  /// wall-clock intervals — on the direct transport too, where the
+  /// master-to-slave and in-queue stages are (nearly) empty because
+  /// nothing is encoded or queued. Null detaches; must outlive the
+  /// cluster.
   void AttachStageTracer(StageTracer* stages);
 
   /// Attaches a per-query flight recorder: every gather (any transport)
-  /// deposits one QueryRecord — message-path gathers include the
-  /// per-sub-query stage timeline. Null detaches; must outlive the
-  /// cluster.
+  /// deposits one QueryRecord with its per-sub-query stage timeline.
+  /// Null detaches; must outlive the cluster.
   void AttachFlightRecorder(FlightRecorder* recorder);
 
   /// Attaches a time-series collector ticked at the end of every gather
@@ -386,7 +348,9 @@ class InProcessCluster {
   /// transport the batches travel as WriteBatch frames through the
   /// shared NodeRuntime (admission-controlled, checksummed, validated on
   /// arrival) and per-replica acks come back as WriteReply frames; the
-  /// direct transport applies the same batches as plain calls. Per-key
+  /// direct transport applies the same batches as plain calls. A batch
+  /// the transport refuses to send (kReject backpressure) counts as a
+  /// replica failure for every key it carried. Per-key
   /// success is judged by `options.quorum`. A ring-epoch bump observed
   /// mid-write triggers bounded re-resolution rounds so the copies chase
   /// the data's new owners. With quorum kAll the stored state is
@@ -415,18 +379,10 @@ class InProcessCluster {
   /// every selected partition, folded per its kind — with per-sub-query
   /// replica failover per `options`. The one engine every query type and
   /// every transport runs on: `options.transport` selects direct calls
-  /// or the message path.
+  /// or the message path. Node-side parallelism is the message
+  /// transport's worker pools (`workers_per_node`). Thread-safe:
+  /// concurrent gathers are independent queries.
   GatherResult Gather(const QueryPlan& plan, const GatherOptions& options = {});
-
-  /// Same result computed by `threads` worker threads, one slice of the
-  /// partition list each (real std::thread parallelism over the real
-  /// storage engine — reads take shared locks, the block cache is
-  /// internally synchronised). The fold is deterministic: partial results
-  /// are merged in worker order, fault decisions are stateless, and
-  /// row merges are order-independent by construction, so a parallel
-  /// chaos gather matches the serial one bit for bit.
-  GatherResult GatherParallel(const QueryPlan& plan, uint32_t threads,
-                              const GatherOptions& options = {});
 
   /// N client threads, each issuing `queries_per_client` message-path
   /// executions of `plan` back to back through the shared runtime (the
@@ -443,24 +399,7 @@ class InProcessCluster {
   /// Gather(MakeCountPlan(workload), options), kept because it is the
   /// vocabulary of the tests, benches, and examples.
   GatherResult CountByTypeAll(const WorkloadSpec& workload,
-                              const GatherOptions& options);
-
-  /// Back-compat convenience: `replica` selects which copy serves the
-  /// reads first (values are taken modulo the replica-set size, so any
-  /// index is valid) — every replica must return the same answer, which
-  /// the tests assert.
-  GatherResult CountByTypeAll(const WorkloadSpec& workload,
-                              uint32_t replica = 0);
-
-  /// GatherParallel over MakeCountPlan(workload).
-  GatherResult CountByTypeAllParallel(const WorkloadSpec& workload,
-                                      uint32_t threads,
-                                      const GatherOptions& options = {});
-
-  /// GatherConcurrent over MakeCountPlan(workload).
-  ConcurrentGatherReport CountByTypeAllConcurrent(
-      const WorkloadSpec& workload, uint32_t clients,
-      uint32_t queries_per_client, const GatherOptions& options);
+                              const GatherOptions& options = {});
 
   /// How many times the shared runtime has been (re)built. A sequence of
   /// gathers with identical structural knobs holds this at 1 — the
@@ -487,16 +426,43 @@ class InProcessCluster {
   /// epoch bump forces re-resolution.
   struct SubQueryFailover;
 
-  /// Executes sub-query `index` of `plan` with failover on the direct
-  /// transport, folding into `fold`/`out` (worker-local partials in
-  /// parallel mode). `vclock` is the caller's virtual clock. `replicas`
-  /// is the set resolved at `resolved_epoch`; a retry that observes a
-  /// newer ring epoch re-resolves before failing over, so a sub-query
-  /// racing a migration finds the partition's new owner. Thread-safe.
-  void ExecuteSubQuery(const QueryPlan& plan, size_t index,
-                       std::vector<NodeId> replicas, uint64_t resolved_epoch,
-                       const GatherOptions& options, PlanFold& fold,
-                       GatherResult& out, Micros& vclock);
+  /// The cluster's registry instruments, resolved once per
+  /// AttachTelemetry: every pointer is null without a registry, and the
+  /// Add/Observe helpers skip null instruments.
+  struct Instruments {
+    Instruments() = default;
+    explicit Instruments(MetricsRegistry& metrics);
+    static void Add(Counter* counter, uint64_t n = 1);
+    static void Observe(LatencyHistogram* histogram, double micros);
+
+    Counter* subqueries = nullptr;         ///< cluster.subqueries
+    Counter* missing = nullptr;            ///< cluster.partitions_missing
+    Counter* read_errors = nullptr;        ///< cluster.read.errors
+    Counter* retries = nullptr;            ///< cluster.read.retries
+    Counter* hedged = nullptr;             ///< cluster.read.hedged
+    Counter* failed = nullptr;             ///< cluster.subqueries.failed
+    Counter* put_errors = nullptr;         ///< cluster.put.errors
+    Counter* put_keys = nullptr;           ///< cluster.put.keys
+    Counter* put_batches = nullptr;        ///< cluster.put.batches
+    Counter* put_quorum_failures = nullptr;  ///< cluster.put.quorum_failures
+    Counter* put_epoch_retries = nullptr;  ///< cluster.put.epoch_retries
+    LatencyHistogram* put_latency = nullptr;  ///< cluster.put.latency_us
+    LatencyHistogram* subquery_latency = nullptr;  ///< cluster.subquery.latency_us
+    LatencyHistogram* failover_latency = nullptr;  ///< cluster.failover.latency_us
+    Counter* joins = nullptr;              ///< cluster.membership.joins
+    Counter* decommissions = nullptr;      ///< cluster.membership.decommissions
+    Counter* perma_failures = nullptr;     ///< cluster.membership.permanent_failures
+    Gauge* epoch = nullptr;                ///< cluster.membership.epoch
+    Counter* migrated_partitions = nullptr;  ///< cluster.migration.partitions
+    Counter* migrated_blocks = nullptr;    ///< cluster.migration.blocks
+    Counter* migrated_bytes = nullptr;     ///< cluster.migration.bytes
+    Counter* migration_retries = nullptr;  ///< cluster.migration.block_retries
+    Counter* migration_failovers = nullptr;  ///< cluster.migration.source_failovers
+    Counter* repaired = nullptr;           ///< cluster.repair.partitions
+    Counter* lost = nullptr;               ///< cluster.repair.lost_partitions
+    /// cluster.query.{count,scan,topk,box}: gathers finished, per kind.
+    Counter* query_kinds[kQueryKindCount] = {};
+  };
 
   /// The store in slot `id`, or null when no such slot exists. Slots are
   /// append-only; holding the returned pointer keeps the store alive
@@ -533,22 +499,24 @@ class InProcessCluster {
   /// untouched when streaming fails.
   Status ExecutePlan(RingPlan plan, MembershipReport& report);
 
-  /// The message-transport gather: scatter encoded frames through the
-  /// shared NodeRuntime under a fresh query_id, collect and decode
-  /// replies, fail over on errors. Runs the same SubQueryFailover loop
-  /// as ExecuteSubQuery, so with no deadline a healthy or chaotic run
-  /// matches the direct transport field for field — and, with per-query
-  /// clocks and reply channels, matches it even while other gathers run
-  /// interleaved. Thread-safe.
-  GatherResult GatherMessage(const QueryPlan& plan,
-                             const GatherOptions& options);
+  /// A fresh query id when anything will see it — every message-path
+  /// query (the wire needs one), and direct ones only while a flight
+  /// recorder or stage tracer is attached, so the message path's id
+  /// sequence stays undisturbed otherwise.
+  uint64_t MintQueryId(GatherTransport transport);
+
+  /// Opens query `query_id`'s channel to the nodes: the inline transport,
+  /// or a session on the shared runtime (admission happens at Begin).
+  std::unique_ptr<Transport> OpenTransport(
+      const TransportOptions& options, uint64_t query_id,
+      const NodeRuntime::QueryOptions& query);
 
   /// Returns the shared runtime, building it on first use and rebuilding
   /// only when `options` changes a structural knob (queue depth, worker
   /// count, queue policy). A replaced runtime stays alive — via the
-  /// shared_ptr each in-flight gather holds — until its last query ends.
+  /// shared_ptr each in-flight query holds — until its last query ends.
   /// Always re-arms the admission controller from `options`.
-  std::shared_ptr<NodeRuntime> EnsureRuntime(const GatherOptions& options);
+  std::shared_ptr<NodeRuntime> EnsureRuntime(const TransportOptions& options);
 
   /// Drops the shared runtime so the next gather rebuilds it with fresh
   /// captured pointers (telemetry / injector).
@@ -560,22 +528,21 @@ class InProcessCluster {
   /// moving the signal (a directory hit no longer freezes it).
   void RecordDispatch(NodeId node);
 
-  /// Applies one write batch to `node`'s store — the one body both
-  /// write transports share (write_path.cpp). Mirrors the message
-  /// path's checks on the direct path: a dead node refuses the whole
-  /// batch with kUnavailable; per-key WAL faults (OnWalWrite) land in
-  /// failed_keys. WAL-backed nodes group-commit through DurablePutBatch
-  /// (one Sync per call); WAL-less nodes apply straight to the table.
-  /// The routing fields of the returned reply are left for the caller.
-  WriteReply ApplyWriteBatchAt(uint32_t node, const std::string& table,
-                               std::vector<BatchPutItem> items);
+  /// The read handler both transports call: runs the request's operator
+  /// against `node`'s table (gather_engine.cpp).
+  Result<OperatorResult> ServeRead(uint32_t node, const SubQueryRequest& req,
+                                   ReadProbe* probe);
 
-  /// The message transport's write handler body: decodes the batch's
-  /// columns, applies them via ApplyWriteBatchAt, and — when the put
-  /// armed a flush watermark — schedules a background flush on the
-  /// node's own worker pool once the memtable crossed it.
-  WriteReply ServeWriteBatchMessage(uint32_t node, const WriteBatch& batch,
-                                    NodeRuntime& runtime);
+  /// The write handler both transports call (write_path.cpp): a dead
+  /// node refuses the whole batch with kUnavailable; per-key WAL faults
+  /// (OnWalWrite) land in failed_keys. WAL-backed nodes group-commit
+  /// through DurablePutBatch (one Sync per call); WAL-less nodes apply
+  /// straight to the table. With a `runtime` and an armed flush
+  /// watermark, a memtable that crossed it schedules a background flush
+  /// on the node's own worker pool. The routing fields of the returned
+  /// reply are left for the caller.
+  WriteReply ServeWrite(uint32_t node, const WriteBatch& batch,
+                        NodeRuntime* runtime);
 
   /// One scheduled background-maintenance step: flushes `table` on
   /// `node` (which also runs the size-tiered compaction check), executed
@@ -590,13 +557,13 @@ class InProcessCluster {
   /// End-of-gather observability: bumps the per-kind query counter,
   /// deposits one QueryRecord into the attached flight recorder (when
   /// any), and ticks the attached time-series collector on the cluster's
-  /// accumulated gather clock. `timeline` is the message path's
-  /// per-sub-query stage stamps (empty for direct/aggregate-only
-  /// gathers).
+  /// accumulated gather clock. `timeline` is the per-sub-query stage
+  /// record (empty when no flight recorder is attached, or when the
+  /// gather was shed).
   void RecordGather(uint64_t query_id, QueryKind kind,
                     const std::string& table, std::string_view transport,
                     const GatherResult& result,
-                    std::vector<SubQueryTimelineEntry> timeline);
+                    std::vector<RequestTrace> timeline);
 
   /// Guards the routing state shared by concurrent gathers: the
   /// placement policy (whose load feedback mutates), the directory, and
@@ -641,6 +608,9 @@ class InProcessCluster {
   /// Message set shared by every gather's runtime (both "peers" — the
   /// master's encoder and the slaves' decoders — see the same ids).
   CompactCodec codec_registry_;
+  /// ServeRead / ServeWrite bound to this cluster: what every transport
+  /// calls on the node side.
+  NodeHandlers handlers_;
   /// The background-flush watermark the current message put armed (0 =
   /// off). Atomic because node workers read it while the master writes
   /// it; a worker observing a just-replaced value merely flushes a
@@ -657,35 +627,7 @@ class InProcessCluster {
   StageTracer* stage_tracer_ = nullptr;         ///< null = no stage traces
   FlightRecorder* flight_recorder_ = nullptr;   ///< null = no flight records
   MetricsTimeSeries* timeseries_ = nullptr;     ///< null = no trajectory
-  Counter* subqueries_counter_ = nullptr;       ///< cluster.subqueries
-  Counter* missing_counter_ = nullptr;          ///< cluster.partitions_missing
-  Counter* errors_counter_ = nullptr;           ///< cluster.read.errors
-  Counter* retries_counter_ = nullptr;          ///< cluster.read.retries
-  Counter* hedged_counter_ = nullptr;           ///< cluster.read.hedged
-  Counter* failed_counter_ = nullptr;           ///< cluster.subqueries.failed
-  Counter* put_errors_counter_ = nullptr;       ///< cluster.put.errors
-  Counter* put_keys_counter_ = nullptr;         ///< cluster.put.keys
-  Counter* put_batches_counter_ = nullptr;      ///< cluster.put.batches
-  /// cluster.put.quorum_failures: keys whose acks missed the quorum.
-  Counter* put_quorum_failures_counter_ = nullptr;
-  /// cluster.put.epoch_retries: re-resolution rounds after epoch bumps.
-  Counter* put_epoch_retries_counter_ = nullptr;
-  LatencyHistogram* put_latency_ = nullptr;     ///< cluster.put.latency_us
-  LatencyHistogram* subquery_latency_ = nullptr;  ///< cluster.subquery.latency_us
-  LatencyHistogram* failover_latency_ = nullptr;  ///< cluster.failover.latency_us
-  Counter* joins_counter_ = nullptr;            ///< cluster.membership.joins
-  Counter* decommissions_counter_ = nullptr;    ///< cluster.membership.decommissions
-  Counter* perma_failures_counter_ = nullptr;   ///< cluster.membership.permanent_failures
-  Gauge* epoch_gauge_ = nullptr;                ///< cluster.membership.epoch
-  Counter* migrated_partitions_counter_ = nullptr;  ///< cluster.migration.partitions
-  Counter* migrated_blocks_counter_ = nullptr;      ///< cluster.migration.blocks
-  Counter* migrated_bytes_counter_ = nullptr;       ///< cluster.migration.bytes
-  Counter* migration_retries_counter_ = nullptr;    ///< cluster.migration.block_retries
-  Counter* migration_failovers_counter_ = nullptr;  ///< cluster.migration.source_failovers
-  Counter* repaired_counter_ = nullptr;         ///< cluster.repair.partitions
-  Counter* lost_counter_ = nullptr;             ///< cluster.repair.lost_partitions
-  /// cluster.query.{count,scan,topk,box}: gathers finished, per kind.
-  Counter* query_kind_counters_[kQueryKindCount] = {};
+  Instruments inst_;
 
   /// The structural knobs the current runtime_ was built with.
   struct RuntimeConfig {

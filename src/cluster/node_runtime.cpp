@@ -240,12 +240,40 @@ Micros NodeRuntime::query_queue_wait_us(uint64_t query_id) const {
   return NanosToMicros(query->queue_wait_nanos.load(std::memory_order_relaxed));
 }
 
+Status NodeRuntime::Enqueue(RequestEnvelope env) {
+  QueryState& query = *env.query;
+  const uint32_t node = env.node;
+  const uint64_t frame_bytes = env.frame.size();
+  auto stamp_received = [this](RequestEnvelope& e) {
+    e.received_us = NowMicros();
+  };
+  const bool pushed =
+      options_.on_queue_full == QueueFullPolicy::kBlock
+          ? queues_[node]->Push(std::move(env), stamp_received)
+          : queues_[node]->TryPush(std::move(env), stamp_received);
+  if (!pushed) {
+    return Status::ResourceExhausted(
+        "node " + std::to_string(node) + " queue full (depth " +
+        std::to_string(options_.queue_depth) + ")");
+  }
+  frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  bytes_sent_.fetch_add(frame_bytes, std::memory_order_relaxed);
+  query.frames_sent.fetch_add(1, std::memory_order_relaxed);
+  query.bytes_sent.fetch_add(frame_bytes, std::memory_order_relaxed);
+  if (frames_counter_ != nullptr) frames_counter_->Increment();
+  if (bytes_sent_counter_ != nullptr) {
+    bytes_sent_counter_->Increment(frame_bytes);
+  }
+  SetDepthGauge(node);
+  return Status::Ok();
+}
+
 Status NodeRuntime::Dispatch(uint64_t query_id, uint32_t node,
                              std::span<const SubQueryRequest> requests,
                              std::span<const uint32_t> attempts,
                              std::span<const Micros> extra_latency_us) {
   if (node >= queues_.size()) {
-    // A gather holding a runtime built before a membership change can
+    // A query holding a runtime built before a membership change can
     // route to a node this runtime never had a queue for. That is a
     // transport failure, not a bug: the caller's retry machinery
     // re-resolves against the current ring.
@@ -265,50 +293,21 @@ Status NodeRuntime::Dispatch(uint64_t query_id, uint32_t node,
   WireBuffer buf;
   EncodeSubQueryBatch(requests, attempts, query->trace_flags, query->codec,
                       registry_, buf);
-  const Micros encode_us = NowMicros() - env.issued_us;
-  const uint64_t encode_nanos = MicrosToNanos(encode_us);
-  encode_nanos_.fetch_add(encode_nanos, std::memory_order_relaxed);
-  query->encode_nanos.fetch_add(encode_nanos, std::memory_order_relaxed);
-  if (encode_hist_ != nullptr) encode_hist_->Record(encode_us);
-
-  const uint64_t frame_bytes = buf.size();
+  RecordEncode(*query, env.issued_us);
   env.frame = buf.TakeBytes();
   env.sub_ids.reserve(requests.size());
   for (const SubQueryRequest& req : requests) env.sub_ids.push_back(req.sub_id);
   env.attempts.assign(attempts.begin(), attempts.end());
   env.extra_latency_us.assign(extra_latency_us.begin(),
                               extra_latency_us.end());
-
-  auto stamp_received = [this](RequestEnvelope& e) {
-    e.received_us = NowMicros();
-  };
-  const bool pushed =
-      options_.on_queue_full == QueueFullPolicy::kBlock
-          ? queues_[node]->Push(std::move(env), stamp_received)
-          : queues_[node]->TryPush(std::move(env), stamp_received);
-  if (!pushed) {
-    return Status::ResourceExhausted(
-        "node " + std::to_string(node) + " queue full (depth " +
-        std::to_string(options_.queue_depth) + ")");
-  }
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(frame_bytes, std::memory_order_relaxed);
-  query->frames_sent.fetch_add(1, std::memory_order_relaxed);
-  query->bytes_sent.fetch_add(frame_bytes, std::memory_order_relaxed);
-  if (frames_counter_ != nullptr) frames_counter_->Increment();
-  if (bytes_sent_counter_ != nullptr) {
-    bytes_sent_counter_->Increment(frame_bytes);
-  }
-  SetDepthGauge(node);
-  return Status::Ok();
+  return Enqueue(std::move(env));
 }
 
 Status NodeRuntime::DispatchWrite(uint64_t query_id, uint32_t node,
                                   const WriteBatch& batch, uint32_t attempt,
                                   Micros extra_latency_us) {
   if (node >= queues_.size()) {
-    // Same stale-membership escape hatch as Dispatch: the caller's
-    // retry machinery re-resolves against the current ring.
+    // Same stale-membership escape hatch as Dispatch.
     return Status::Unavailable("node " + std::to_string(node) +
                                " is not part of this runtime");
   }
@@ -325,40 +324,12 @@ Status NodeRuntime::DispatchWrite(uint64_t query_id, uint32_t node,
   WireBuffer buf;
   EncodeWriteBatchFrame(batch, attempt, query->trace_flags, query->codec,
                         registry_, buf);
-  const Micros encode_us = NowMicros() - env.issued_us;
-  const uint64_t encode_nanos = MicrosToNanos(encode_us);
-  encode_nanos_.fetch_add(encode_nanos, std::memory_order_relaxed);
-  query->encode_nanos.fetch_add(encode_nanos, std::memory_order_relaxed);
-  if (encode_hist_ != nullptr) encode_hist_->Record(encode_us);
-
-  const uint64_t frame_bytes = buf.size();
+  RecordEncode(*query, env.issued_us);
   env.frame = buf.TakeBytes();
   env.sub_ids = {batch.sub_id};
   env.attempts = {attempt};
   env.extra_latency_us = {extra_latency_us};
-
-  auto stamp_received = [this](RequestEnvelope& e) {
-    e.received_us = NowMicros();
-  };
-  const bool pushed =
-      options_.on_queue_full == QueueFullPolicy::kBlock
-          ? queues_[node]->Push(std::move(env), stamp_received)
-          : queues_[node]->TryPush(std::move(env), stamp_received);
-  if (!pushed) {
-    return Status::ResourceExhausted(
-        "node " + std::to_string(node) + " queue full (depth " +
-        std::to_string(options_.queue_depth) + ")");
-  }
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(frame_bytes, std::memory_order_relaxed);
-  query->frames_sent.fetch_add(1, std::memory_order_relaxed);
-  query->bytes_sent.fetch_add(frame_bytes, std::memory_order_relaxed);
-  if (frames_counter_ != nullptr) frames_counter_->Increment();
-  if (bytes_sent_counter_ != nullptr) {
-    bytes_sent_counter_->Increment(frame_bytes);
-  }
-  SetDepthGauge(node);
-  return Status::Ok();
+  return Enqueue(std::move(env));
 }
 
 bool NodeRuntime::ScheduleMaintenance(uint32_t node, std::string table) {
@@ -418,11 +389,7 @@ void NodeRuntime::WorkerLoop(uint32_t node) {
 
     const Micros decode_start = NowMicros();
     auto decoded = DecodeSubQueryBatch(env.frame, env.query->codec, registry_);
-    const Micros decode_us = NowMicros() - decode_start;
-    const uint64_t decode_nanos = MicrosToNanos(decode_us);
-    decode_nanos_.fetch_add(decode_nanos, std::memory_order_relaxed);
-    env.query->decode_nanos.fetch_add(decode_nanos, std::memory_order_relaxed);
-    if (decode_hist_ != nullptr) decode_hist_->Record(decode_us);
+    const Micros decode_us = RecordDecode(*env.query, decode_start);
 
     // Node-side observability runs off the *decoded wire context*, not
     // the in-memory transport metadata: a frame is only traced when its
@@ -486,6 +453,41 @@ void NodeRuntime::WorkerLoop(uint32_t node) {
   }
 }
 
+Micros NodeRuntime::RecordEncode(QueryState& query, Micros start) {
+  const Micros encode_us = NowMicros() - start;
+  const uint64_t encode_nanos = MicrosToNanos(encode_us);
+  encode_nanos_.fetch_add(encode_nanos, std::memory_order_relaxed);
+  query.encode_nanos.fetch_add(encode_nanos, std::memory_order_relaxed);
+  if (encode_hist_ != nullptr) encode_hist_->Record(encode_us);
+  return encode_us;
+}
+
+Micros NodeRuntime::RecordDecode(QueryState& query, Micros start) {
+  const Micros decode_us = NowMicros() - start;
+  const uint64_t decode_nanos = MicrosToNanos(decode_us);
+  decode_nanos_.fetch_add(decode_nanos, std::memory_order_relaxed);
+  query.decode_nanos.fetch_add(decode_nanos, std::memory_order_relaxed);
+  if (decode_hist_ != nullptr) decode_hist_->Record(decode_us);
+  return decode_us;
+}
+
+StatusCode NodeRuntime::Refusal(uint32_t node, const RequestEnvelope& env,
+                                const Status& transport) const {
+  if (!transport.ok()) return transport.code();
+  // Dequeue injection point: the node died after the master's
+  // dispatch-time liveness view let the request through.
+  if (injector_ != nullptr && injector_->IsNodeDown(node)) {
+    return StatusCode::kUnavailable;
+  }
+  // The owning query's deadline expired (on its own clock) while this
+  // request sat in the queue: shed it without touching the store.
+  const QueryState& query = *env.query;
+  if (query.deadline_us > 0.0 && ClockMicros(query) >= query.deadline_us) {
+    return StatusCode::kResourceExhausted;
+  }
+  return StatusCode::kOk;
+}
+
 void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
                            const RequestEnvelope& env, size_t item,
                            Status transport, uint8_t wire_trace_flags) {
@@ -507,19 +509,8 @@ void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
   reply.query_id = request.query_id;
   reply.sub_id = out.sub_id;
   reply.node = node;
-
-  if (!transport.ok()) {
-    reply.status = static_cast<uint32_t>(transport.code());
-  } else if (injector_ != nullptr && injector_->IsNodeDown(node)) {
-    // Dequeue injection point: the node died after the master's
-    // dispatch-time liveness view let the request through.
-    reply.status = static_cast<uint32_t>(StatusCode::kUnavailable);
-  } else if (query.deadline_us > 0.0 &&
-             ClockMicros(query) >= query.deadline_us) {
-    // The owning query's deadline expired (on its own clock) while this
-    // request sat in the queue: shed it without touching the store.
-    reply.status = static_cast<uint32_t>(StatusCode::kResourceExhausted);
-  } else {
+  reply.status = static_cast<uint32_t>(Refusal(node, env, transport));
+  if (reply.status == static_cast<uint32_t>(StatusCode::kOk)) {
     out.db_start_us = NowMicros();
     SpanTracer::Scope read;
     if (spans_ != nullptr) {
@@ -534,7 +525,7 @@ void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
     }
     auto columns = handler_(node, request, &out.probe);
     out.db_end_us = NowMicros();
-    out.store_read = true;
+    out.served = true;
     if (read.active()) {
       read.Attr("blocks_decoded", std::to_string(out.probe.blocks_decoded));
       read.Attr("blocks_from_cache",
@@ -572,14 +563,10 @@ void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
   EncodeReplyFrame(reply, out.attempt, wire_trace_flags, query.codec,
                    registry_, buf);
   encode_scope.End();
-  const Micros encode_us = NowMicros() - encode_start;
-  const uint64_t encode_nanos = MicrosToNanos(encode_us);
-  encode_nanos_.fetch_add(encode_nanos, std::memory_order_relaxed);
-  query.encode_nanos.fetch_add(encode_nanos, std::memory_order_relaxed);
-  if (encode_hist_ != nullptr) encode_hist_->Record(encode_us);
+  RecordEncode(query, encode_start);
   out.frame = buf.TakeBytes();
 
-  if (out.store_read && injector_ != nullptr &&
+  if (out.served && injector_ != nullptr &&
       injector_->ShouldCorruptReply(node, request.partition_key,
                                     out.attempt)) {
     // In-flight reply corruption: flip a header bit so the frame fails
@@ -596,6 +583,7 @@ void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
 void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
   QueryState& query = *env.query;
   ReplyEnvelope out;
+  out.write = true;
   out.node = node;
   out.sub_id = env.sub_ids.front();
   out.attempt = env.attempts.front();
@@ -604,11 +592,7 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
 
   const Micros decode_start = NowMicros();
   auto decoded = DecodeWriteBatchFrame(env.frame, query.codec, registry_);
-  const Micros decode_us = NowMicros() - decode_start;
-  const uint64_t decode_nanos = MicrosToNanos(decode_us);
-  decode_nanos_.fetch_add(decode_nanos, std::memory_order_relaxed);
-  query.decode_nanos.fetch_add(decode_nanos, std::memory_order_relaxed);
-  if (decode_hist_ != nullptr) decode_hist_->Record(decode_us);
+  RecordDecode(query, decode_start);
 
   Status transport = Status::Ok();
   if (!decoded.ok()) {
@@ -627,23 +611,10 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
       decoded.ok() ? decoded.value().trace_flags : query.trace_flags;
   const bool sampled = (wire_flags & kTraceSampled) != 0 && transport.ok() &&
                        spans_ != nullptr;
-  const uint64_t flow = TraceFlowId(query.query_id, out.sub_id, out.attempt);
 
   WriteReply reply;
-  reply.query_id = query.query_id;
-  reply.sub_id = out.sub_id;
-  reply.node = node;
-
-  if (!transport.ok()) {
-    reply.status = static_cast<uint32_t>(transport.code());
-  } else if (injector_ != nullptr && injector_->IsNodeDown(node)) {
-    // Dequeue injection point, same as reads: the node died while the
-    // batch sat in its queue. Nothing reached the WAL.
-    reply.status = static_cast<uint32_t>(StatusCode::kUnavailable);
-  } else if (query.deadline_us > 0.0 &&
-             ClockMicros(query) >= query.deadline_us) {
-    reply.status = static_cast<uint32_t>(StatusCode::kResourceExhausted);
-  } else {
+  reply.status = static_cast<uint32_t>(Refusal(node, env, transport));
+  if (reply.status == static_cast<uint32_t>(StatusCode::kOk)) {
     const WriteBatch& batch = decoded.value().batch;
     out.db_start_us = NowMicros();
     SpanTracer::Scope write_span;
@@ -652,62 +623,52 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
       write_span.Attr("keys", std::to_string(batch.keys.size()));
       write_span.Attr("attempt", std::to_string(out.attempt));
       if (sampled) {
-        write_span.Flow(flow, FlowPhase::kStep);
+        write_span.Flow(TraceFlowId(query.query_id, out.sub_id, out.attempt),
+                        FlowPhase::kStep);
         write_span.Attr("query", std::to_string(query.query_id));
         write_span.Attr("sub", std::to_string(out.sub_id));
       }
     }
-    WriteReply served = write_handler_(node, batch, *this);
+    reply = write_handler_(node, batch, this);
     out.db_end_us = NowMicros();
-    out.store_read = true;  // the handler ran (write-side analogue)
+    out.served = true;
     write_span.End();
-    // The routing fields are the runtime's, not the handler's: a handler
-    // bug must not be able to misroute a reply past the demultiplexer.
-    served.query_id = query.query_id;
-    served.sub_id = out.sub_id;
-    served.node = node;
-    served.db_micros = out.db_end_us - out.db_start_us;
-    reply = std::move(served);
+    reply.db_micros = out.db_end_us - out.db_start_us;
     query.clock_nanos.fetch_add(
         MicrosToNanos(env.extra_latency_us.front()),
         std::memory_order_relaxed);
   }
+  // The routing fields are the runtime's, not the handler's: a handler
+  // bug must not be able to misroute a reply past the demultiplexer.
+  reply.query_id = query.query_id;
+  reply.sub_id = out.sub_id;
+  reply.node = node;
 
   const Micros encode_start = NowMicros();
   WireBuffer buf;
   EncodeWriteReplyFrame(reply, out.attempt, wire_flags, query.codec,
                         registry_, buf);
-  const Micros encode_us = NowMicros() - encode_start;
-  const uint64_t encode_nanos = MicrosToNanos(encode_us);
-  encode_nanos_.fetch_add(encode_nanos, std::memory_order_relaxed);
-  query.encode_nanos.fetch_add(encode_nanos, std::memory_order_relaxed);
-  if (encode_hist_ != nullptr) encode_hist_->Record(encode_us);
+  RecordEncode(query, encode_start);
   out.frame = buf.TakeBytes();
-
   query.replies.Push(std::move(out));
 }
 
-NodeRuntime::DecodedReply NodeRuntime::AwaitReply(uint64_t query_id) {
+TransportReply NodeRuntime::Await(uint64_t query_id) {
   auto query = FindQuery(query_id);
   KV_CHECK(query != nullptr);
-  DecodedReply out;
+  TransportReply out;
   auto popped = query->replies.Pop();
-  if (!popped) {
-    out.reply = Status::Unavailable("node runtime shut down");
-    return out;
-  }
+  if (!popped) return out;  // shut down: kUnavailable, never served
   ReplyEnvelope env = std::move(*popped);
   out.node = env.node;
   out.sub_id = env.sub_id;
   out.attempt = env.attempt;
-  out.store_read = env.store_read;
+  out.served = env.served;
   out.probe = env.probe;
   out.issued_us = env.issued_us;
   out.received_us = env.received_us;
   out.db_start_us = env.db_start_us;
   out.db_end_us = env.db_end_us;
-  out.reply_bytes = env.frame.size();
-
   bytes_received_.fetch_add(env.frame.size(), std::memory_order_relaxed);
   query->bytes_received.fetch_add(env.frame.size(),
                                   std::memory_order_relaxed);
@@ -715,79 +676,32 @@ NodeRuntime::DecodedReply NodeRuntime::AwaitReply(uint64_t query_id) {
     bytes_received_counter_->Increment(env.frame.size());
   }
 
-  const Micros decode_start = NowMicros();
   // The query_id-checked decode is the wire half of the demultiplexer: a
   // reply naming another query is kCorruption, handled like any other
-  // unreadable reply (failover), never folded.
-  auto decoded = DecodeReplyFrame(env.frame, query->codec, registry_, query_id);
-  if (!decoded.ok()) {
-    out.reply = decoded.status();
-  } else if (decoded.value().attempt != env.attempt) {
-    out.reply = Status::Corruption(
-        "reply frame: envelope attempt " +
-        std::to_string(decoded.value().attempt) +
-        " disagrees with the transport metadata's " +
-        std::to_string(env.attempt));
-  } else {
-    out.trace_flags = decoded.value().trace_flags;
-    out.reply = std::move(decoded).value().reply;
-  }
-  const Micros decode_us = NowMicros() - decode_start;
-  const uint64_t decode_nanos = MicrosToNanos(decode_us);
-  decode_nanos_.fetch_add(decode_nanos, std::memory_order_relaxed);
-  query->decode_nanos.fetch_add(decode_nanos, std::memory_order_relaxed);
-  if (decode_hist_ != nullptr) decode_hist_->Record(decode_us);
-  return out;
-}
-
-NodeRuntime::DecodedWriteReply NodeRuntime::AwaitWriteReply(
-    uint64_t query_id) {
-  auto query = FindQuery(query_id);
-  KV_CHECK(query != nullptr);
-  DecodedWriteReply out;
-  auto popped = query->replies.Pop();
-  if (!popped) {
-    out.reply = Status::Unavailable("node runtime shut down");
-    return out;
-  }
-  ReplyEnvelope env = std::move(*popped);
-  out.node = env.node;
-  out.sub_id = env.sub_id;
-  out.attempt = env.attempt;
-  out.store_write = env.store_read;
-  out.issued_us = env.issued_us;
-  out.received_us = env.received_us;
-  out.db_start_us = env.db_start_us;
-  out.db_end_us = env.db_end_us;
-  out.reply_bytes = env.frame.size();
-
-  bytes_received_.fetch_add(env.frame.size(), std::memory_order_relaxed);
-  query->bytes_received.fetch_add(env.frame.size(),
-                                  std::memory_order_relaxed);
-  if (bytes_received_counter_ != nullptr) {
-    bytes_received_counter_->Increment(env.frame.size());
-  }
-
+  // unreadable reply (failover), never folded. So is a frame whose
+  // envelope attempt disagrees with the transport metadata.
   const Micros decode_start = NowMicros();
-  auto decoded =
-      DecodeWriteReplyFrame(env.frame, query->codec, registry_, query_id);
-  if (!decoded.ok()) {
-    out.reply = decoded.status();
-  } else if (decoded.value().attempt != env.attempt) {
-    out.reply = Status::Corruption(
-        "write reply: envelope attempt " +
-        std::to_string(decoded.value().attempt) +
-        " disagrees with the transport metadata's " +
-        std::to_string(env.attempt));
+  out.code = StatusCode::kCorruption;
+  if (env.write) {
+    auto decoded =
+        DecodeWriteReplyFrame(env.frame, query->codec, registry_, query_id);
+    if (decoded.ok() && decoded.value().attempt == env.attempt) {
+      out.trace_flags = decoded.value().trace_flags;
+      out.write = std::move(decoded).value().reply;
+      out.code = static_cast<StatusCode>(out.write.status);
+    }
   } else {
-    out.trace_flags = decoded.value().trace_flags;
-    out.reply = std::move(decoded).value().reply;
+    auto decoded =
+        DecodeReplyFrame(env.frame, query->codec, registry_, query_id);
+    if (decoded.ok() && decoded.value().attempt == env.attempt) {
+      out.trace_flags = decoded.value().trace_flags;
+      SubQueryReply& reply = decoded.value().reply;
+      out.code = static_cast<StatusCode>(reply.status);
+      out.columns.col_a = std::move(reply.type_ids);
+      out.columns.col_b = std::move(reply.counts);
+    }
   }
-  const Micros decode_us = NowMicros() - decode_start;
-  const uint64_t decode_nanos = MicrosToNanos(decode_us);
-  decode_nanos_.fetch_add(decode_nanos, std::memory_order_relaxed);
-  query->decode_nanos.fetch_add(decode_nanos, std::memory_order_relaxed);
-  if (decode_hist_ != nullptr) decode_hist_->Record(decode_us);
+  RecordDecode(*query, decode_start);
   return out;
 }
 
@@ -796,7 +710,7 @@ void NodeRuntime::Shutdown() {
   for (auto& queue : queues_) queue->Close();
   for (auto& worker : workers_) worker.join();
   MutexLock lock(queries_mu_);
-  // Wake live queries: their AwaitReply calls drain whatever the workers
+  // Wake live queries: their Await calls drain whatever the workers
   // already replied, then observe the closed channel as kUnavailable.
   for (auto& [id, query] : queries_) query->replies.Close();
   admission_cv_.NotifyAll();

@@ -186,10 +186,11 @@ class NodeRuntime;
 /// so a handler cannot misroute a reply. `self` is the runtime serving
 /// the batch, so a handler can ScheduleMaintenance (e.g. a background
 /// flush once a memtable crosses a watermark) without holding any lock
-/// that could outlive the runtime. Must be safe to call from many
-/// workers at once.
+/// that could outlive the runtime; it is null when the batch is applied
+/// without a runtime (the inline transport). Must be safe to call from
+/// many workers at once.
 using WriteBatchHandler = std::function<WriteReply(
-    uint32_t node, const WriteBatch& batch, NodeRuntime& self)>;
+    uint32_t node, const WriteBatch& batch, NodeRuntime* self)>;
 
 /// Runs one scheduled background-maintenance step (memtable flush /
 /// compaction check) for `table` on `node`'s store. Executed by the
@@ -197,6 +198,31 @@ using WriteBatchHandler = std::function<WriteReply(
 /// and writes for the same threads.
 using MaintenanceHandler =
     std::function<void(uint32_t node, const std::string& table)>;
+
+/// One decoded answer from a node: a read's result columns or a write's
+/// reply, plus the transport metadata echoed with it.
+struct TransportReply {
+  uint32_t node = 0;     ///< replica that served (or refused)
+  uint32_t sub_id = 0;
+  uint32_t attempt = 0;
+  /// The node's handler ran. False for liveness bounces and deadline
+  /// sheds, which never reached the store.
+  bool served = false;
+  /// kOk, the store's verdict, kCorruption for an unreadable frame, or
+  /// kUnavailable once the runtime shut down.
+  StatusCode code = StatusCode::kUnavailable;
+  ReadProbe probe;           ///< reads: what the store touched
+  OperatorResult columns;    ///< reads: the operator's paired columns
+  WriteReply write;          ///< writes: applied / failed keys / syncs
+  /// Trace flags the node echoed back (what the wire actually carried).
+  uint8_t trace_flags = 0;
+  // Stage boundaries on the serving clock (NodeRuntime::now_us, or the
+  // inline transport's steady clock).
+  Micros issued_us = 0.0;
+  Micros received_us = 0.0;
+  Micros db_start_us = 0.0;
+  Micros db_end_us = 0.0;
+};
 
 /// Per-node request queues + worker pools shared by concurrent queries,
 /// with per-query reply channels demultiplexed on query_id.
@@ -229,30 +255,6 @@ class NodeRuntime {
     uint64_t bytes_received = 0;  ///< reply frame bytes (master ingress)
     Micros encode_us = 0.0;       ///< total encode time, both directions
     Micros decode_us = 0.0;       ///< total decode time, both directions
-  };
-
-  /// One decoded reply plus the transport metadata echoed alongside it.
-  struct DecodedReply {
-    uint32_t node = 0;     ///< replica that served (or refused)
-    uint32_t sub_id = 0;
-    uint32_t attempt = 0;
-    /// True when the handler actually ran (false for liveness bounces
-    /// and deadline sheds — those never reached the store).
-    bool store_read = false;
-    ReadProbe probe;
-    /// Trace flags the worker echoed back in the reply envelope (what
-    /// the wire actually carried, not what the master asked for).
-    uint8_t trace_flags = 0;
-    /// The decoded reply; an error here means the reply *frame* was
-    /// unreadable (in-flight corruption) or named a different query (a
-    /// demux violation), distinct from a decoded reply whose `status`
-    /// field reports a store error.
-    Result<SubQueryReply> reply = Status::Unavailable("no reply");
-    Micros issued_us = 0.0;
-    Micros received_us = 0.0;
-    Micros db_start_us = 0.0;
-    Micros db_end_us = 0.0;
-    uint64_t reply_bytes = 0;  ///< encoded reply frame size
   };
 
   /// Spawns `nodes * options.workers_per_node` workers — once, for the
@@ -309,51 +311,28 @@ class NodeRuntime {
   /// latency charges) into one frame with `query_id`'s codec and
   /// enqueues it on `node`. Blocks under kBlock when the queue is full;
   /// fails with kResourceExhausted under kReject. One reply per request
-  /// eventually reaches AwaitReply(query_id). The query must be live
-  /// (between BeginQuery and EndQuery).
+  /// eventually reaches Await(query_id). The query must be live (between
+  /// BeginQuery and EndQuery).
   Status Dispatch(uint64_t query_id, uint32_t node,
                   std::span<const SubQueryRequest> requests,
                   std::span<const uint32_t> attempts,
                   std::span<const Micros> extra_latency_us);
 
-  /// Blocks until one of `query_id`'s reply frames arrives and decodes
-  /// it (the in-flight corruption injection point lives between those
-  /// two steps; a decoded reply naming a different query_id is a demux
-  /// corruption). Call exactly once per dispatched request.
-  DecodedReply AwaitReply(uint64_t query_id);
-
-  /// One decoded write reply plus its transport metadata. `store_write`
-  /// is true when the write handler actually ran (false for liveness
-  /// bounces and deadline sheds — those never touched the WAL).
-  struct DecodedWriteReply {
-    uint32_t node = 0;
-    uint32_t sub_id = 0;
-    uint32_t attempt = 0;
-    bool store_write = false;
-    uint8_t trace_flags = 0;
-    /// An error here means the reply *frame* was unreadable or named a
-    /// different query; a decoded reply whose `status` field is non-OK
-    /// reports a store-side refusal instead.
-    Result<WriteReply> reply = Status::Unavailable("no reply");
-    Micros issued_us = 0.0;
-    Micros received_us = 0.0;
-    Micros db_start_us = 0.0;
-    Micros db_end_us = 0.0;
-    uint64_t reply_bytes = 0;
-  };
-
   /// Encodes `batch` into a WriteBatch frame with `query_id`'s codec and
   /// enqueues it on `node`, where a worker group-commits it through the
   /// write handler. Same queue semantics as Dispatch; one WriteReply per
-  /// dispatched batch eventually reaches AwaitWriteReply(query_id). The
-  /// runtime must have been built with a write handler.
+  /// dispatched batch eventually reaches Await(query_id). The runtime
+  /// must have been built with a write handler.
   Status DispatchWrite(uint64_t query_id, uint32_t node,
                        const WriteBatch& batch, uint32_t attempt,
                        Micros extra_latency_us = 0.0);
 
-  /// Blocks until one of `query_id`'s write replies arrives and decodes
-  /// it. Call exactly once per dispatched write batch.
-  DecodedWriteReply AwaitWriteReply(uint64_t query_id);
+  /// Blocks until one of `query_id`'s reply frames — read or write —
+  /// arrives and decodes it (the in-flight corruption injection point
+  /// lives between those two steps; a decoded reply naming a different
+  /// query_id is a demux corruption, reported as kCorruption). Call
+  /// exactly once per dispatched request / write batch.
+  TransportReply Await(uint64_t query_id);
 
   /// Enqueues one background-maintenance step (flush/compaction check
   /// for `table`) on `node`'s own request queue, competing with reads
@@ -399,18 +378,19 @@ class NodeRuntime {
   Micros query_queue_wait_us(uint64_t query_id) const;
 
   /// Closes every queue and joins the workers (idempotent; the
-  /// destructor calls it). Live queries' AwaitReply calls drain and then
+  /// destructor calls it). Live queries' Await calls drain and then
   /// report kUnavailable.
   void Shutdown();
 
  private:
   struct ReplyEnvelope {
+    bool write = false;  ///< frame holds a WriteReply, not a SubQueryReply
     uint32_t node = 0;
     uint32_t sub_id = 0;
     uint32_t attempt = 0;
-    bool store_read = false;
+    bool served = false;  ///< the handler ran
     ReadProbe probe;
-    std::vector<std::byte> frame;  ///< encoded SubQueryReply
+    std::vector<std::byte> frame;  ///< encoded SubQueryReply / WriteReply
     Micros issued_us = 0.0;
     Micros received_us = 0.0;
     Micros db_start_us = 0.0;
@@ -470,6 +450,18 @@ class NodeRuntime {
     Micros received_us = 0.0;  ///< envelope entered the node's queue
   };
 
+  /// Enqueues and accounts one already-encoded request envelope — the
+  /// tail Dispatch and DispatchWrite share.
+  Status Enqueue(RequestEnvelope env);
+  /// Accounts one encode or decode that started at `start`; returns its
+  /// duration.
+  Micros RecordEncode(QueryState& query, Micros start);
+  Micros RecordDecode(QueryState& query, Micros start);
+  /// Why a worker may not serve `env` right now (kOk = serve it): the
+  /// frame failed `transport` checks, the node died after dispatch, or
+  /// the owning query's deadline expired while the envelope sat queued.
+  StatusCode Refusal(uint32_t node, const RequestEnvelope& env,
+                     const Status& transport) const;
   void WorkerLoop(uint32_t node);
   /// Serves one decoded request (or refuses it), appending the encoded
   /// reply envelope to the owning query's channel. `wire_trace_flags` is

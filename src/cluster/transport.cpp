@@ -1,0 +1,165 @@
+#include "cluster/transport.hpp"
+
+// kvscale-lint: allow-file(sim-wallclock) real data path: the inline
+// transport stamps real store work with the wall clock
+
+#include <chrono>
+#include <string>
+#include <utility>
+
+#include "common/check.hpp"
+#include "telemetry/span_tracer.hpp"
+
+namespace kvscale {
+
+namespace {
+
+/// Monotonic microseconds on the process's steady clock: the inline
+/// transport's stamp scale (no runtime epoch exists without a runtime).
+Micros SteadyMicros() {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
+
+TransportReply Transport::ServeRead(NodeId node,
+                                    const SubQueryRequest& request,
+                                    uint32_t attempt) {
+  TransportReply out;
+  out.node = node;
+  out.sub_id = request.sub_id;
+  out.attempt = attempt;
+  out.issued_us = now_us();
+  out.received_us = out.issued_us;  // no queue to sit in
+  SpanTracer::Scope read;
+  if (spans_ != nullptr) {
+    read = spans_->StartSpan("store-read", node);
+    read.Attr("partition", request.partition_key);
+    read.Attr("attempt", std::to_string(attempt));
+  }
+  out.db_start_us = now_us();
+  Result<OperatorResult> columns = handlers_.read(node, request, &out.probe);
+  out.db_end_us = now_us();
+  out.served = true;
+  if (read.active()) {
+    read.Attr("blocks_decoded", std::to_string(out.probe.blocks_decoded));
+    read.Attr("blocks_from_cache", std::to_string(out.probe.blocks_from_cache));
+    read.Attr("bloom_negatives", std::to_string(out.probe.bloom_negatives));
+  }
+  if (columns.ok()) {
+    out.code = StatusCode::kOk;
+    out.columns = std::move(columns).value();
+  } else {
+    out.code = columns.status().code();
+  }
+  return out;
+}
+
+TransportReply Transport::ServeWrite(const WriteBatch& batch,
+                                     uint32_t attempt) {
+  TransportReply out;
+  out.node = batch.target;
+  out.sub_id = batch.sub_id;
+  out.attempt = attempt;
+  out.issued_us = now_us();
+  out.received_us = out.issued_us;
+  // No store-write span here, unlike reads: direct loads put one column
+  // per call, and a span each would bury the query spans in the trace.
+  out.db_start_us = now_us();
+  out.write = handlers_.write(batch.target, batch, nullptr);
+  out.db_end_us = now_us();
+  out.served = true;
+  out.code = static_cast<StatusCode>(out.write.status);
+  return out;
+}
+
+// -- InlineTransport ---------------------------------------------------------
+
+Status InlineTransport::SendReads(NodeId node,
+                                  std::span<const SubQueryRequest> requests,
+                                  std::span<const uint32_t> attempts,
+                                  std::span<const Micros> extra_latency_us) {
+  for (size_t i = 0; i < requests.size(); ++i) {
+    replies_.push_back(ServeRead(node, requests[i], attempts[i]));
+    clock_us_ += extra_latency_us[i];
+  }
+  return Status::Ok();
+}
+
+Status InlineTransport::SendWrite(const WriteBatch& batch, uint32_t attempt) {
+  replies_.push_back(ServeWrite(batch, attempt));
+  return Status::Ok();
+}
+
+TransportReply InlineTransport::Await() {
+  KV_CHECK(!replies_.empty());  // one Await per request sent
+  TransportReply reply = std::move(replies_.front());
+  replies_.pop_front();
+  return reply;
+}
+
+Transport::Totals InlineTransport::End() {
+  Totals totals;
+  totals.virtual_us = clock_us_;
+  return totals;
+}
+
+Micros InlineTransport::now_us() const { return SteadyMicros(); }
+
+// -- MessageTransport --------------------------------------------------------
+
+MessageTransport::~MessageTransport() {
+  if (begun_) runtime_->EndQuery(query_id_);
+}
+
+Status MessageTransport::Begin() {
+  const Status admitted = runtime_->BeginQuery(query_id_, query_);
+  begun_ = admitted.ok();
+  return admitted;
+}
+
+Status MessageTransport::SendReads(NodeId node,
+                                   std::span<const SubQueryRequest> requests,
+                                   std::span<const uint32_t> attempts,
+                                   std::span<const Micros> extra_latency_us) {
+  if (!Stale(node)) {
+    return runtime_->Dispatch(query_id_, node, requests, attempts,
+                              extra_latency_us);
+  }
+  // Read it directly — a fresh connection outside the stale pool — rather
+  // than burning every attempt on kUnavailable.
+  for (size_t i = 0; i < requests.size(); ++i) {
+    direct_.push_back(ServeRead(node, requests[i], attempts[i]));
+    AdvanceClock(extra_latency_us[i]);
+  }
+  return Status::Ok();
+}
+
+Status MessageTransport::SendWrite(const WriteBatch& batch, uint32_t attempt) {
+  if (!Stale(batch.target)) {
+    return runtime_->DispatchWrite(query_id_, batch.target, batch, attempt);
+  }
+  direct_.push_back(ServeWrite(batch, attempt));
+  return Status::Ok();
+}
+
+TransportReply MessageTransport::Await() {
+  if (direct_.empty()) return runtime_->Await(query_id_);
+  TransportReply out = std::move(direct_.front());
+  direct_.pop_front();
+  return out;
+}
+
+Transport::Totals MessageTransport::End() {
+  Totals totals;
+  totals.wire = runtime_->query_wire_stats(query_id_);
+  totals.queue_wait_us = runtime_->query_queue_wait_us(query_id_);
+  totals.virtual_us = runtime_->clock_us(query_id_);
+  runtime_->EndQuery(query_id_);
+  begun_ = false;
+  return totals;
+}
+
+}  // namespace kvscale

@@ -1,9 +1,10 @@
 // The batched replicated write path: Put / PutBatch for every transport.
 //
 // PutBatch routes every item to its replica set, groups the writes per
-// node, and applies each group as WriteBatch frames of at most
-// `options.batch` keys — one group-commit WAL Sync() per batch instead of
-// one per key. Both transports funnel into ApplyWriteBatchAt, so the
+// node, and sends each group as WriteBatches of at most `options.batch`
+// keys through the query's Transport — one group-commit WAL Sync() per
+// batch instead of one per key. One scatter/collect loop serves both
+// transports, and both land in the same ServeWrite handler, so the
 // direct path and the message path make identical fault decisions: node
 // liveness is checked per batch, WAL refusal per key via
 // FaultInjector::OnWalWrite, which hashes (seed, node, key) and never the
@@ -112,75 +113,19 @@ PutResult InProcessCluster::Put(const std::string& table,
   return PutBatch(table, std::move(items), PutOptions{});
 }
 
-WriteReply InProcessCluster::ApplyWriteBatchAt(uint32_t node,
-                                               const std::string& table,
-                                               std::vector<BatchPutItem> items) {
+WriteReply InProcessCluster::ServeWrite(uint32_t node,
+                                        const WriteBatch& batch,
+                                        NodeRuntime* runtime) {
   WriteReply reply;
   reply.status = static_cast<uint32_t>(StatusCode::kOk);
   std::shared_ptr<LocalStore> store = NodePtr(node);
-  if (store == nullptr) {
-    reply.status = static_cast<uint32_t>(StatusCode::kUnavailable);
-    return reply;
-  }
   // Same liveness rule as the message path's dequeue check: a dead node
   // refuses the whole batch, so both transports fail the same (node, key)
   // pairs under a kill.
-  if (injector_ != nullptr && injector_->IsNodeDown(node)) {
+  if (store == nullptr || injector_->IsNodeDown(node)) {
     reply.status = static_cast<uint32_t>(StatusCode::kUnavailable);
     return reply;
   }
-  if (!NodeHasWal(node)) {
-    Table& dest = store->GetOrCreateTable(table);
-    for (BatchPutItem& item : items) {
-      dest.Put(item.partition_key, std::move(item.column));
-    }
-    reply.applied = items.size();
-    return reply;
-  }
-  // Per-key WAL fault filter. OnWalWrite hashes (seed, node, key) — no
-  // batch-shape input — so a batched load refuses exactly the pairs a
-  // sequential load would.
-  std::vector<BatchPutItem> allowed;
-  std::vector<uint64_t> allowed_index;  // original batch index per item
-  allowed.reserve(items.size());
-  allowed_index.reserve(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    Status writable = Status::Ok();
-    if (injector_ != nullptr) {
-      writable = injector_->OnWalWrite(node, items[i].partition_key);
-    }
-    if (writable.ok()) {
-      allowed.push_back(std::move(items[i]));
-      allowed_index.push_back(i);
-    } else {
-      reply.failed_keys.push_back(i);
-    }
-  }
-  if (!allowed.empty()) {
-    auto batched = store->DurablePutBatch(table, std::move(allowed));
-    if (!batched.ok()) {
-      // The store refused the whole batch (no commit log after all):
-      // every key fails, not just the injector-filtered ones.
-      reply.status = static_cast<uint32_t>(batched.status().code());
-      reply.failed_keys.clear();
-      return reply;
-    }
-    const BatchPutResult& applied = batched.value();
-    reply.applied = applied.applied;
-    reply.sync_failures = applied.sync_failures;
-    for (const uint64_t failed : applied.failed_items) {
-      reply.failed_keys.push_back(allowed_index[failed]);
-    }
-    // The decoder rejects non-increasing failed_keys; indices are unique,
-    // so sorting restores the strict order after the two-source merge.
-    std::sort(reply.failed_keys.begin(), reply.failed_keys.end());
-  }
-  return reply;
-}
-
-WriteReply InProcessCluster::ServeWriteBatchMessage(uint32_t node,
-                                                    const WriteBatch& batch,
-                                                    NodeRuntime& runtime) {
   std::vector<BatchPutItem> items;
   items.reserve(batch.keys.size());
   for (size_t i = 0; i < batch.keys.size(); ++i) {
@@ -196,19 +141,58 @@ WriteReply InProcessCluster::ServeWriteBatchMessage(uint32_t node,
     }
     items.push_back(std::move(item));
   }
-  WriteReply reply = ApplyWriteBatchAt(node, batch.table, std::move(items));
+  if (!NodeHasWal(node)) {
+    Table& dest = store->GetOrCreateTable(batch.table);
+    for (BatchPutItem& item : items) {
+      dest.Put(item.partition_key, std::move(item.column));
+    }
+    reply.applied = items.size();
+  } else {
+    // Per-key WAL fault filter. OnWalWrite hashes (seed, node, key) — no
+    // batch-shape input — so a batched load refuses exactly the pairs a
+    // sequential load would.
+    std::vector<BatchPutItem> allowed;
+    std::vector<uint64_t> allowed_index;  // original batch index per item
+    allowed.reserve(items.size());
+    allowed_index.reserve(items.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (injector_->OnWalWrite(node, items[i].partition_key).ok()) {
+        allowed.push_back(std::move(items[i]));
+        allowed_index.push_back(i);
+      } else {
+        reply.failed_keys.push_back(i);
+      }
+    }
+    if (!allowed.empty()) {
+      auto batched = store->DurablePutBatch(batch.table, std::move(allowed));
+      if (!batched.ok()) {
+        // The store refused the whole batch (no commit log after all):
+        // every key fails, not just the injector-filtered ones.
+        reply.status = static_cast<uint32_t>(batched.status().code());
+        reply.failed_keys.clear();
+        return reply;
+      }
+      const BatchPutResult& applied = batched.value();
+      reply.applied = applied.applied;
+      reply.sync_failures = applied.sync_failures;
+      for (const uint64_t failed : applied.failed_items) {
+        reply.failed_keys.push_back(allowed_index[failed]);
+      }
+      // The decoder rejects non-increasing failed_keys; indices are
+      // unique, so sorting restores the strict order after the
+      // two-source merge.
+      std::sort(reply.failed_keys.begin(), reply.failed_keys.end());
+    }
+  }
   const uint64_t watermark =
       flush_watermark_bytes_.load(std::memory_order_relaxed);
-  if (watermark > 0) {
-    std::shared_ptr<LocalStore> store = NodePtr(node);
-    if (store != nullptr) {
-      auto found = store->FindTable(batch.table);
-      if (found.ok() && found.value()->memtable_bytes() >= watermark) {
-        // Compete for the node's own workers. A full queue drops the step
-        // (the next write over the watermark re-arms it) instead of
-        // blocking a worker that schedules from inside the pool.
-        runtime.ScheduleMaintenance(node, batch.table);
-      }
+  if (runtime != nullptr && watermark > 0) {
+    auto found = store->FindTable(batch.table);
+    if (found.ok() && found.value()->memtable_bytes() >= watermark) {
+      // Compete for the node's own workers. A full queue drops the step
+      // (the next write over the watermark re-arms it) instead of
+      // blocking a worker that schedules from inside the pool.
+      runtime->ScheduleMaintenance(node, batch.table);
     }
   }
   return reply;
@@ -271,25 +255,20 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
     state[k].replicas = ReplicasOf(items[k].partition_key);
   }
 
-  // Folds one node's reply into the per-key ledgers and the counters.
-  // Every key the chunk carried ends in exactly one ledger; cluster
-  // .put.errors is bumped here — and only here — so per-key refusals and
-  // whole-batch refusals count uniformly.
+  // Folds one node's answer into the per-key ledgers and the counters.
+  // A non-OK `failure` refuses the whole chunk; otherwise the reply's
+  // per-key verdicts decide. Every key the chunk carried ends in exactly
+  // one ledger; cluster.put.errors is bumped here — and only here — so
+  // per-key refusals and whole-batch refusals count uniformly.
   auto fold = [&](const WriteChunk& chunk, const WriteReply& reply,
-                  const Status& transport_error) {
+                  const Status& failure) {
     result.sync_failures += reply.sync_failures;
-    const StatusCode code = !transport_error.ok()
-                                ? transport_error.code()
-                                : static_cast<StatusCode>(reply.status);
-    if (code != StatusCode::kOk) {
-      const Status failure = !transport_error.ok()
-                                 ? transport_error
-                                 : WriteRefusal(code, chunk.node);
+    if (!failure.ok()) {
       for (const size_t k : chunk.keys) {
         state[k].failed.push_back(chunk.node);
-        ++result.replica_failures;
-        if (put_errors_counter_ != nullptr) put_errors_counter_->Increment();
       }
+      result.replica_failures += chunk.keys.size();
+      Instruments::Add(inst_.put_errors, chunk.keys.size());
       if (result.first_error.ok()) result.first_error = failure;
       return;
     }
@@ -301,7 +280,7 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
         ++next_failed;
         state[k].failed.push_back(chunk.node);
         ++result.replica_failures;
-        if (put_errors_counter_ != nullptr) put_errors_counter_->Increment();
+        Instruments::Add(inst_.put_errors);
         if (result.first_error.ok()) {
           result.first_error = Status::Unavailable(
               "node " + std::to_string(chunk.node) +
@@ -334,15 +313,6 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
     return chunks;
   };
 
-  // Copies of the chunk's items, in batch order. Copies, not moves: a
-  // later epoch-retry round may re-send the same item to a new owner.
-  auto chunk_items = [&](const WriteChunk& chunk) {
-    std::vector<BatchPutItem> copies;
-    copies.reserve(chunk.keys.size());
-    for (const size_t k : chunk.keys) copies.push_back(items[k]);
-    return copies;
-  };
-
   auto make_wire_batch = [&](const WriteChunk& chunk, uint64_t query_id,
                              uint32_t sub_id) {
     WriteBatch batch;
@@ -369,99 +339,28 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
     return batch;
   };
 
-  const bool message = options.transport == GatherTransport::kMessage;
-  std::shared_ptr<NodeRuntime> runtime;
-  uint64_t query_id = 0;
-  // sub_id -> the chunk it carried, across every round (replies of a
-  // round are all awaited before the next round dispatches).
-  std::vector<WriteChunk> by_sub;
-
-  if (message) {
-    GatherOptions runtime_options;
-    runtime_options.transport = GatherTransport::kMessage;
-    runtime_options.codec = options.codec;
-    runtime_options.queue_depth = options.queue_depth;
-    runtime_options.workers_per_node = options.workers_per_node;
-    runtime_options.queue_policy = options.queue_policy;
-    runtime_options.max_inflight = options.max_inflight;
-    runtime_options.admission_policy = options.admission_policy;
-    runtime = EnsureRuntime(runtime_options);
+  if (options.transport == GatherTransport::kMessage) {
     flush_watermark_bytes_.store(options.flush_watermark_bytes,
                                  std::memory_order_relaxed);
-    query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
-    NodeRuntime::QueryOptions query_options;
-    query_options.codec = options.codec;
-    const Status admitted = runtime->BeginQuery(query_id, query_options);
-    if (!admitted.ok()) {
-      // Shed whole: nothing was dispatched, every key missed its quorum.
-      result.shed_by_admission = true;
-      result.keys_quorum_failed = result.keys;
-      result.first_error = admitted;
-      if (put_keys_counter_ != nullptr) {
-        put_keys_counter_->Increment(result.keys);
-      }
-      if (put_quorum_failures_counter_ != nullptr) {
-        put_quorum_failures_counter_->Increment(result.keys);
-      }
-      result.wall_us = ElapsedMicros(t0);
-      if (put_latency_ != nullptr) put_latency_->Record(result.wall_us);
-      RecordPut(query_id, table, "message", result);
-      return result;
-    }
-  } else if (flight_recorder_ != nullptr) {
-    // Direct puts have no wire query_id; mint one only when someone is
-    // recording, so the message path's id sequence stays undisturbed.
-    query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  auto run_direct_round = [&](const std::vector<WriteChunk>& chunks) {
-    for (const WriteChunk& chunk : chunks) {
-      // Load feedback at the dispatch *attempt* — the write has not
-      // happened yet, exactly like a read attempt that may still fail.
-      for (size_t i = 0; i < chunk.keys.size(); ++i) RecordDispatch(chunk.node);
-      result.replica_writes += chunk.keys.size();
-      ++result.batches_sent;
-      const WriteReply reply =
-          ApplyWriteBatchAt(chunk.node, table, chunk_items(chunk));
-      fold(chunk, reply, Status::Ok());
-    }
-  };
-
-  auto run_message_round = [&](const std::vector<WriteChunk>& chunks,
-                               uint32_t attempt) {
-    size_t outstanding = 0;
-    for (const WriteChunk& chunk : chunks) {
-      const uint32_t sub_id = static_cast<uint32_t>(by_sub.size());
-      by_sub.push_back(chunk);
-      WriteBatch wire = make_wire_batch(chunk, query_id, sub_id);
-      for (size_t i = 0; i < chunk.keys.size(); ++i) RecordDispatch(chunk.node);
-      result.replica_writes += chunk.keys.size();
-      ++result.batches_sent;
-      const Status sent =
-          runtime->DispatchWrite(query_id, chunk.node, wire, attempt);
-      if (!sent.ok()) {
-        // A node slot the runtime predates, or rejecting backpressure:
-        // apply the same batch directly (the gather's stale-node
-        // fallback) — the write must not be lost to transport shape.
-        const WriteReply reply =
-            ApplyWriteBatchAt(chunk.node, table, chunk_items(chunk));
-        fold(chunk, reply, Status::Ok());
-        continue;
-      }
-      ++outstanding;
-    }
-    while (outstanding > 0) {
-      NodeRuntime::DecodedWriteReply r = runtime->AwaitWriteReply(query_id);
-      --outstanding;
-      KV_CHECK(r.sub_id < by_sub.size());
-      const WriteChunk& chunk = by_sub[r.sub_id];
-      if (r.reply.ok()) {
-        fold(chunk, r.reply.value(), Status::Ok());
-      } else {
-        fold(chunk, WriteReply{}, r.reply.status());
-      }
-    }
-  };
+  const uint64_t query_id = MintQueryId(options.transport);
+  NodeRuntime::QueryOptions query_options;
+  query_options.codec = options.codec;
+  std::unique_ptr<Transport> transport =
+      OpenTransport(options, query_id, query_options);
+  const Status admitted = transport->Begin();
+  if (!admitted.ok()) {
+    // Shed whole: nothing was dispatched, every key missed its quorum.
+    result.shed_by_admission = true;
+    result.keys_quorum_failed = result.keys;
+    result.first_error = admitted;
+    Instruments::Add(inst_.put_keys, result.keys);
+    Instruments::Add(inst_.put_quorum_failures, result.keys);
+    result.wall_us = ElapsedMicros(t0);
+    Instruments::Observe(inst_.put_latency, result.wall_us);
+    RecordPut(query_id, table, transport->name(), result);
+    return result;
+  }
 
   // Round 0: every (key, replica) pair. Later rounds exist only when a
   // ring flip was observed: they carry the copies the new owners are
@@ -472,13 +371,41 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
   for (size_t k = 0; k < items.size(); ++k) {
     for (const NodeId node : state[k].replicas) due.emplace_back(k, node);
   }
+  // sub_id -> the chunk it carried, across every round (replies of a
+  // round are all awaited before the next round dispatches).
+  std::vector<WriteChunk> by_sub;
   uint32_t round = 0;
   while (!due.empty()) {
-    const std::vector<WriteChunk> chunks = build_chunks(due);
-    if (message) {
-      run_message_round(chunks, round);
-    } else {
-      run_direct_round(chunks);
+    // Scatter this round's batches, then collect one answer per batch
+    // sent.
+    size_t outstanding = 0;
+    for (WriteChunk& chunk : build_chunks(due)) {
+      const uint32_t sub_id = static_cast<uint32_t>(by_sub.size());
+      // Load feedback at the dispatch *attempt* — the write has not
+      // happened yet, exactly like a read attempt that may still fail.
+      for (size_t i = 0; i < chunk.keys.size(); ++i) RecordDispatch(chunk.node);
+      result.replica_writes += chunk.keys.size();
+      ++result.batches_sent;
+      const Status sent =
+          transport->SendWrite(make_wire_batch(chunk, query_id, sub_id), round);
+      if (!sent.ok()) {
+        // Rejecting backpressure: the batch never left, so every key it
+        // carried counts as a refused replica write and the quorum
+        // decides.
+        fold(chunk, WriteReply{}, sent);
+        continue;
+      }
+      by_sub.push_back(std::move(chunk));
+      ++outstanding;
+    }
+    while (outstanding > 0) {
+      const TransportReply r = transport->Await();
+      --outstanding;
+      KV_CHECK(r.sub_id < by_sub.size());
+      const WriteChunk& chunk = by_sub[r.sub_id];
+      fold(chunk, r.write,
+           r.code == StatusCode::kOk ? Status::Ok()
+                                     : WriteRefusal(r.code, chunk.node));
     }
     due.clear();
     const uint64_t epoch_now = ring_epoch();
@@ -488,9 +415,7 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
     resolved_epoch = epoch_now;
     ++round;
     ++result.epoch_retries;
-    if (put_epoch_retries_counter_ != nullptr) {
-      put_epoch_retries_counter_->Increment();
-    }
+    Instruments::Add(inst_.put_epoch_retries);
     for (size_t k = 0; k < items.size(); ++k) {
       state[k].replicas = ReplicasOf(items[k].partition_key);
       for (const NodeId node : state[k].replicas) {
@@ -515,29 +440,21 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
       ++result.keys_quorum_failed;
     }
   }
-  if (put_keys_counter_ != nullptr) put_keys_counter_->Increment(result.keys);
-  if (put_batches_counter_ != nullptr) {
-    put_batches_counter_->Increment(result.batches_sent);
-  }
-  if (put_quorum_failures_counter_ != nullptr &&
-      result.keys_quorum_failed > 0) {
-    put_quorum_failures_counter_->Increment(result.keys_quorum_failed);
-  }
+  Instruments::Add(inst_.put_keys, result.keys);
+  Instruments::Add(inst_.put_batches, result.batches_sent);
+  Instruments::Add(inst_.put_quorum_failures, result.keys_quorum_failed);
 
-  if (message) {
-    // Read the query's private wire accounting before releasing its slot.
-    const NodeRuntime::WireStats wire = runtime->query_wire_stats(query_id);
-    result.wire_frames_sent = wire.frames_sent;
-    result.wire_bytes_sent = wire.bytes_sent;
-    result.wire_bytes_received = wire.bytes_received;
-    result.wire_encode_us = wire.encode_us;
-    result.wire_decode_us = wire.decode_us;
-    result.queue_wait_us = runtime->query_queue_wait_us(query_id);
-    runtime->EndQuery(query_id);
-  }
+  // Read the query's private wire accounting before releasing it.
+  const Transport::Totals totals = transport->End();
+  result.wire_frames_sent = totals.wire.frames_sent;
+  result.wire_bytes_sent = totals.wire.bytes_sent;
+  result.wire_bytes_received = totals.wire.bytes_received;
+  result.wire_encode_us = totals.wire.encode_us;
+  result.wire_decode_us = totals.wire.decode_us;
+  result.queue_wait_us = totals.queue_wait_us;
   result.wall_us = ElapsedMicros(t0);
-  if (put_latency_ != nullptr) put_latency_->Record(result.wall_us);
-  RecordPut(query_id, table, message ? "message" : "direct", result);
+  Instruments::Observe(inst_.put_latency, result.wall_us);
+  RecordPut(query_id, table, transport->name(), result);
   return result;
 }
 

@@ -48,17 +48,17 @@ std::string QueryRecordToJson(const QueryRecord& record) {
   out += ",\"ring_epoch\":" + std::to_string(record.ring_epoch);
   out += ",\"timeline\":[";
   for (size_t i = 0; i < record.timeline.size(); ++i) {
-    const SubQueryTimelineEntry& entry = record.timeline[i];
+    const RequestTrace& entry = record.timeline[i];
     if (i > 0) out += ',';
     out += "{\"sub_id\":" + std::to_string(entry.sub_id);
     out += ",\"node\":" + std::to_string(entry.node);
     out += ",\"attempts\":" + std::to_string(entry.attempts);
-    out += ",\"completed\":" + JsonBool(entry.completed);
-    out += ",\"issued_us\":" + JsonMicros(entry.issued_us);
-    out += ",\"received_us\":" + JsonMicros(entry.received_us);
-    out += ",\"db_start_us\":" + JsonMicros(entry.db_start_us);
-    out += ",\"db_end_us\":" + JsonMicros(entry.db_end_us);
-    out += ",\"completed_us\":" + JsonMicros(entry.completed_us);
+    out += ",\"completed\":" + JsonBool(entry.answered);
+    out += ",\"issued_us\":" + JsonMicros(entry.issued);
+    out += ",\"received_us\":" + JsonMicros(entry.received);
+    out += ",\"db_start_us\":" + JsonMicros(entry.db_start);
+    out += ",\"db_end_us\":" + JsonMicros(entry.db_end);
+    out += ",\"completed_us\":" + JsonMicros(entry.completed);
     out += '}';
   }
   out += "]}";

@@ -23,22 +23,9 @@
 #include "common/status.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/units.hpp"
+#include "telemetry/request_trace.hpp"
 
 namespace kvscale {
-
-/// One sub-query's timeline within a query: the last attempt's four-stage
-/// timestamps (runtime epoch) plus how many attempts it took.
-struct SubQueryTimelineEntry {
-  uint32_t sub_id = 0;
-  uint32_t node = 0;      ///< replica that finally served (or last tried)
-  uint32_t attempts = 0;  ///< total attempts (1 = first try succeeded)
-  bool completed = false;
-  Micros issued_us = 0.0;
-  Micros received_us = 0.0;
-  Micros db_start_us = 0.0;
-  Micros db_end_us = 0.0;
-  Micros completed_us = 0.0;
-};
 
 /// Everything the master knew about one finished query.
 struct QueryRecord {
@@ -64,9 +51,9 @@ struct QueryRecord {
   /// first membership change, then monotone. Lets a post-mortem split a
   /// drill's records into before/during/after a migration.
   uint64_t ring_epoch = 0;
-  /// Per-sub-query stage timelines (message transport only; empty for
-  /// direct/aggregate-only records).
-  std::vector<SubQueryTimelineEntry> timeline;
+  /// Per-sub-query stage records, one per sub-query: the last attempt's
+  /// four-stage stamps plus how many attempts it took (empty for puts).
+  std::vector<RequestTrace> timeline;
   /// Stamped by FlightRecorder::Record: this query tripped the
   /// slow-or-degraded rule and was appended to the slow log.
   bool slow = false;

@@ -1,11 +1,6 @@
-// Per-request stage timing (Section IV-B / V-B of the paper).
-//
-// "the best approach is to identify the primary data flow phases and to
-// record the time that requests spend in each of them". Every sub-query
-// carries five timestamps delimiting the four stages the paper defines:
-//
-//   issued --(1 master-to-slave)--> received --(2 in-queue)--> db_start
-//   --(3 in-db)--> db_end --(4 slave-to-master)--> completed
+// StageTracer: the collector of per-request stage records
+// (telemetry/request_trace.hpp) — the paper's four-stage timeline of every
+// sub-query, summarised per stage and per node (Section IV-B / V-B).
 #pragma once
 
 #include <cstdint>
@@ -16,36 +11,9 @@
 #include "common/thread_annotations.hpp"
 #include "common/units.hpp"
 #include "stats/summary.hpp"
+#include "telemetry/request_trace.hpp"
 
 namespace kvscale {
-
-/// The four data-flow stages of a sub-query.
-enum class Stage : uint8_t {
-  kMasterToSlave = 0,
-  kInQueue = 1,
-  kInDb = 2,
-  kSlaveToMaster = 3,
-};
-inline constexpr size_t kStageCount = 4;
-
-std::string_view StageName(Stage stage);
-
-/// Timestamped record of one sub-query's life.
-struct RequestTrace {
-  uint64_t query_id = 0;
-  uint32_t sub_id = 0;
-  uint32_t node = 0;       ///< slave that served it
-  double keysize = 0.0;    ///< elements in the partition
-
-  Micros issued = 0.0;     ///< master handed the message to the transport
-  Micros received = 0.0;   ///< slave dequeued it from the network
-  Micros db_start = 0.0;   ///< database began serving it
-  Micros db_end = 0.0;     ///< database finished
-  Micros completed = 0.0;  ///< master folded the partial result
-
-  Micros StageDuration(Stage stage) const;
-  Micros TotalLatency() const { return completed - issued; }
-};
 
 /// Collects the traces of one distributed query execution.
 ///

@@ -191,7 +191,7 @@ TEST(ConcurrentGatherTest, EightClientsMatchSequentialBitForBit) {
   StageTracer stages;
   cluster.AttachStageTracer(&stages);
   const ConcurrentGatherReport report =
-      cluster.CountByTypeAllConcurrent(workload, 8, 2, options);
+      cluster.GatherConcurrent(MakeCountPlan(workload), 8, 2, options);
   EXPECT_EQ(stages.size(), 16u * sequential.subqueries);
   EXPECT_EQ(report.queries, 16u);
   EXPECT_EQ(report.admitted, 16u);
@@ -235,7 +235,7 @@ TEST(ConcurrentGatherTest, ChaosCrossfireStaysIsolatedPerQuery) {
   // demux: eight clients under crossfire each see the sequential result,
   // bit for bit, including retry and error accounting.
   const ConcurrentGatherReport report =
-      cluster.CountByTypeAllConcurrent(workload, 8, 1, options);
+      cluster.GatherConcurrent(MakeCountPlan(workload), 8, 1, options);
   ASSERT_EQ(report.results.size(), 8u);
   for (size_t i = 0; i < report.results.size(); ++i) {
     ExpectSameAccounting(report.results[i], sequential,
@@ -259,7 +259,7 @@ TEST(ConcurrentGatherTest, ShedQueriesAreAccountedAndWellFormed) {
   options.max_inflight = 1;
   options.admission_policy = QueueFullPolicy::kReject;
   const ConcurrentGatherReport report =
-      cluster.CountByTypeAllConcurrent(workload, 8, 4, options);
+      cluster.GatherConcurrent(MakeCountPlan(workload), 8, 4, options);
 
   // How many queries bounce depends on scheduling, but the report must
   // balance exactly and every result must be internally consistent.
@@ -296,7 +296,7 @@ TEST(ConcurrentGatherTest, BlockAdmissionThrottlesWithoutLoss) {
   options.admission_policy = QueueFullPolicy::kBlock;
   const GatherResult sequential = cluster.CountByTypeAll(workload, options);
   const ConcurrentGatherReport report =
-      cluster.CountByTypeAllConcurrent(workload, 6, 2, options);
+      cluster.GatherConcurrent(MakeCountPlan(workload), 6, 2, options);
   EXPECT_EQ(report.shed, 0u);
   EXPECT_EQ(report.admitted, report.queries);
   for (size_t i = 0; i < report.results.size(); ++i) {

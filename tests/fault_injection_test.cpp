@@ -304,10 +304,13 @@ TEST(ClusterFaultToleranceTest, ParallelChaosGatherMatchesSerial) {
   const GatherResult serial = cluster.CountByTypeAll(workload, options);
   EXPECT_GT(serial.retries, 0u);
   for (uint32_t threads : {2u, 4u, 7u}) {
+    GatherOptions parallel_options = options;
+    parallel_options.transport = GatherTransport::kMessage;
+    parallel_options.workers_per_node = threads;
     const GatherResult parallel =
-        cluster.CountByTypeAllParallel(workload, threads, options);
+        cluster.CountByTypeAll(workload, parallel_options);
     // Fault decisions are stateless hashes, so the chaos is bit-identical
-    // regardless of the thread count.
+    // regardless of how many node workers serve it.
     EXPECT_EQ(parallel.totals, serial.totals) << threads;
     EXPECT_EQ(parallel.requests_per_node, serial.requests_per_node);
     EXPECT_EQ(parallel.errors_per_node, serial.errors_per_node);

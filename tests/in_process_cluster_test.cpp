@@ -151,7 +151,9 @@ TEST(InProcessClusterTest, ReplicationStoresEveryCopyAndAllReplicasAgree) {
 
   // Every replica serves the identical answer.
   for (uint32_t replica = 0; replica < kReplication + 1; ++replica) {
-    const auto result = cluster.CountByTypeAll(workload, replica);
+    GatherOptions options;
+    options.replica = replica;
+    const auto result = cluster.CountByTypeAll(workload, options);
     EXPECT_EQ(result.partitions_missing, 0u) << replica;
     EXPECT_EQ(result.totals, truth) << replica;
   }
@@ -181,8 +183,10 @@ TEST(InProcessClusterTest, ReplicaReadsSpreadRequestLoad) {
     workload.partitions.push_back(PartitionRef{key, 1});
   }
   cluster.FlushAll();
-  const auto primary = cluster.CountByTypeAll(workload, 0);
-  const auto secondary = cluster.CountByTypeAll(workload, 1);
+  GatherOptions second_copy;
+  second_copy.replica = 1;
+  const auto primary = cluster.CountByTypeAll(workload);
+  const auto secondary = cluster.CountByTypeAll(workload, second_copy);
   EXPECT_EQ(primary.totals, secondary.totals);
   // Reading the second copy shifts the per-node request counts.
   EXPECT_NE(primary.requests_per_node, secondary.requests_per_node);
@@ -207,10 +211,14 @@ TEST(InProcessClusterTest, ParallelGatherMatchesSerial) {
   }
   cluster.FlushAll();
 
+  // Node-side parallelism lives in the message transport's worker
+  // pools: any pool width folds the same answer as the serial gather.
   const GatherResult serial = cluster.CountByTypeAll(workload);
   for (uint32_t threads : {1u, 2u, 4u, 7u}) {
-    const GatherResult parallel =
-        cluster.CountByTypeAllParallel(workload, threads);
+    GatherOptions options;
+    options.transport = GatherTransport::kMessage;
+    options.workers_per_node = threads;
+    const GatherResult parallel = cluster.CountByTypeAll(workload, options);
     EXPECT_EQ(parallel.totals, serial.totals) << threads;
     EXPECT_EQ(parallel.partitions_missing, serial.partitions_missing);
     EXPECT_EQ(parallel.requests_per_node, serial.requests_per_node);

@@ -144,15 +144,14 @@ TEST(NodeRuntimeTest, DispatchRoundTripsOneSubQuery) {
                             std::span<const Micros>(&extra, 1))
                   .ok());
 
-  const NodeRuntime::DecodedReply reply = runtime.AwaitReply(42);
+  const TransportReply reply = runtime.Await(42);
   EXPECT_EQ(reply.node, 1u);
   EXPECT_EQ(reply.sub_id, 7u);
-  EXPECT_TRUE(reply.store_read);
-  ASSERT_TRUE(reply.reply.ok());
-  EXPECT_EQ(reply.reply.value().status, 0u);
-  ASSERT_EQ(reply.reply.value().type_ids.size(), 1u);
-  EXPECT_EQ(reply.reply.value().type_ids[0], 3u);
-  EXPECT_EQ(reply.reply.value().counts[0], 11u);
+  EXPECT_TRUE(reply.served);
+  EXPECT_EQ(reply.code, StatusCode::kOk);
+  ASSERT_EQ(reply.columns.col_a.size(), 1u);
+  EXPECT_EQ(reply.columns.col_a[0], 3u);
+  EXPECT_EQ(reply.columns.col_b[0], 11u);
   EXPECT_EQ(reply.probe.columns_returned, 11u);
   // The five timestamps delimit the paper's four stages in order.
   EXPECT_LE(reply.issued_us, reply.received_us);
@@ -215,8 +214,8 @@ TEST(NodeRuntimeTest, RejectPolicyShedsWhenQueueAndWorkerAreBusy) {
   EXPECT_EQ(rejected.code(), StatusCode::kResourceExhausted);
 
   release_worker.count_down();
-  EXPECT_TRUE(runtime.AwaitReply(9).reply.ok());
-  EXPECT_TRUE(runtime.AwaitReply(9).reply.ok());
+  EXPECT_EQ(runtime.Await(9).code, StatusCode::kOk);
+  EXPECT_EQ(runtime.Await(9).code, StatusCode::kOk);
   EXPECT_EQ(runtime.wire_stats().frames_sent, 2u);  // the reject sent nothing
   runtime.EndQuery(9);
 }
@@ -343,8 +342,9 @@ TEST(MessageGatherTest, ParallelDelegatesToWorkerPoolsAndMatches) {
   options.max_attempts = 3;
   options.transport = GatherTransport::kMessage;
   const GatherResult serial = cluster.CountByTypeAll(workload, options);
-  const GatherResult parallel =
-      cluster.CountByTypeAllParallel(workload, 4, options);
+  GatherOptions wide = options;
+  wide.workers_per_node = 4;  // parallelism lives in the node worker pools
+  const GatherResult parallel = cluster.CountByTypeAll(workload, wide);
   ExpectSameAccounting(parallel, serial, "parallel message");
 }
 
@@ -491,10 +491,17 @@ TEST(MessageGatherTest, RecordsOrderedFourStageTimestamps) {
     EXPECT_EQ(stages.StageSummary(stage).count(),
               workload.partitions.size());
   }
-  // The direct transport records no stages (nothing is queued or encoded).
+  // The direct transport records the same stages: nothing is encoded or
+  // queued, so each read is issued and received at one instant.
   stages.Clear();
   cluster.CountByTypeAll(workload);
-  EXPECT_EQ(stages.size(), 0u);
+  ASSERT_EQ(stages.size(), workload.partitions.size());
+  for (const RequestTrace& trace : stages.traces()) {
+    EXPECT_EQ(trace.issued, trace.received);
+    EXPECT_LE(trace.received, trace.db_start);
+    EXPECT_LE(trace.db_start, trace.db_end);
+    EXPECT_LE(trace.db_end, trace.completed);
+  }
 }
 
 TEST(MessageGatherTest, ExportsWireCountersAndQueueGauges) {

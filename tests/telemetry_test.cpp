@@ -516,16 +516,16 @@ TEST(FlightRecorderTest, JsonlIsWellFormedPerLine) {
   options.slow_query_us = 1.0;
   FlightRecorder recorder(options);
   QueryRecord record = MakeRecord(7, 250.5);
-  SubQueryTimelineEntry entry;
+  RequestTrace entry;
   entry.sub_id = 2;
   entry.node = 1;
   entry.attempts = 2;
-  entry.completed = true;
-  entry.issued_us = 10.0;
-  entry.received_us = 12.0;
-  entry.db_start_us = 15.0;
-  entry.db_end_us = 20.0;
-  entry.completed_us = 25.0;
+  entry.answered = true;
+  entry.issued = 10.0;
+  entry.received = 12.0;
+  entry.db_start = 15.0;
+  entry.db_end = 20.0;
+  entry.completed = 25.0;
   record.timeline.push_back(entry);
   recorder.Record(record);
 

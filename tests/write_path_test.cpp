@@ -504,5 +504,31 @@ TEST(WritePathTest, PutsDepositFlightRecords) {
   EXPECT_GT(records[1].wire_bytes_sent, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Load shedding stays load shedding on the write side
+
+TEST(WritePathTest, RejectedWriteBatchesCountAsReplicaFailures) {
+  InProcessCluster cluster(1, PlacementKind::kDhtRandom, StoreOptions{}, 7);
+  PutOptions options;
+  options.transport = GatherTransport::kMessage;
+  options.queue_depth = 1;
+  options.queue_policy = QueueFullPolicy::kReject;
+  options.batch = 1;  // one frame per key: the master outruns the worker
+  options.quorum = PutQuorum::kOne;
+  const PutResult put = cluster.PutBatch("t", MakeItems(200, 4), options);
+
+  // How many sends bounce depends on scheduling, but a bounced batch is
+  // never applied behind the caller's back: the node stores exactly the
+  // acked copies, and every refusal is a shed, not a silent direct write.
+  EXPECT_EQ(put.replica_acks + put.replica_failures, put.replica_writes);
+  EXPECT_EQ(put.keys_quorum_met + put.keys_quorum_failed, put.keys);
+  EXPECT_EQ(put.keys_quorum_failed, put.replica_failures);  // 1 replica/key
+  EXPECT_EQ(cluster.ColumnsPerNode("t")[0], put.replica_acks);
+  if (put.replica_failures > 0) {
+    EXPECT_EQ(put.first_error.code(), StatusCode::kResourceExhausted);
+    EXPECT_FALSE(put.ok());
+  }
+}
+
 }  // namespace
 }  // namespace kvscale

@@ -330,7 +330,6 @@ struct GatherArgs {
   int64_t k = 0;                ///< --query=topk: rows to keep (required)
   std::string box;              ///< --query=box: "x0,y0,z0,x1,y1,z1" (required)
   int64_t level = 0;            ///< --query=box: octree depth (0 = default 4)
-  int64_t threads = 1;
   int64_t rounds = 2;
   int64_t payload_bytes = 30;
   int64_t seed = 42;
@@ -375,7 +374,6 @@ struct GatherArgs {
               "cube");
     flags.Add("level", &level,
               "--query=box: D8tree octree depth (0 = default 4)");
-    flags.Add("threads", &threads, "gather worker threads (1 = serial)");
     flags.Add("rounds", &rounds,
               "query repetitions (first is cold, later ones hit the cache)");
     flags.Add("payload-bytes", &payload_bytes, "payload bytes per element");
@@ -480,7 +478,6 @@ struct GatherArgs {
             "--level must be within [1, 20] (0 = default 4)");
       }
     }
-    if (threads < 1) return Status::InvalidArgument("--threads must be >= 1");
     if (rounds < 1) return Status::InvalidArgument("--rounds must be >= 1");
     if (replication < 1 || replication > args.nodes) {
       return Status::InvalidArgument(
@@ -840,21 +837,16 @@ int CmdGather(CommonArgs& args, const GatherArgs& gather_args) {
 
   GatherResult result;
   for (int64_t r = 0; r < gather_args.rounds; ++r) {
-    result = gather_args.threads > 1
-                 ? cluster.GatherParallel(
-                       plan, static_cast<uint32_t>(gather_args.threads),
-                       options)
-                 : cluster.Gather(plan, options);
+    result = cluster.Gather(plan, options);
   }
 
   uint64_t total = 0;
   for (const auto& [type, count] : result.totals) total += count;
   std::printf("real %s scatter/gather over %zu partitions x %lld rounds "
-              "(%lld thread%s, replication %lld):\n",
+              "(%s transport, replication %lld):\n",
               QueryKindName(kind).data(), plan.partitions.size(),
               static_cast<long long>(gather_args.rounds),
-              static_cast<long long>(gather_args.threads),
-              gather_args.threads > 1 ? "s" : "",
+              gather_args.codec.empty() ? "direct" : "message",
               static_cast<long long>(gather_args.replication));
   switch (kind) {
     case QueryKind::kCount:

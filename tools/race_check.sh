@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the tsan CMake preset and runs the concurrency-heavy suites —
-# the bounded queues and worker pools of the node runtime, the message
-# and parallel gather paths, and the store's concurrent readers — under
+# the bounded queues and worker pools of the node runtime, the gather and
+# write loops over both transports, and the store's concurrent readers — under
 # ThreadSanitizer, then drives one end-to-end message-transport gather
 # through the CLI. A clean exit means the queue/worker/clock machinery
 # is data-race-free.
@@ -16,7 +16,7 @@ cmake --build --preset tsan -j"$(nproc)"
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 
 # The suites that spawn threads: queue push/pop, runtime worker pools,
-# message-vs-direct parity (including the chaos run), parallel gathers,
+# message-vs-direct parity (including the chaos run), wide worker pools,
 # and concurrent store reads.
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   -R 'BoundedQueue|NodeRuntime|MessageGather|InProcessCluster|ClusterFaultTolerance|FaultInjector|StoreConcurrency|SharedRuntime|AdmissionControl|ConcurrentGather|Membership|MigrationFault|QueryPlan|BoxQuery|WritePath'
@@ -34,14 +34,15 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   --batch --workers-per-node 2 --clients 6 --queries 2 --max-inflight 4
 
 # The non-count plans through the same shared engine: a range scan with
-# concurrent clients, and a top-k merge over the parallel path — both
+# concurrent clients, and a top-k merge over a 4-wide worker pool — both
 # exercise the per-sub-query row buffers under threads.
 ./build-tsan/tools/kvscale gather --query scan --scan-start 10 \
   --scan-end 80 --limit 200 --nodes 4 --keys 40 --elements 4000 \
   --replication 2 --codec compact --batch --workers-per-node 2 \
   --clients 4 --queries 2
 ./build-tsan/tools/kvscale gather --query topk --k 25 --nodes 4 \
-  --keys 40 --elements 4000 --replication 2 --threads 4
+  --keys 40 --elements 4000 --replication 2 --codec compact \
+  --workers-per-node 4
 
 # Concurrent writers through the shared runtime: four client threads
 # stream group-committed WriteBatch frames (flush watermark armed, so
