@@ -88,6 +88,35 @@ void BM_CountByTypeCachedTelemetry(benchmark::State& state) {
 }
 BENCHMARK(BM_CountByTypeCachedTelemetry)->Arg(100)->Arg(1000)->Arg(10000);
 
+// A cached 256-row range scan (the coarse_mix scan operator's limit) out
+// of a flushed row: read in place from the shared blocks.
+void BM_ScanRangeCached(benchmark::State& state) {
+  const auto elements = static_cast<uint64_t>(state.range(0));
+  BlockCache cache(256 * kMiB);
+  auto table = BuildRow(elements, &cache);
+  KV_CHECK(table->CountByType("row").ok());  // warm the cache
+  uint64_t lo = 0;
+  for (auto _ : state) {
+    auto rows = table->ScanRange("row", lo, lo + 511, 256);
+    benchmark::DoNotOptimize(rows);
+    lo = (lo + 97) % elements;
+  }
+}
+BENCHMARK(BM_ScanRangeCached)->Arg(1000)->Arg(10000);
+
+// A cached top-32 by clustering key: the newest rows, read backwards.
+void BM_TopKCached(benchmark::State& state) {
+  const auto elements = static_cast<uint64_t>(state.range(0));
+  BlockCache cache(256 * kMiB);
+  auto table = BuildRow(elements, &cache);
+  KV_CHECK(table->CountByType("row").ok());  // warm the cache
+  for (auto _ : state) {
+    auto rows = table->TopKByClustering("row", 32);
+    benchmark::DoNotOptimize(rows);
+  }
+}
+BENCHMARK(BM_TopKCached)->Arg(1000)->Arg(10000);
+
 void BM_SliceIndexedRow(benchmark::State& state) {
   // 10k elements: well above the 64 KB threshold, so the column index
   // narrows a 10-element slice to one block.

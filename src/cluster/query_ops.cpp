@@ -4,17 +4,10 @@ namespace kvscale {
 
 namespace {
 
-/// (clustering, type_id) row columns from a column read, preserving the
-/// read's order (ScanRange ascends, TopKByClustering descends).
-OperatorResult RowColumns(const std::vector<Column>& columns) {
-  OperatorResult out;
-  out.col_a.reserve(columns.size());
-  out.col_b.reserve(columns.size());
-  for (const Column& column : columns) {
-    out.col_a.push_back(column.clustering);
-    out.col_b.push_back(column.type_id);
-  }
-  return out;
+/// Appends one (clustering, type_id) row.
+void EmitRow(OperatorResult& out, const Column& column) {
+  out.col_a.push_back(column.clustering);
+  out.col_b.push_back(column.type_id);
 }
 
 }  // namespace
@@ -24,31 +17,45 @@ Result<OperatorResult> ExecuteOperator(const Table& table,
                                        uint32_t op, uint64_t arg_lo,
                                        uint64_t arg_hi, uint32_t arg_limit,
                                        ReadProbe* probe) {
+  // Every operator opens the partition with Table::Read, in place when it
+  // can, and emits only the pairs it returns; the row operators keep the
+  // limits of Table::ScanRange and Table::TopKByClustering.
   switch (op) {
     case kOpCountByType: {
-      auto counts = table.CountByType(partition_key, probe);
-      if (!counts.ok()) return counts.status();
+      auto view = table.Read(partition_key, 0, UINT64_MAX, probe);
+      if (!view.ok()) return view.status();
+      // Ascending by type id: the reply order the count fold has always
+      // seen on the wire.
+      const auto counts = view.value().CountTypes();
       OperatorResult out;
-      out.col_a.reserve(counts.value().size());
-      out.col_b.reserve(counts.value().size());
-      // std::map iteration ascends by type id — the reply order the
-      // count fold has always seen on the wire.
-      for (const auto& [type, count] : counts.value()) {
+      out.col_a.reserve(counts.size());
+      out.col_b.reserve(counts.size());
+      for (const auto& [type, count] : counts) {
         out.col_a.push_back(type);
         out.col_b.push_back(count);
       }
       return out;
     }
     case kOpRangeScan: {
-      auto columns =
-          table.ScanRange(partition_key, arg_lo, arg_hi, arg_limit, probe);
-      if (!columns.ok()) return columns.status();
-      return RowColumns(columns.value());
+      auto view = table.Read(partition_key, arg_lo, arg_hi, probe);
+      if (!view.ok()) return view.status();
+      OperatorResult out;
+      view.value().ForEach([&](const Column& column) {
+        EmitRow(out, column);
+        return arg_limit == 0 || out.col_a.size() < arg_limit;
+      });
+      return out;
     }
     case kOpTopK: {
-      auto columns = table.TopKByClustering(partition_key, arg_limit, probe);
-      if (!columns.ok()) return columns.status();
-      return RowColumns(columns.value());
+      if (arg_limit == 0) return Status::InvalidArgument("top-k with k == 0");
+      auto view = table.Read(partition_key, 0, UINT64_MAX, probe);
+      if (!view.ok()) return view.status();
+      OperatorResult out;
+      view.value().ForEachDescending([&](const Column& column) {
+        EmitRow(out, column);
+        return out.col_a.size() < arg_limit;
+      });
+      return out;
     }
     default:
       return Status::InvalidArgument("unknown query operator " +

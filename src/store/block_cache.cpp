@@ -13,29 +13,31 @@ size_t BlockCache::SizeOf(const std::vector<Column>& columns) {
   return bytes;
 }
 
-bool BlockCache::Lookup(uint64_t segment_id, uint32_t block_no,
-                        std::vector<Column>* out) {
+uint64_t BlockCache::NewTableId() {
   MutexLock lock(mu_);
-  auto it = map_.find(Key{segment_id, block_no});
+  return next_table_id_++;
+}
+
+BlockHandle BlockCache::Lookup(const BlockKey& key) {
+  MutexLock lock(mu_);
+  auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;
-    return false;
+    return nullptr;
   }
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);  // promote
-  *out = it->second->columns;
-  return true;
+  return it->second->block;
 }
 
-void BlockCache::Insert(uint64_t segment_id, uint32_t block_no,
-                        const std::vector<Column>& columns) {
+void BlockCache::Insert(const BlockKey& key, BlockHandle block) {
+  KV_CHECK(block != nullptr);
+  const size_t bytes = SizeOf(*block);
   MutexLock lock(mu_);
-  const Key key{segment_id, block_no};
   if (map_.find(key) != map_.end()) return;  // already cached
-  const size_t bytes = SizeOf(columns);
   if (bytes > capacity_bytes_) return;  // would evict everything: skip
   EvictTo(capacity_bytes_ - bytes);
-  lru_.push_front(Entry{key, columns, bytes});
+  lru_.push_front(Entry{key, std::move(block), bytes});
   map_[key] = lru_.begin();
   used_bytes_ += bytes;
 }
@@ -49,10 +51,10 @@ void BlockCache::EvictTo(size_t target_bytes) {
   }
 }
 
-void BlockCache::EraseSegment(uint64_t segment_id) {
+void BlockCache::EraseSegment(uint64_t table_id, uint64_t segment_id) {
   MutexLock lock(mu_);
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->key.segment_id == segment_id) {
+    if (it->key.table_id == table_id && it->key.segment_id == segment_id) {
       used_bytes_ -= it->bytes;
       map_.erase(it->key);
       it = lru_.erase(it);

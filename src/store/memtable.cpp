@@ -20,15 +20,6 @@ void Memtable::Put(std::string_view partition_key, Column column) {
   cit->second = std::move(column);
 }
 
-std::vector<Column> Memtable::Get(std::string_view partition_key) const {
-  std::vector<Column> out;
-  auto it = partitions_.find(partition_key);
-  if (it == partitions_.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto& [clustering, column] : it->second) out.push_back(column);
-  return out;
-}
-
 std::vector<Column> Memtable::Slice(std::string_view partition_key,
                                     uint64_t lo, uint64_t hi) const {
   std::vector<Column> out;

@@ -21,10 +21,7 @@ class Memtable {
   /// Inserts or overwrites (partition, clustering) with the column value.
   void Put(std::string_view partition_key, Column column);
 
-  /// All columns of a partition, sorted by clustering key; empty if absent.
-  std::vector<Column> Get(std::string_view partition_key) const;
-
-  /// Columns with clustering key in [lo, hi], sorted.
+  /// Columns with clustering key in [lo, hi], sorted; empty if absent.
   std::vector<Column> Slice(std::string_view partition_key, uint64_t lo,
                             uint64_t hi) const;
 
@@ -38,6 +35,13 @@ class Memtable {
 
   /// Sorted partition keys (flush order).
   std::vector<std::string> PartitionKeys() const;
+
+  /// Calls fn(key, clustering -> column) for every partition in key
+  /// order, without copying: a flush streams straight from here.
+  template <typename Fn>
+  void ForEachPartition(Fn&& fn) const {
+    for (const auto& [key, columns] : partitions_) fn(key, columns);
+  }
 
   void Clear();
 

@@ -5,17 +5,29 @@
 
 namespace kvscale {
 
+namespace {
+
+void EncodeColumn(const Column& c, uint64_t& prev, WireBuffer& out) {
+  KV_DCHECK(c.clustering >= prev);
+  out.WriteVarint(c.clustering - prev);
+  prev = c.clustering;
+  out.WriteU8(c.tombstone ? 1 : 0);
+  out.WriteVarint(c.type_id);
+  out.WriteBytes(c.payload);
+}
+
+}  // namespace
+
 void EncodeColumns(const std::vector<Column>& columns, WireBuffer& out) {
   out.WriteVarint(columns.size());
   uint64_t prev = 0;
-  for (const Column& c : columns) {
-    KV_DCHECK(c.clustering >= prev);
-    out.WriteVarint(c.clustering - prev);
-    prev = c.clustering;
-    out.WriteU8(c.tombstone ? 1 : 0);
-    out.WriteVarint(c.type_id);
-    out.WriteBytes(c.payload);
-  }
+  for (const Column& c : columns) EncodeColumn(c, prev, out);
+}
+
+void EncodeColumnRefs(std::span<const Column* const> columns, WireBuffer& out) {
+  out.WriteVarint(columns.size());
+  uint64_t prev = 0;
+  for (const Column* c : columns) EncodeColumn(*c, prev, out);
 }
 
 Result<std::vector<Column>> DecodeColumns(std::span<const std::byte> data) {

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,8 @@ struct Column {
 /// Encodes a run of columns into `out` (clustering keys delta-encoded).
 /// Columns must be sorted by clustering key.
 void EncodeColumns(const std::vector<Column>& columns, WireBuffer& out);
+/// Same, over borrowed columns (a flush or compaction streams without copies).
+void EncodeColumnRefs(std::span<const Column* const> columns, WireBuffer& out);
 
 /// Decodes all columns from `data`; returns kCorruption on malformed input.
 Result<std::vector<Column>> DecodeColumns(std::span<const std::byte> data);

@@ -18,37 +18,53 @@ void ReadProbe::MergeFrom(const ReadProbe& other) {
   columns_returned += other.columns_returned;
 }
 
+Segment::Writer::Writer(uint64_t segment_id, const SegmentOptions& options) {
+  KV_CHECK(options.block_size > 0);
+  // Private constructor: cannot use make_shared. The bloom filter is
+  // rebuilt in Finish, once the partition count is known.
+  segment_.reset(new Segment(segment_id, options, 1));
+}
+
+void Segment::Writer::Add(std::string_view key,
+                          std::span<const Column* const> columns) {
+  KV_CHECK(segment_ != nullptr);
+  KV_CHECK(segment_->directory_.empty() ||
+           segment_->directory_.back().first < key);
+  KV_CHECK(std::is_sorted(columns.begin(), columns.end(),
+                          [](const Column* a, const Column* b) {
+                            return a->clustering < b->clustering;
+                          }));
+  segment_->AddPartition(key, columns);
+}
+
+std::shared_ptr<const Segment> Segment::Writer::Finish() {
+  KV_CHECK(segment_ != nullptr);
+  Segment& segment = *segment_;
+  segment.directory_.shrink_to_fit();
+  segment.bloom_ = BloomFilter(std::max<size_t>(segment.directory_.size(), 1),
+                               segment.options_.bloom_fp_rate);
+  for (const auto& [key, meta] : segment.directory_) segment.bloom_.Add(key);
+  return std::move(segment_);
+}
+
 std::shared_ptr<const Segment> Segment::Build(const Memtable& memtable,
                                               uint64_t segment_id,
                                               const SegmentOptions& options) {
-  std::vector<std::pair<std::string, std::vector<Column>>> partitions;
-  partitions.reserve(memtable.partition_count());
-  for (const auto& key : memtable.PartitionKeys()) {
-    partitions.emplace_back(key, memtable.Get(key));
-  }
-  return Build(partitions, segment_id, options);
+  Writer writer(segment_id, options);
+  std::vector<const Column*> columns;
+  memtable.ForEachPartition(
+      [&](const std::string& key, const std::map<uint64_t, Column>& cells) {
+        columns.clear();
+        for (const auto& [clustering, column] : cells) {
+          columns.push_back(&column);
+        }
+        writer.Add(key, columns);
+      });
+  return writer.Finish();
 }
 
-std::shared_ptr<const Segment> Segment::Build(
-    const std::vector<std::pair<std::string, std::vector<Column>>>& partitions,
-    uint64_t segment_id, const SegmentOptions& options) {
-  KV_CHECK(options.block_size > 0);
-  // Private constructor: cannot use make_shared.
-  std::shared_ptr<Segment> segment(
-      new Segment(segment_id, options, partitions.size()));
-  for (const auto& [key, columns] : partitions) {
-    KV_CHECK(std::is_sorted(columns.begin(), columns.end(),
-                            [](const Column& a, const Column& b) {
-                              return a.clustering < b.clustering;
-                            }));
-    segment->AddPartition(key, columns);
-  }
-  return segment;
-}
-
-void Segment::AddPartition(const std::string& key,
-                           const std::vector<Column>& columns) {
-  KV_CHECK(directory_.find(key) == directory_.end());
+void Segment::AddPartition(std::string_view key,
+                           std::span<const Column* const> columns) {
   if (columns.empty()) return;
 
   PartitionMeta meta;
@@ -56,35 +72,36 @@ void Segment::AddPartition(const std::string& key,
   meta.column_count = columns.size();
 
   // Pack columns into blocks of at most block_size encoded bytes.
-  std::vector<Column> pending;
+  size_t pending_begin = 0;
   size_t pending_bytes = 0;
   std::vector<ColumnIndexEntry> index;
-  auto flush_block = [&]() {
-    if (pending.empty()) return;
+  auto flush_block = [&](size_t pending_end) {
+    if (pending_end == pending_begin) return;
+    const auto pending =
+        columns.subspan(pending_begin, pending_end - pending_begin);
     WireBuffer buf;
-    EncodeColumns(pending, buf);
+    EncodeColumnRefs(pending, buf);
     ColumnIndexEntry entry;
-    entry.first_clustering = pending.front().clustering;
-    entry.last_clustering = pending.back().clustering;
+    entry.first_clustering = pending.front()->clustering;
+    entry.last_clustering = pending.back()->clustering;
     entry.block = static_cast<uint32_t>(blocks_.size());
     index.push_back(entry);
     auto span = buf.data();
     blocks_.emplace_back(span.begin(), span.end());
     block_checksums_.push_back(Fnv1a64(blocks_.back()));
     meta.encoded_bytes += blocks_.back().size();
-    pending.clear();
+    pending_begin = pending_end;
     pending_bytes = 0;
   };
 
-  for (const Column& c : columns) {
-    const size_t sz = c.EncodedSize();
-    if (!pending.empty() && pending_bytes + sz > options_.block_size) {
-      flush_block();
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const size_t sz = columns[i]->EncodedSize();
+    if (i > pending_begin && pending_bytes + sz > options_.block_size) {
+      flush_block(i);
     }
-    pending.push_back(c);
     pending_bytes += sz;
   }
-  flush_block();
+  flush_block(columns.size());
 
   meta.block_count = static_cast<uint32_t>(blocks_.size()) - meta.first_block;
   // Cassandra's column_index_size_in_kb rule: only partitions larger than
@@ -94,8 +111,7 @@ void Segment::AddPartition(const std::string& key,
 
   total_columns_ += meta.column_count;
   total_bytes_ += meta.encoded_bytes;
-  bloom_.Add(key);
-  directory_.emplace(key, std::move(meta));
+  directory_.emplace_back(std::string(key), std::move(meta));
 }
 
 bool Segment::MayContain(std::string_view partition_key) const {
@@ -103,20 +119,16 @@ bool Segment::MayContain(std::string_view partition_key) const {
 }
 
 bool Segment::HasPartition(std::string_view partition_key) const {
-  return directory_.find(partition_key) != directory_.end();
+  return FindMeta(partition_key) != nullptr;
 }
 
 const Segment::PartitionMeta* Segment::FindMeta(
     std::string_view partition_key) const {
-  auto it = directory_.find(partition_key);
-  return it == directory_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> Segment::PartitionKeys() const {
-  std::vector<std::string> keys;
-  keys.reserve(directory_.size());
-  for (const auto& [key, meta] : directory_) keys.push_back(key);
-  return keys;
+  auto it = std::lower_bound(
+      directory_.begin(), directory_.end(), partition_key,
+      [](const auto& entry, std::string_view key) { return entry.first < key; });
+  return it == directory_.end() || it->first != partition_key ? nullptr
+                                                              : &it->second;
 }
 
 void Segment::SerializeTo(WireBuffer& out) const {
@@ -179,10 +191,14 @@ Result<std::shared_ptr<const Segment>> Segment::Deserialize(
       entry.block = static_cast<uint32_t>(r.ReadVarint());
       meta.column_index.push_back(entry);
     }
+    Directory& directory = segment->directory_;
+    if (!directory.empty() && !(directory.back().first < key)) {
+      return Status::Corruption("segment directory out of order");
+    }
     segment->total_columns_ += meta.column_count;
     segment->total_bytes_ += meta.encoded_bytes;
     segment->bloom_.Add(key);
-    segment->directory_.emplace(std::move(key), std::move(meta));
+    directory.emplace_back(std::move(key), std::move(meta));
   }
   const uint64_t block_count = r.ReadVarint();
   if (!r.ok() || block_count > data.size()) {
@@ -220,13 +236,12 @@ void Segment::FlipBlockBitForFaultInjection(uint32_t block_no,
   block[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
 }
 
-Result<std::vector<Column>> Segment::ReadBlock(uint32_t block_no,
-                                               BlockCache* cache,
-                                               ReadProbe* probe) const {
+Result<BlockHandle> Segment::ReadBlock(uint32_t block_no, CacheRef cache,
+                                      ReadProbe* probe) const {
   KV_CHECK(block_no < blocks_.size());
-  if (cache != nullptr) {
-    std::vector<Column> cached;
-    if (cache->Lookup(id_, block_no, &cached)) {
+  const BlockKey key{cache.table_id, id_, block_no};
+  if (cache.cache != nullptr) {
+    if (BlockHandle cached = cache.cache->Lookup(key)) {
       if (probe != nullptr) ++probe->blocks_from_cache;
       return cached;
     }
@@ -242,77 +257,69 @@ Result<std::vector<Column>> Segment::ReadBlock(uint32_t block_no,
     ++probe->blocks_decoded;
     probe->bytes_decoded += blocks_[block_no].size();
   }
-  if (cache != nullptr) cache->Insert(id_, block_no, decoded.value());
-  return decoded;
+  BlockHandle block = std::make_shared<const std::vector<Column>>(
+      std::move(decoded).value());
+  if (cache.cache != nullptr) cache.cache->Insert(key, block);
+  return block;
 }
 
-Result<std::vector<Column>> Segment::GetPartition(
-    std::string_view partition_key, BlockCache* cache,
+Result<std::vector<BlockHandle>> Segment::ReadBlocks(
+    std::string_view partition_key, uint64_t lo, uint64_t hi, CacheRef cache,
     ReadProbe* probe) const {
   const PartitionMeta* meta = FindMeta(partition_key);
   if (meta == nullptr) {
     return Status::NotFound(std::string(partition_key));
   }
-  std::vector<Column> out;
-  out.reserve(meta->column_count);
-  for (uint32_t b = meta->first_block;
-       b < meta->first_block + meta->block_count; ++b) {
-    auto block = ReadBlock(b, cache, probe);
-    if (!block.ok()) return block.status();
-    auto& cols = block.value();
-    out.insert(out.end(), cols.begin(), cols.end());
-  }
-  if (probe != nullptr) probe->columns_returned += out.size();
-  return out;
+  return ReadBlocks(*meta, lo, hi, cache, probe);
 }
 
-Result<std::vector<Column>> Segment::Slice(std::string_view partition_key,
-                                           uint64_t lo, uint64_t hi,
-                                           BlockCache* cache,
-                                           ReadProbe* probe) const {
+Result<std::vector<BlockHandle>> Segment::ReadBlocks(const PartitionMeta& meta,
+                                                     uint64_t lo, uint64_t hi,
+                                                     CacheRef cache,
+                                                     ReadProbe* probe) const {
   if (lo > hi) return Status::InvalidArgument("slice lo > hi");
-  const PartitionMeta* meta = FindMeta(partition_key);
-  if (meta == nullptr) {
-    return Status::NotFound(std::string(partition_key));
-  }
-
-  std::vector<Column> out;
-  auto append_in_range = [&](const std::vector<Column>& cols) {
-    // Columns are sorted: binary-search the sub-range.
-    auto first = std::lower_bound(cols.begin(), cols.end(), lo,
-                                  [](const Column& c, uint64_t v) {
-                                    return c.clustering < v;
-                                  });
-    for (auto it = first; it != cols.end() && it->clustering <= hi; ++it) {
-      out.push_back(*it);
-    }
+  std::vector<BlockHandle> out;
+  auto read = [&](uint32_t block_no) -> Status {
+    auto block = ReadBlock(block_no, cache, probe);
+    if (!block.ok()) return block.status();
+    out.push_back(std::move(block).value());
+    return Status::Ok();
   };
-
-  if (meta->has_column_index) {
-    // Indexed partition: binary-search the column index, decode only the
+  const bool whole_partition = lo == 0 && hi == UINT64_MAX;
+  if (meta.has_column_index && !whole_partition) {
+    // Indexed partition: binary-search the column index, read only the
     // blocks overlapping [lo, hi].
     if (probe != nullptr) ++probe->index_probes;
-    const auto& index = meta->column_index;
+    const auto& index = meta.column_index;
     auto first = std::lower_bound(index.begin(), index.end(), lo,
                                   [](const ColumnIndexEntry& e, uint64_t v) {
                                     return e.last_clustering < v;
                                   });
     for (auto it = first; it != index.end() && it->first_clustering <= hi;
          ++it) {
-      auto block = ReadBlock(it->block, cache, probe);
-      if (!block.ok()) return block.status();
-      append_in_range(block.value());
+      KV_RETURN_IF_ERROR(read(it->block));
     }
   } else {
-    // Unindexed (< 64 KB) partition: every block must be decoded.
-    for (uint32_t b = meta->first_block;
-         b < meta->first_block + meta->block_count; ++b) {
-      auto block = ReadBlock(b, cache, probe);
-      if (!block.ok()) return block.status();
-      append_in_range(block.value());
+    // A whole-partition read, or an unindexed (< 64 KB) partition:
+    // every block must be decoded.
+    for (uint32_t b = meta.first_block; b < meta.first_block + meta.block_count;
+         ++b) {
+      KV_RETURN_IF_ERROR(read(b));
     }
   }
-  if (probe != nullptr) probe->columns_returned += out.size();
+  if (probe != nullptr) {
+    for (const BlockHandle& block : out) {
+      const auto by_clustering = [](const Column& c, uint64_t v) {
+        return c.clustering < v;
+      };
+      const auto first =
+          std::lower_bound(block->begin(), block->end(), lo, by_clustering);
+      const auto last = std::upper_bound(
+          first, block->end(), hi,
+          [](uint64_t v, const Column& c) { return v < c.clustering; });
+      probe->columns_returned += static_cast<uint64_t>(last - first);
+    }
+  }
   return out;
 }
 

@@ -12,14 +12,16 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
 #include "common/units.hpp"
+#include "store/block_cache.hpp"
 #include "store/bloom.hpp"
 #include "store/memtable.hpp"
 #include "store/row.hpp"
@@ -46,8 +48,6 @@ struct ReadProbe {
   void MergeFrom(const ReadProbe& other);
 };
 
-class BlockCache;  // forward declaration (block_cache.hpp)
-
 /// Immutable sorted segment.
 class Segment {
  public:
@@ -68,33 +68,50 @@ class Segment {
     std::vector<ColumnIndexEntry> column_index;
   };
 
-  /// Freezes a memtable into a segment.
+  /// (partition key, directory entry) pairs, ascending by key: one
+  /// contiguous array, binary-searched, with no per-partition node.
+  using Directory = std::vector<std::pair<std::string, PartitionMeta>>;
+
+  /// Streams partitions, in ascending key order, into a new segment, so
+  /// a flush or compaction holds one partition's columns at a time.
+  class Writer {
+   public:
+    Writer(uint64_t segment_id, const SegmentOptions& options);
+
+    /// Appends one partition. `columns` must be sorted by clustering key
+    /// and are only read during the call; an empty partition is skipped.
+    void Add(std::string_view key, std::span<const Column* const> columns);
+
+    /// Seals the segment (the bloom filter is sized to what was added).
+    std::shared_ptr<const Segment> Finish();
+
+   private:
+    std::shared_ptr<Segment> segment_;
+  };
+
+  /// Freezes a memtable into a segment, one partition at a time.
   static std::shared_ptr<const Segment> Build(const Memtable& memtable,
                                               uint64_t segment_id,
                                               const SegmentOptions& options);
-
-  /// Builds from pre-merged partitions (compaction); `partitions` must be
-  /// sorted by key and each column vector sorted by clustering key.
-  static std::shared_ptr<const Segment> Build(
-      const std::vector<std::pair<std::string, std::vector<Column>>>&
-          partitions,
-      uint64_t segment_id, const SegmentOptions& options);
 
   /// Bloom-filter pre-check; false means the partition is definitely not
   /// in this segment.
   bool MayContain(std::string_view partition_key) const;
 
-  /// Reads a whole partition; NotFound if absent. `cache` may be null.
-  Result<std::vector<Column>> GetPartition(std::string_view partition_key,
-                                           BlockCache* cache,
-                                           ReadProbe* probe) const;
-
-  /// Reads columns with clustering in [lo, hi]. For indexed partitions only
-  /// the overlapping blocks are decoded; unindexed partitions decode all
-  /// blocks (the 64 KB threshold effect).
-  Result<std::vector<Column>> Slice(std::string_view partition_key,
-                                    uint64_t lo, uint64_t hi,
-                                    BlockCache* cache, ReadProbe* probe) const;
+  /// The decoded blocks a read of clustering keys [lo, hi] of one
+  /// partition touches, ascending, through `cache` when it has one. For
+  /// indexed partitions only the overlapping blocks are read; unindexed
+  /// partitions read every block (the 64 KB threshold effect). Blocks
+  /// may hold columns outside [lo, hi] and tombstones: callers filter.
+  /// NotFound if the partition is absent.
+  Result<std::vector<BlockHandle>> ReadBlocks(std::string_view partition_key,
+                                              uint64_t lo, uint64_t hi,
+                                              CacheRef cache,
+                                              ReadProbe* probe) const;
+  Result<std::vector<BlockHandle>> ReadBlocks(const PartitionMeta& meta,
+                                              uint64_t lo, uint64_t hi,
+                                              CacheRef cache,
+                                              ReadProbe* probe) const;
 
   bool HasPartition(std::string_view partition_key) const;
   const PartitionMeta* FindMeta(std::string_view partition_key) const;
@@ -119,7 +136,7 @@ class Segment {
   size_t block_count() const { return blocks_.size(); }
   uint64_t column_count() const { return total_columns_; }
   uint64_t encoded_bytes() const { return total_bytes_; }
-  std::vector<std::string> PartitionKeys() const;
+  const Directory& directory() const { return directory_; }
 
  private:
   Segment(uint64_t id, const SegmentOptions& options, size_t partitions)
@@ -127,19 +144,20 @@ class Segment {
         options_(options),
         bloom_(std::max<size_t>(partitions, 1), options.bloom_fp_rate) {}
 
-  void AddPartition(const std::string& key, const std::vector<Column>& columns);
+  void AddPartition(std::string_view key,
+                    std::span<const Column* const> columns);
 
-  /// Decodes block `block_no`, through `cache` when provided. Verifies
-  /// the block's checksum before decoding (cache hits skip the check:
-  /// cached entries were verified when first decoded) and surfaces a
+  /// Decodes block `block_no`, through `cache` when it has one. Verifies
+  /// the block's checksum before every decode (a cache hit needs none:
+  /// the shared block was verified when it was decoded) and surfaces a
   /// mismatch as kCorruption instead of returning damaged columns.
-  Result<std::vector<Column>> ReadBlock(uint32_t block_no, BlockCache* cache,
-                                        ReadProbe* probe) const;
+  Result<BlockHandle> ReadBlock(uint32_t block_no, CacheRef cache,
+                                ReadProbe* probe) const;
 
   uint64_t id_;
   SegmentOptions options_;
   BloomFilter bloom_;
-  std::map<std::string, PartitionMeta, std::less<>> directory_;
+  Directory directory_;
   std::vector<std::vector<std::byte>> blocks_;  // encoded column runs
   std::vector<uint64_t> block_checksums_;       // fnv1a of each block
   uint64_t total_columns_ = 0;

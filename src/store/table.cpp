@@ -1,6 +1,7 @@
 #include "store/table.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <numeric>
 #include <set>
@@ -36,10 +37,68 @@ ReadProbe ProbeDelta(const ReadProbe& before, const ReadProbe& after) {
   return delta;
 }
 
+/// One source's sorted run of columns, spread over shared blocks.
+class RunCursor {
+ public:
+  explicit RunCursor(const std::vector<BlockHandle>& blocks)
+      : blocks_(&blocks) {
+    SkipExhausted();
+  }
+
+  /// The current column, or null once the run is exhausted.
+  const Column* Peek() const {
+    return block_ < blocks_->size() ? &(*(*blocks_)[block_])[index_]
+                                    : nullptr;
+  }
+
+  void Advance() {
+    ++index_;
+    SkipExhausted();
+  }
+
+ private:
+  void SkipExhausted() {
+    while (block_ < blocks_->size() && index_ >= (*blocks_)[block_]->size()) {
+      ++block_;
+      index_ = 0;
+    }
+  }
+
+  const std::vector<BlockHandle>* blocks_;
+  size_t block_ = 0;
+  size_t index_ = 0;
+};
+
+/// Newest-wins k-way merge of sorted runs (`runs` oldest first): calls
+/// `emit(const Column&)` once per clustering key, ascending, with the
+/// newest run's cell for that key, tombstones included.
+template <typename Emit>
+void MergeNewestWins(std::vector<RunCursor>& runs, Emit&& emit) {
+  for (;;) {
+    const Column* winner = nullptr;
+    for (const RunCursor& run : runs) {  // oldest -> newest: ties go newer
+      const Column* c = run.Peek();
+      if (c != nullptr &&
+          (winner == nullptr || c->clustering <= winner->clustering)) {
+        winner = c;
+      }
+    }
+    if (winner == nullptr) return;
+    emit(*winner);
+    const uint64_t clustering = winner->clustering;
+    for (RunCursor& run : runs) {
+      const Column* c = run.Peek();
+      if (c != nullptr && c->clustering == clustering) run.Advance();
+    }
+  }
+}
+
 }  // namespace
 
 Table::Table(std::string name, TableOptions options, BlockCache* cache)
-    : name_(std::move(name)), options_(options), cache_(cache) {
+    : name_(std::move(name)),
+      options_(options),
+      cache_{cache, cache != nullptr ? cache->NewTableId() : 0} {
   if (options_.metrics != nullptr) {
     instruments_ = std::make_unique<StoreInstruments>(
         StoreInstruments::Resolve(*options_.metrics));
@@ -71,32 +130,62 @@ void Table::FlushLocked() {
   }
 }
 
-std::shared_ptr<const Segment> Table::MergeSegmentsLocked(
+Result<std::shared_ptr<const Segment>> Table::MergeSegmentsLocked(
     const std::vector<size_t>& indices, bool purge_tombstones) {
-  std::set<std::string> keys;
-  for (size_t idx : indices) {
-    for (auto& key : segments_[idx]->PartitionKeys()) {
-      keys.insert(std::move(key));
+  // A k-way walk over the run's sorted directories: each partition key is
+  // decoded from the segments that hold it, merged, written out and
+  // dropped before the next key, so one partition is live at a time.
+  struct DirectoryCursor {
+    const Segment* segment;
+    Segment::Directory::const_iterator at;
+  };
+  std::vector<DirectoryCursor> cursors;
+  cursors.reserve(indices.size());
+  for (size_t idx : indices) {  // ascending = oldest first
+    cursors.push_back({segments_[idx].get(),
+                       segments_[idx]->directory().begin()});
+  }
+  Segment::Writer writer(next_segment_id_++, options_.segment);
+  std::vector<std::vector<BlockHandle>> sources;
+  std::vector<RunCursor> runs;
+  std::vector<const Column*> kept;
+  for (;;) {
+    const std::string* key = nullptr;
+    for (const DirectoryCursor& c : cursors) {
+      if (c.at != c.segment->directory().end() &&
+          (key == nullptr || c.at->first < *key)) {
+        key = &c.at->first;
+      }
+    }
+    if (key == nullptr) break;
+    sources.clear();
+    for (DirectoryCursor& c : cursors) {
+      if (c.at == c.segment->directory().end() || c.at->first != *key) {
+        continue;
+      }
+      // Uncached: compaction output replaces these segments' blocks. A
+      // copy that fails its checksum aborts the merge: dropping it would
+      // let an older value resurface, silently.
+      auto blocks = c.segment->ReadBlocks(c.at->second, 0, UINT64_MAX,
+                                          CacheRef{}, nullptr);
+      if (!blocks.ok()) return blocks.status();
+      sources.push_back(std::move(blocks).value());
+    }
+    runs.clear();
+    for (const auto& source : sources) runs.emplace_back(source);
+    kept.clear();
+    MergeNewestWins(runs, [&](const Column& column) {
+      if (!(purge_tombstones && column.tombstone)) kept.push_back(&column);
+    });
+    writer.Add(*key, kept);
+    // `key` points into a directory node, which outlives the advance.
+    for (DirectoryCursor& c : cursors) {
+      if (c.at != c.segment->directory().end() && c.at->first == *key) {
+        ++c.at;
+      }
     }
   }
-  std::vector<std::pair<std::string, std::vector<Column>>> partitions;
-  partitions.reserve(keys.size());
-  for (const auto& key : keys) {
-    std::map<uint64_t, Column> merged;
-    for (size_t idx : indices) {  // ascending = oldest first
-      auto cols = segments_[idx]->GetPartition(key, nullptr, nullptr);
-      if (cols.ok()) MergeColumns(merged, std::move(cols).value());
-    }
-    std::vector<Column> columns;
-    columns.reserve(merged.size());
-    for (auto& [clustering, column] : merged) {
-      if (purge_tombstones && column.tombstone) continue;
-      columns.push_back(std::move(column));
-    }
-    if (columns.empty()) continue;
-    partitions.emplace_back(key, std::move(columns));
-  }
-  return Segment::Build(partitions, next_segment_id_++, options_.segment);
+  return writer.Finish();
 }
 
 void Table::MaybeCompactLocked() {
@@ -126,10 +215,9 @@ void Table::MaybeCompactLocked() {
     run.reserve(want);
     for (size_t i = start; i < start + want; ++i) run.push_back(i);
     auto merged = MergeSegmentsLocked(run, /*purge_tombstones=*/false);
-    if (cache_ != nullptr) {
-      for (size_t idx : run) cache_->EraseSegment(segments_[idx]->id());
-    }
-    segments_[start] = std::move(merged);
+    if (!merged.ok()) return;  // corrupt input: reads keep failing loudly
+    for (size_t idx : run) EvictFromCache(*segments_[idx]);
+    segments_[start] = std::move(merged).value();
     segments_.erase(
         segments_.begin() + static_cast<ptrdiff_t>(start + 1),
         segments_.begin() + static_cast<ptrdiff_t>(start + want));
@@ -155,7 +243,7 @@ uint64_t Table::CorruptBlocksForFaultInjection(double fraction, Rng& rng) {
       ++corrupted;
       touched = true;
     }
-    if (touched && cache_ != nullptr) cache_->EraseSegment(segment->id());
+    if (touched) EvictFromCache(*segment);
   }
   if (corrupted == 0 && fraction > 0.0 && any_block) {
     // Guarantee at least one casualty so a chaos run always has teeth.
@@ -168,7 +256,7 @@ uint64_t Table::CorruptBlocksForFaultInjection(double fraction, Rng& rng) {
         static_cast<uint32_t>(rng.Below(segment->block_count()));
     const_cast<Segment&>(*segment).FlipBlockBitForFaultInjection(block,
                                                                  rng.Next());
-    if (cache_ != nullptr) cache_->EraseSegment(segment->id());
+    EvictFromCache(*segment);
     corrupted = 1;
   }
   return corrupted;
@@ -188,7 +276,7 @@ Status Table::CorruptBlockForFaultInjection(size_t segment_index,
   }
   const_cast<Segment&>(*segment).FlipBlockBitForFaultInjection(block_no,
                                                                bit_index);
-  if (cache_ != nullptr) cache_->EraseSegment(segment->id());
+  EvictFromCache(*segment);
   return Status::Ok();
 }
 
@@ -274,11 +362,7 @@ Status Table::LoadSnapshot(const std::string& path) {
   }
 
   WriterMutexLock lock(mu_);
-  if (cache_ != nullptr) {
-    for (const auto& segment : segments_) {
-      cache_->EraseSegment(segment->id());
-    }
-  }
+  for (const auto& segment : segments_) EvictFromCache(*segment);
   memtable_.Clear();
   segments_ = std::move(loaded);
   next_segment_id_ = std::max<uint64_t>(next_id, 1);
@@ -294,71 +378,54 @@ void Table::Delete(std::string_view partition_key, uint64_t clustering) {
   Put(partition_key, Column::Tombstone(clustering));
 }
 
-void Table::MergeColumns(std::map<uint64_t, Column>& base,
-                         std::vector<Column> newer) {
-  for (Column& c : newer) {
-    base[c.clustering] = std::move(c);  // newer overwrites older
+void Table::EvictFromCache(const Segment& segment) const {
+  if (cache_.cache != nullptr) {
+    cache_.cache->EraseSegment(cache_.table_id, segment.id());
   }
 }
 
-Result<std::vector<Column>> Table::GetPartition(std::string_view partition_key,
-                                                ReadProbe* probe) const {
-  if (instruments_ == nullptr) return GetPartitionImpl(partition_key, probe);
-  ReadProbe local;
-  ReadProbe* target = probe != nullptr ? probe : &local;
-  const ReadProbe before = *target;
-  const auto t0 = ReadClock::now();
-  auto result = GetPartitionImpl(partition_key, target);
-  instruments_->RecordRead(ProbeDelta(before, *target), ElapsedMicros(t0));
-  if (!result.ok() && result.status().code() == StatusCode::kCorruption) {
-    instruments_->corruption_errors->Increment();
-  }
-  return result;
-}
-
-Result<std::vector<Column>> Table::GetPartitionImpl(
-    std::string_view partition_key, ReadProbe* probe) const {
-  ReaderMutexLock lock(mu_);
-  std::map<uint64_t, Column> merged;
-  bool found = false;
-  for (const auto& segment : segments_) {  // oldest -> newest
-    if (!segment->MayContain(partition_key)) {
-      if (probe != nullptr) ++probe->bloom_negatives;
-      continue;
-    }
-    if (probe != nullptr) ++probe->segments_consulted;
-    auto cols = segment->GetPartition(partition_key, cache_, probe);
-    if (!cols.ok()) {
-      if (cols.status().code() == StatusCode::kNotFound) continue;  // bloom FP
-      return cols.status();
-    }
-    found = true;
-    MergeColumns(merged, std::move(cols).value());
-  }
-  if (memtable_.Contains(partition_key)) {
-    found = true;
-    MergeColumns(merged, memtable_.Get(partition_key));
-  }
-  if (!found) return Status::NotFound(std::string(partition_key));
-
+std::vector<Column> ColumnView::ToVector() const {
   std::vector<Column> out;
-  out.reserve(merged.size());
-  for (auto& [clustering, column] : merged) {
-    if (column.tombstone) continue;  // shadowed by a delete
-    out.push_back(std::move(column));
-  }
+  ForEach([&out](const Column& column) {
+    out.push_back(column);
+    return true;
+  });
   return out;
 }
 
-Result<std::vector<Column>> Table::Slice(std::string_view partition_key,
-                                         uint64_t lo, uint64_t hi,
-                                         ReadProbe* probe) const {
-  if (instruments_ == nullptr) return SliceImpl(partition_key, lo, hi, probe);
+std::vector<std::pair<uint32_t, uint64_t>> ColumnView::CountTypes() const {
+  // Type ids are small in practice: they are counted in a flat array,
+  // any larger id in a map. A sorted vector or a map for every id costs
+  // more than the read itself (branchy searches, one node per type).
+  constexpr uint32_t kDirectTypes = 64;
+  std::array<uint64_t, kDirectTypes> direct{};
+  std::map<uint32_t, uint64_t> larger;
+  ForEach([&](const Column& column) {
+    if (column.type_id < kDirectTypes) {
+      ++direct[column.type_id];
+    } else {
+      ++larger[column.type_id];
+    }
+    return true;
+  });
+  std::vector<std::pair<uint32_t, uint64_t>> counts;
+  for (uint32_t type = 0; type < kDirectTypes; ++type) {
+    if (direct[type] > 0) counts.emplace_back(type, direct[type]);
+  }
+  counts.insert(counts.end(), larger.begin(), larger.end());
+  return counts;
+}
+
+Result<ColumnView> Table::Read(std::string_view partition_key, uint64_t lo,
+                               uint64_t hi, ReadProbe* probe) const {
+  if (instruments_ == nullptr) {
+    return ReadUninstrumented(partition_key, lo, hi, probe);
+  }
   ReadProbe local;
   ReadProbe* target = probe != nullptr ? probe : &local;
   const ReadProbe before = *target;
   const auto t0 = ReadClock::now();
-  auto result = SliceImpl(partition_key, lo, hi, target);
+  auto result = ReadUninstrumented(partition_key, lo, hi, target);
   instruments_->RecordRead(ProbeDelta(before, *target), ElapsedMicros(t0));
   if (!result.ok() && result.status().code() == StatusCode::kCorruption) {
     instruments_->corruption_errors->Increment();
@@ -366,74 +433,102 @@ Result<std::vector<Column>> Table::Slice(std::string_view partition_key,
   return result;
 }
 
-Result<std::vector<Column>> Table::SliceImpl(std::string_view partition_key,
+Result<ColumnView> Table::ReadUninstrumented(std::string_view partition_key,
                                              uint64_t lo, uint64_t hi,
                                              ReadProbe* probe) const {
   if (lo > hi) return Status::InvalidArgument("slice lo > hi");
   ReaderMutexLock lock(mu_);
-  std::map<uint64_t, Column> merged;
-  bool found = false;
+  std::vector<std::vector<BlockHandle>> sources;  // oldest -> newest
   for (const auto& segment : segments_) {
     if (!segment->MayContain(partition_key)) {
       if (probe != nullptr) ++probe->bloom_negatives;
       continue;
     }
     if (probe != nullptr) ++probe->segments_consulted;
-    auto cols = segment->Slice(partition_key, lo, hi, cache_, probe);
-    if (!cols.ok()) {
-      if (cols.status().code() == StatusCode::kNotFound) continue;
-      return cols.status();
+    auto blocks = segment->ReadBlocks(partition_key, lo, hi, cache_, probe);
+    if (!blocks.ok()) {
+      if (blocks.status().code() == StatusCode::kNotFound) continue;  // bloom FP
+      return blocks.status();
     }
-    found = true;
-    MergeColumns(merged, std::move(cols).value());
+    sources.push_back(std::move(blocks).value());
   }
-  if (memtable_.Contains(partition_key)) {
-    found = true;
-    MergeColumns(merged, memtable_.Slice(partition_key, lo, hi));
+  const bool in_memtable = memtable_.Contains(partition_key);
+  if (sources.empty() && !in_memtable) {
+    return Status::NotFound(std::string(partition_key));
   }
-  if (!found) return Status::NotFound(std::string(partition_key));
 
-  std::vector<Column> out;
-  out.reserve(merged.size());
-  for (auto& [clustering, column] : merged) {
-    if (column.tombstone) continue;
-    out.push_back(std::move(column));
+  ColumnView view(lo, hi);
+  if (sources.size() == 1 && !in_memtable) {
+    // One segment holds every copy: nothing to shadow, read in place.
+    view.blocks_ = std::move(sources.front());
+    return view;
   }
-  return out;
+  if (in_memtable) {
+    sources.push_back({std::make_shared<const std::vector<Column>>(
+        memtable_.Slice(partition_key, lo, hi))});
+  }
+  std::vector<RunCursor> runs;
+  runs.reserve(sources.size());
+  for (const auto& source : sources) runs.emplace_back(source);
+  auto merged = std::make_shared<std::vector<Column>>();
+  MergeNewestWins(runs, [&](const Column& column) {
+    if (!column.tombstone && column.clustering >= lo &&
+        column.clustering <= hi) {
+      merged->push_back(column);
+    }
+  });
+  view.blocks_.push_back(std::move(merged));
+  return view;
+}
+
+Result<std::vector<Column>> Table::GetPartition(std::string_view partition_key,
+                                                ReadProbe* probe) const {
+  return Slice(partition_key, 0, UINT64_MAX, probe);
+}
+
+Result<std::vector<Column>> Table::Slice(std::string_view partition_key,
+                                         uint64_t lo, uint64_t hi,
+                                         ReadProbe* probe) const {
+  auto view = Read(partition_key, lo, hi, probe);
+  if (!view.ok()) return view.status();
+  return view.value().ToVector();
 }
 
 Result<TypeCounts> Table::CountByType(std::string_view partition_key,
                                       ReadProbe* probe) const {
-  auto columns = GetPartition(partition_key, probe);
-  if (!columns.ok()) return columns.status();
-  TypeCounts counts;
-  for (const Column& c : columns.value()) ++counts[c.type_id];
-  return counts;
+  auto view = Read(partition_key, 0, UINT64_MAX, probe);
+  if (!view.ok()) return view.status();
+  const auto counts = view.value().CountTypes();
+  return TypeCounts(counts.begin(), counts.end());
 }
 
 Result<std::vector<Column>> Table::ScanRange(std::string_view partition_key,
                                              uint64_t lo, uint64_t hi,
                                              uint32_t limit,
                                              ReadProbe* probe) const {
-  auto columns = Slice(partition_key, lo, hi, probe);
-  if (!columns.ok()) return columns.status();
-  // Slice returns ascending clustering order, so the first `limit` rows
-  // are the range's smallest — exactly what a bounded forward scan keeps.
-  if (limit > 0 && columns.value().size() > limit) {
-    columns.value().resize(limit);
-  }
-  return columns;
+  auto view = Read(partition_key, lo, hi, probe);
+  if (!view.ok()) return view.status();
+  // Ascending order, so the first `limit` rows are the range's smallest —
+  // exactly what a bounded forward scan keeps.
+  std::vector<Column> out;
+  view.value().ForEach([&](const Column& column) {
+    out.push_back(column);
+    return limit == 0 || out.size() < limit;
+  });
+  return out;
 }
 
 Result<std::vector<Column>> Table::TopKByClustering(
     std::string_view partition_key, uint32_t k, ReadProbe* probe) const {
   if (k == 0) return Status::InvalidArgument("top-k with k == 0");
-  auto columns = GetPartition(partition_key, probe);
-  if (!columns.ok()) return columns.status();
-  std::vector<Column>& cols = columns.value();
-  std::reverse(cols.begin(), cols.end());  // ascending -> descending
-  if (cols.size() > k) cols.resize(k);
-  return columns;
+  auto view = Read(partition_key, 0, UINT64_MAX, probe);
+  if (!view.ok()) return view.status();
+  std::vector<Column> out;
+  view.value().ForEachDescending([&](const Column& column) {
+    out.push_back(column);
+    return out.size() < k;
+  });
+  return out;
 }
 
 bool Table::HasPartition(std::string_view partition_key) const {
@@ -455,11 +550,12 @@ void Table::Compact() {
   std::vector<size_t> all(segments_.size());
   std::iota(all.begin(), all.end(), size_t{0});
   auto merged = MergeSegmentsLocked(all, /*purge_tombstones=*/true);
-  if (cache_ != nullptr) {
-    for (const auto& segment : segments_) cache_->EraseSegment(segment->id());
-  }
+  if (!merged.ok()) return;  // corrupt input: reads keep failing loudly
+  for (const auto& segment : segments_) EvictFromCache(*segment);
   segments_.clear();
-  if (merged->partition_count() > 0) segments_.push_back(std::move(merged));
+  if (merged.value()->partition_count() > 0) {
+    segments_.push_back(std::move(merged).value());
+  }
   if (instruments_ != nullptr) instruments_->compactions->Increment();
 }
 
@@ -490,7 +586,7 @@ std::vector<std::string> Table::PartitionKeys() const {
   std::set<std::string> keys;
   for (auto& key : memtable_.PartitionKeys()) keys.insert(std::move(key));
   for (const auto& segment : segments_) {
-    for (auto& key : segment->PartitionKeys()) keys.insert(std::move(key));
+    for (const auto& [key, meta] : segment->directory()) keys.insert(key);
   }
   return {keys.begin(), keys.end()};
 }

@@ -2,16 +2,21 @@
 //
 // This is the per-node storage engine the simulated slaves conceptually run;
 // it is also used directly (in-process) by the calibration benches and the
-// examples. Reads merge the memtable with all segments, newest write wins on
-// (partition, clustering) collisions. Thread-safe: writes and structural
-// changes take an exclusive lock, reads a shared one.
+// examples. Every read goes through Table::Read: a partition held by one
+// segment and no memtable entry (the state after a flush or compaction) is
+// read in place from the shared decoded blocks; any other layout is merged,
+// newest write winning on (partition, clustering) collisions. Thread-safe:
+// writes and structural changes take an exclusive lock, opening a read a
+// shared one.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -45,6 +50,38 @@ struct TableOptions {
 /// Count-by-type aggregation result: type id -> element count.
 using TypeCounts = std::map<uint32_t, uint64_t>;
 
+/// The live columns of one partition with clustering key in [lo, hi], as
+/// Table::Read opened them. The view holds shared decoded blocks, so it
+/// stays valid while the table flushes, compacts, evicts or reloads; the
+/// columns it lends out live as long as the view.
+class ColumnView {
+ public:
+  /// Calls `fn(const Column&)` on each live column in ascending
+  /// clustering order until `fn` returns false.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const;
+
+  /// Same, in descending clustering order.
+  template <typename Fn>
+  void ForEachDescending(Fn&& fn) const;
+
+  /// Copies the live columns out, ascending.
+  std::vector<Column> ToVector() const;
+
+  /// (type id, live column count) pairs, ascending by type id.
+  std::vector<std::pair<uint32_t, uint64_t>> CountTypes() const;
+
+ private:
+  friend class Table;
+  ColumnView(uint64_t lo, uint64_t hi) : lo_(lo), hi_(hi) {}
+
+  /// Ascending, non-overlapping sorted runs. They may hold tombstones
+  /// and columns outside [lo_, hi_]; iteration skips both.
+  std::vector<BlockHandle> blocks_;
+  uint64_t lo_;
+  uint64_t hi_;
+};
+
 class Table {
  public:
   /// `cache` may be null (no block caching) and must outlive the table.
@@ -59,6 +96,16 @@ class Table {
   /// Deleting a non-existent cell is a no-op that still writes the marker
   /// (Cassandra semantics: deletes cannot check existence cheaply).
   void Delete(std::string_view partition_key, uint64_t clustering);
+
+  /// The one read primitive; every read below is built on it. Opens the
+  /// live columns of `partition_key` with clustering key in [lo, hi].
+  /// When exactly one segment and no memtable entry hold the partition,
+  /// the view shares that segment's decoded blocks and copies nothing.
+  /// Otherwise the sources are merged newest-wins, tombstones shadowing
+  /// older cells, into one private block. NotFound if no source has the
+  /// partition; kInvalidArgument if lo > hi.
+  Result<ColumnView> Read(std::string_view partition_key, uint64_t lo,
+                          uint64_t hi, ReadProbe* probe = nullptr) const;
 
   /// Reads a whole partition (merged across memtable and segments);
   /// NotFound if no source has it.
@@ -97,7 +144,9 @@ class Table {
   void Flush();
 
   /// Merges all segments (and the memtable) into one segment, purging
-  /// tombstones.
+  /// tombstones. A segment with a corrupt block is not compacted away:
+  /// the segments stay as they are and its reads keep failing with
+  /// kCorruption.
   void Compact();
 
   /// Total automatic (size-tiered) compactions performed so far.
@@ -136,15 +185,9 @@ class Table {
   uint64_t PartitionEncodedBytes(std::string_view partition_key) const;
 
  private:
-  /// Merges `newer` on top of `base` by clustering key.
-  static void MergeColumns(std::map<uint64_t, Column>& base,
-                           std::vector<Column> newer);
-
-  /// Uninstrumented read bodies; the public wrappers add wall-clock
-  /// timing + probe accounting when telemetry is attached.
-  Result<std::vector<Column>> GetPartitionImpl(std::string_view partition_key,
-                                               ReadProbe* probe) const;
-  Result<std::vector<Column>> SliceImpl(std::string_view partition_key,
+  /// Read's uninstrumented body; Read adds wall-clock timing, probe
+  /// accounting and the corruption count when telemetry is attached.
+  Result<ColumnView> ReadUninstrumented(std::string_view partition_key,
                                         uint64_t lo, uint64_t hi,
                                         ReadProbe* probe) const;
 
@@ -154,15 +197,20 @@ class Table {
   /// Tombstones are kept (only a full Compact may purge them safely).
   void MaybeCompactLocked() KV_REQUIRES(mu_);
 
-  /// Merges the given segment indices (ascending) into one new segment.
-  /// `purge_tombstones` only when merging *all* segments.
-  std::shared_ptr<const Segment> MergeSegmentsLocked(
+  /// Merges the given segment indices (ascending) into one new segment,
+  /// streaming one partition at a time in key order.
+  /// `purge_tombstones` only when merging *all* segments. Fails with
+  /// kCorruption, merging nothing, if any input block fails its checksum.
+  Result<std::shared_ptr<const Segment>> MergeSegmentsLocked(
       const std::vector<size_t>& indices, bool purge_tombstones)
       KV_REQUIRES(mu_);
 
+  /// Drops the cached blocks of `segment` (no-op without a cache).
+  void EvictFromCache(const Segment& segment) const;
+
   std::string name_;
   TableOptions options_;
-  BlockCache* cache_;
+  CacheRef cache_;  ///< this table's namespace in the store's cache
   std::unique_ptr<StoreInstruments> instruments_;  ///< null = no telemetry
   mutable SharedMutex mu_;
   Memtable memtable_ KV_GUARDED_BY(mu_);
@@ -172,5 +220,34 @@ class Table {
   uint64_t put_count_ KV_GUARDED_BY(mu_) = 0;
   uint64_t auto_compactions_ KV_GUARDED_BY(mu_) = 0;
 };
+
+template <typename Fn>
+void ColumnView::ForEach(Fn&& fn) const {
+  for (const BlockHandle& block : blocks_) {
+    auto it = std::lower_bound(
+        block->begin(), block->end(), lo_,
+        [](const Column& c, uint64_t v) { return c.clustering < v; });
+    for (; it != block->end() && it->clustering <= hi_; ++it) {
+      if (it->tombstone) continue;
+      if (!fn(*it)) return;
+    }
+  }
+}
+
+template <typename Fn>
+void ColumnView::ForEachDescending(Fn&& fn) const {
+  for (auto b = blocks_.rbegin(); b != blocks_.rend(); ++b) {
+    const std::vector<Column>& block = **b;
+    auto it = std::upper_bound(
+        block.begin(), block.end(), hi_,
+        [](uint64_t v, const Column& c) { return v < c.clustering; });
+    while (it != block.begin()) {
+      --it;
+      if (it->clustering < lo_) break;
+      if (it->tombstone) continue;
+      if (!fn(*it)) return;
+    }
+  }
+}
 
 }  // namespace kvscale

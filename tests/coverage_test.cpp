@@ -77,7 +77,7 @@ TEST(SegmentTest, EmptyMemtableBuildsEmptySegment) {
   auto segment = Segment::Build(empty, 1, SegmentOptions{});
   EXPECT_EQ(segment->partition_count(), 0u);
   EXPECT_EQ(segment->block_count(), 0u);
-  EXPECT_EQ(segment->GetPartition("anything", nullptr, nullptr)
+  EXPECT_EQ(segment->ReadBlocks("anything", 0, UINT64_MAX, CacheRef{}, nullptr)
                 .status()
                 .code(),
             StatusCode::kNotFound);

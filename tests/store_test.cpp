@@ -2,6 +2,9 @@
 // block cache, table read/write/flush/compact paths.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -56,19 +59,19 @@ TEST(MemtableTest, PutGetSorted) {
   mt.Put("p1", MakeColumn(5, 0));
   mt.Put("p1", MakeColumn(1, 1));
   mt.Put("p1", MakeColumn(3, 2));
-  const auto cols = mt.Get("p1");
+  const auto cols = mt.Slice("p1", 0, UINT64_MAX);
   ASSERT_EQ(cols.size(), 3u);
   EXPECT_EQ(cols[0].clustering, 1u);
   EXPECT_EQ(cols[1].clustering, 3u);
   EXPECT_EQ(cols[2].clustering, 5u);
-  EXPECT_TRUE(mt.Get("absent").empty());
+  EXPECT_TRUE(mt.Slice("absent", 0, UINT64_MAX).empty());
 }
 
 TEST(MemtableTest, OverwriteKeepsSingleColumn) {
   Memtable mt;
   mt.Put("p", MakeColumn(1, 0));
   mt.Put("p", MakeColumn(1, 9));
-  const auto cols = mt.Get("p");
+  const auto cols = mt.Slice("p", 0, UINT64_MAX);
   ASSERT_EQ(cols.size(), 1u);
   EXPECT_EQ(cols[0].type_id, 9u);
   EXPECT_EQ(mt.column_count(), 1u);
@@ -126,17 +129,35 @@ SegmentOptions SmallBlockOptions() {
   return opt;
 }
 
+/// The columns of `key` with clustering in [lo, hi], read block by block
+/// from `segment` without a cache.
+Result<std::vector<Column>> SegmentSlice(const Segment& segment,
+                                         std::string_view key, uint64_t lo,
+                                         uint64_t hi, ReadProbe* probe) {
+  auto blocks = segment.ReadBlocks(key, lo, hi, CacheRef{}, probe);
+  if (!blocks.ok()) return blocks.status();
+  std::vector<Column> out;
+  for (const BlockHandle& block : blocks.value()) {
+    for (const Column& c : *block) {
+      if (c.clustering >= lo && c.clustering <= hi) out.push_back(c);
+    }
+  }
+  return out;
+}
+
 TEST(SegmentTest, GetPartitionReturnsAllColumns) {
   Memtable mt;
   for (uint64_t i = 0; i < 200; ++i) mt.Put("p1", MakeColumn(i, i % 4));
   auto segment = Segment::Build(mt, 1, SmallBlockOptions());
   ReadProbe probe;
-  auto cols = segment->GetPartition("p1", nullptr, &probe);
+  auto cols = SegmentSlice(*segment, "p1", 0, UINT64_MAX, &probe);
   ASSERT_TRUE(cols.ok());
   EXPECT_EQ(cols.value().size(), 200u);
   EXPECT_GT(probe.blocks_decoded, 1u);  // small blocks => several decodes
   EXPECT_EQ(probe.columns_returned, 200u);
-  EXPECT_EQ(segment->GetPartition("absent", nullptr, nullptr).status().code(),
+  EXPECT_EQ(SegmentSlice(*segment, "absent", 0, UINT64_MAX, nullptr)
+                .status()
+                .code(),
             StatusCode::kNotFound);
 }
 
@@ -163,7 +184,7 @@ TEST(SegmentTest, IndexedSliceDecodesFewerBlocks) {
   ASSERT_TRUE(segment->FindMeta("big")->has_column_index);
 
   ReadProbe narrow_probe;
-  auto narrow = segment->Slice("big", 10, 20, nullptr, &narrow_probe);
+  auto narrow = SegmentSlice(*segment, "big", 10, 20, &narrow_probe);
   ASSERT_TRUE(narrow.ok());
   EXPECT_EQ(narrow.value().size(), 11u);
   EXPECT_EQ(narrow_probe.index_probes, 1u);
@@ -181,7 +202,7 @@ TEST(SegmentTest, UnindexedSliceDecodesAllBlocks) {
   const auto* meta = segment->FindMeta("p");
   ASSERT_FALSE(meta->has_column_index);
   ReadProbe probe;
-  auto narrow = segment->Slice("p", 5, 6, nullptr, &probe);
+  auto narrow = SegmentSlice(*segment, "p", 5, 6, &probe);
   ASSERT_TRUE(narrow.ok());
   EXPECT_EQ(narrow.value().size(), 2u);
   // The whole partition had to be decoded despite the tiny slice.
@@ -216,14 +237,18 @@ TEST(SegmentTest, BloomSkipsAbsentPartitions) {
   EXPECT_LT(false_positives, 2000 * 0.05);
 }
 
+BlockHandle MakeBlock(std::vector<Column> columns) {
+  return std::make_shared<const std::vector<Column>>(std::move(columns));
+}
+
 TEST(BlockCacheTest, HitAfterInsert) {
   BlockCache cache(1 * kMiB);
-  std::vector<Column> block{MakeColumn(1, 0), MakeColumn(2, 1)};
-  cache.Insert(7, 0, block);
-  std::vector<Column> out;
-  EXPECT_TRUE(cache.Lookup(7, 0, &out));
-  EXPECT_EQ(out, block);
-  EXPECT_FALSE(cache.Lookup(7, 1, &out));
+  const BlockHandle block = MakeBlock({MakeColumn(1, 0), MakeColumn(2, 1)});
+  cache.Insert({1, 7, 0}, block);
+  const BlockHandle hit = cache.Lookup({1, 7, 0});
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit.get(), block.get());  // shared, not copied
+  EXPECT_EQ(cache.Lookup({1, 7, 1}), nullptr);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.5);
@@ -231,34 +256,45 @@ TEST(BlockCacheTest, HitAfterInsert) {
 
 TEST(BlockCacheTest, EvictsLeastRecentlyUsed) {
   BlockCache cache(640);  // fits two ~300-byte blocks, not three
-  std::vector<Column> block{MakeColumn(1, 0, 200)};
-  cache.Insert(1, 0, block);
-  cache.Insert(1, 1, block);
-  std::vector<Column> out;
-  ASSERT_TRUE(cache.Lookup(1, 0, &out));  // promote block 0
-  cache.Insert(1, 2, block);              // must evict block 1
-  EXPECT_TRUE(cache.Lookup(1, 0, &out));
-  EXPECT_FALSE(cache.Lookup(1, 1, &out));
-  EXPECT_TRUE(cache.Lookup(1, 2, &out));
+  const BlockHandle block = MakeBlock({MakeColumn(1, 0, 200)});
+  cache.Insert({1, 1, 0}, block);
+  cache.Insert({1, 1, 1}, block);
+  ASSERT_NE(cache.Lookup({1, 1, 0}), nullptr);  // promote block 0
+  cache.Insert({1, 1, 2}, block);               // must evict block 1
+  EXPECT_NE(cache.Lookup({1, 1, 0}), nullptr);
+  EXPECT_EQ(cache.Lookup({1, 1, 1}), nullptr);
+  EXPECT_NE(cache.Lookup({1, 1, 2}), nullptr);
 }
 
 TEST(BlockCacheTest, OversizedBlockNotCached) {
   BlockCache cache(100);
   std::vector<Column> huge;
   for (int i = 0; i < 100; ++i) huge.push_back(MakeColumn(i, 0, 100));
-  cache.Insert(1, 0, huge);
+  cache.Insert({1, 1, 0}, MakeBlock(std::move(huge)));
   EXPECT_EQ(cache.entry_count(), 0u);
 }
 
 TEST(BlockCacheTest, EraseSegmentDropsOnlyThatSegment) {
   BlockCache cache(1 * kMiB);
-  std::vector<Column> block{MakeColumn(1, 0)};
-  cache.Insert(1, 0, block);
-  cache.Insert(2, 0, block);
-  cache.EraseSegment(1);
-  std::vector<Column> out;
-  EXPECT_FALSE(cache.Lookup(1, 0, &out));
-  EXPECT_TRUE(cache.Lookup(2, 0, &out));
+  const BlockHandle block = MakeBlock({MakeColumn(1, 0)});
+  cache.Insert({1, 1, 0}, block);
+  cache.Insert({1, 2, 0}, block);
+  cache.Insert({2, 1, 0}, block);  // another table's segment 1
+  cache.EraseSegment(1, 1);
+  EXPECT_EQ(cache.Lookup({1, 1, 0}), nullptr);
+  EXPECT_NE(cache.Lookup({1, 2, 0}), nullptr);
+  EXPECT_NE(cache.Lookup({2, 1, 0}), nullptr);
+}
+
+TEST(BlockCacheTest, EvictedHandleStaysReadable) {
+  BlockCache cache(640);
+  const BlockHandle held = MakeBlock({MakeColumn(1, 3, 200)});
+  cache.Insert({1, 1, 0}, held);
+  cache.Insert({1, 1, 1}, MakeBlock({MakeColumn(2, 0, 200)}));
+  cache.Insert({1, 1, 2}, MakeBlock({MakeColumn(3, 0, 200)}));  // evicts 0
+  EXPECT_EQ(cache.Lookup({1, 1, 0}), nullptr);
+  ASSERT_EQ(held->size(), 1u);
+  EXPECT_EQ((*held)[0].type_id, 3u);
 }
 
 TableOptions SmallTableOptions() {
@@ -592,6 +628,57 @@ TEST(LocalStoreTest, ZeroCacheBytesDisablesCache) {
   opt.block_cache_bytes = 0;
   LocalStore store(opt);
   EXPECT_EQ(store.cache(), nullptr);
+}
+
+/// Regression: one store's cache is shared by all its tables, whose
+/// segment ids collide (each table's first flush is segment 1). Every
+/// read must still return its own table's rows, from a warm cache and
+/// after a snapshot reload that brings colliding ids back.
+TEST(LocalStoreTest, TablesWithCollidingSegmentIdsReadTheirOwnBlocks) {
+  LocalStore store;
+  Table& a = store.GetOrCreateTable("a");
+  Table& b = store.GetOrCreateTable("b");
+  for (uint64_t i = 0; i < 40; ++i) {
+    a.Put("p", MakeColumn(i, 1));
+    b.Put("p", MakeColumn(i, 2));
+  }
+  store.FlushAll();
+  ASSERT_EQ(a.segment_count(), 1u);
+  ASSERT_EQ(b.segment_count(), 1u);
+
+  auto expect_own_rows = [](const Table& table, uint32_t type) {
+    for (int round = 0; round < 2; ++round) {  // cold, then cached
+      auto counts = table.CountByType("p");
+      ASSERT_TRUE(counts.ok()) << table.name();
+      EXPECT_EQ(counts.value(), (TypeCounts{{type, 40}})) << table.name();
+      auto top = table.TopKByClustering("p", 1);
+      ASSERT_TRUE(top.ok()) << table.name();
+      ASSERT_EQ(top.value().size(), 1u) << table.name();
+      EXPECT_EQ(top.value()[0].type_id, type) << table.name();
+    }
+  };
+  expect_own_rows(a, 1);
+  expect_own_rows(b, 2);
+  EXPECT_GT(store.cache()->hits(), 0u);
+
+  // A third table's snapshot, loaded into b: its segment id 1 collides
+  // with a's live (and cached) segment 1 again.
+  Table c("c", TableOptions{}, nullptr);
+  for (uint64_t i = 0; i < 40; ++i) c.Put("p", MakeColumn(i, 3));
+  const std::string path =
+      "/tmp/kvscale_store_test_collide_" + std::to_string(::getpid());
+  ASSERT_TRUE(c.SaveSnapshot(path).ok());
+  ASSERT_TRUE(b.LoadSnapshot(path).ok());
+  std::remove(path.c_str());
+  expect_own_rows(a, 1);
+  expect_own_rows(b, 3);
+
+  // And a's own round trip keeps both apart.
+  ASSERT_TRUE(a.SaveSnapshot(path).ok());
+  ASSERT_TRUE(a.LoadSnapshot(path).ok());
+  std::remove(path.c_str());
+  expect_own_rows(a, 1);
+  expect_own_rows(b, 3);
 }
 
 /// The storage mechanism behind Figure 6: with ~46-byte elements, rows

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Builds the tsan CMake preset and runs the concurrency-heavy suites —
 # the bounded queues and worker pools of the node runtime, the gather and
-# write loops over both transports, and the store's concurrent readers — under
-# ThreadSanitizer, then drives one end-to-end message-transport gather
-# through the CLI. A clean exit means the queue/worker/clock machinery
+# write loops over both transports, and the store's concurrent readers and
+# the decoded blocks they share — under ThreadSanitizer, then drives one
+# end-to-end message-transport gather through the CLI. A clean exit means the queue/worker/clock machinery
 # is data-race-free.
 #
 # Usage: tools/race_check.sh
@@ -20,6 +20,13 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 # and concurrent store reads.
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   -R 'BoundedQueue|NodeRuntime|MessageGather|InProcessCluster|ClusterFaultTolerance|FaultInjector|StoreConcurrency|SharedRuntime|AdmissionControl|ConcurrentGather|Membership|MigrationFault|QueryPlan|BoxQuery|WritePath'
+
+# The shared-block drill, repeated: store readers keep iterating decoded
+# blocks they hold while compaction erases them from the cache, corruption
+# and snapshot reloads replace the segments, and a second table churns a
+# tiny shared cache's LRU.
+./build-tsan/tests/store_concurrency_test \
+  --gtest_filter='StoreConcurrencyTest.HeldBlockHandles*' --gtest_repeat=5
 
 # One sanitized end-to-end run over the wire: batched compact frames,
 # multiple workers per node, chaos on top.
