@@ -156,21 +156,61 @@ void BM_BloomNegativeLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomNegativeLookup);
 
-void BM_Compaction(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    Table table("bench", TableOptions{}, nullptr);
-    for (int round = 0; round < 4; ++round) {
-      for (uint64_t i = 0; i < 500; ++i) {
-        table.Put("p" + std::to_string(i % 16), MakeColumn(round * 1000 + i));
-      }
-      table.Flush();
+/// Four flushed segments of 2000 columns over 16 partitions each: the
+/// same keys in every segment (`overlapping`), so compaction decodes and
+/// merges them, or keys of their own (`disjoint`), so a size-tiered
+/// merge copies every partition through as stored blocks.
+void FillFourSegments(Table& table, bool overlapping) {
+  for (int round = 0; round < 4; ++round) {
+    for (uint64_t i = 0; i < 2000; ++i) {
+      const std::string key =
+          overlapping ? "p" + std::to_string(i % 16)
+                      : "r" + std::to_string(round) + "-p" + std::to_string(i % 16);
+      table.Put(key, MakeColumn(round * 10000 + i));
     }
-    state.ResumeTiming();
-    table.Compact();
+    if (round < 3) table.Flush();
   }
 }
-BENCHMARK(BM_Compaction);
+
+/// The size-tiered merge the fourth flush triggers (tombstones kept, so
+/// disjoint partitions take the copy path).
+void BM_Compaction(benchmark::State& state) {
+  const bool overlapping = state.range(0) != 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    TableOptions options;
+    options.auto_flush = false;
+    Table table("bench", options, nullptr);
+    FillFourSegments(table, overlapping);
+    state.ResumeTiming();
+    table.Flush();  // the fourth segment completes the tier: merge
+    benchmark::DoNotOptimize(table.segment_count());
+  }
+  state.SetItemsProcessed(state.iterations() * 4 * 2000);
+}
+BENCHMARK(BM_Compaction)->ArgName("overlapping")->Arg(0)->Arg(1);
+
+/// Freezing a memtable of `range(0)` small partitions (8 columns each,
+/// the ingest writer's shape) into a segment.
+void BM_Flush(benchmark::State& state) {
+  const int64_t partitions = state.range(0);
+  for (auto _ : state) {
+    state.PauseTiming();
+    TableOptions options;
+    options.auto_flush = false;
+    Table table("bench", options, nullptr);
+    for (int64_t p = 0; p < partitions; ++p) {
+      for (uint64_t c = 0; c < 8; ++c) {
+        table.Put("writer-" + std::to_string(1000000000 + p), MakeColumn(c));
+      }
+    }
+    state.ResumeTiming();
+    table.Flush();
+    benchmark::DoNotOptimize(table.segment_count());
+  }
+  state.SetItemsProcessed(state.iterations() * partitions);
+}
+BENCHMARK(BM_Flush)->Arg(1000)->Arg(10000);
 
 }  // namespace
 }  // namespace kvscale

@@ -186,6 +186,7 @@ void InProcessCluster::RecordGather(uint64_t query_id, QueryKind kind,
     record.wire_bytes_sent = result.wire_bytes_sent;
     record.wire_bytes_received = result.wire_bytes_received;
     record.wire_frames_sent = result.wire_frames_sent;
+    record.wire_frames_received = result.wire_frames_received;
     record.ring_epoch = ring_epoch();
     record.timeline = std::move(timeline);
     flight_recorder_->Record(std::move(record));
@@ -322,15 +323,20 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
     std::chrono::steady_clock::time_point t0;
   };
   std::vector<Pending> subs(total);
-  for (size_t i = 0; i < total; ++i) {
-    SubQueryFailover& failover = subs[i].failover;
-    failover.cluster = this;
-    failover.options = &options;
-    failover.result = &result;
-    failover.transport = transport.get();
-    failover.key = &plan.partitions[i].part.key;
-    failover.epoch = ring_epoch();
-    failover.replicas = ReplicasOf(*failover.key);
+  {
+    // One routing pass for the whole plan, under one lock.
+    const uint64_t epoch = ring_epoch();
+    MutexLock lock(route_mu_);
+    for (size_t i = 0; i < total; ++i) {
+      SubQueryFailover& failover = subs[i].failover;
+      failover.cluster = this;
+      failover.options = &options;
+      failover.result = &result;
+      failover.transport = transport.get();
+      failover.key = &plan.partitions[i].part.key;
+      failover.epoch = epoch;
+      failover.replicas = ReplicasOfLocked(*failover.key);
+    }
   }
 
   // The flight recorder's per-sub-query stage records (last attempt wins).
@@ -345,25 +351,19 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
     }
   }
 
-  // Settles one sub-query's fate in the result. `columns` is non-null
-  // only when real data came back.
-  auto resolve = [&](size_t i, bool answered, const OperatorResult* columns) {
+  // Settles one sub-query's fate in the result. `data` is non-null only
+  // when real data came back. Returns the completion stamp.
+  auto resolve = [&](size_t i, bool answered, const TransportReply* data) {
     const Pending& s = subs[i];
-    if (!timeline.empty()) {
-      RequestTrace& entry = timeline[i];
-      entry.attempts = s.failover.attempts;
-      entry.answered = answered;
-      entry.completed = transport->now_us();
-    }
     if (answered) {
       ++result.completed;
-      if (columns != nullptr) {
+      if (data != nullptr) {
         SpanTracer::Scope fold_span;
         if (spans_ != nullptr) {
           fold_span = spans_->StartSpan("fold", master_track());
           fold_span.Attr("partition", plan.partitions[i].part.key);
         }
-        fold.Accept(i, columns->col_a, columns->col_b, result);
+        fold.Accept(i, data->col_a(), data->col_b(), result);
       } else {
         ++result.partitions_missing;
         Instruments::Add(inst_.missing);
@@ -373,11 +373,19 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
       Instruments::Add(inst_.failed);
       result.lost_partitions.push_back(plan.partitions[i].part.key);
     }
+    const Micros completed = transport->now_us();
+    if (!timeline.empty()) {
+      RequestTrace& entry = timeline[i];
+      entry.attempts = s.failover.attempts;
+      entry.answered = answered;
+      entry.completed = completed;
+    }
     const double wall_us = ElapsedMicros(s.t0);
     Instruments::Observe(inst_.subquery_latency, wall_us);
     if (s.failover.attempts > 1) {
       Instruments::Observe(inst_.failover_latency, wall_us);
     }
+    return completed;
   };
 
   // Sends one frame of sub-queries to `node`, with one dispatch span per
@@ -407,7 +415,7 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
       span.End();
     }
     if (sent.ok()) {
-      for (size_t k = 0; k < requests.size(); ++k) RecordDispatch(node);
+      RecordDispatch(node, requests.size());
     }
     return sent;
   };
@@ -520,34 +528,42 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
       reply_span.Flow(TraceFlowId(query_id, r.sub_id, r.attempt),
                       FlowPhase::kFinish);
     }
+    // The served reply's stage record; `completed` is stamped once it
+    // settled (folded, or failed over).
+    RequestTrace trace;
+    const bool traced =
+        r.served && (stage_tracer_ != nullptr || !timeline.empty() ||
+                     inst_.reply_fold != nullptr);
+    if (traced) {
+      trace.query_id = query_id;
+      trace.sub_id = r.sub_id;
+      trace.node = r.node;
+      trace.keysize = static_cast<double>(plan.partitions[i].part.elements);
+      trace.issued = r.issued_us;
+      trace.received = r.received_us;
+      trace.db_start = r.db_start_us;
+      trace.db_end = r.db_end_us;
+      trace.reply_encoded = r.reply_encoded_us;
+      trace.reply_dequeued = r.reply_dequeued_us;
+      trace.reply_decoded = r.reply_decoded_us;
+      // resolve() stamps the attempt count, verdict and completion.
+      if (!timeline.empty()) timeline[i] = trace;
+    }
     if (r.served) {
-      if (stage_tracer_ != nullptr || !timeline.empty()) {
-        RequestTrace trace;
-        trace.query_id = query_id;
-        trace.sub_id = r.sub_id;
-        trace.node = r.node;
-        trace.keysize = static_cast<double>(plan.partitions[i].part.elements);
-        trace.issued = r.issued_us;
-        trace.received = r.received_us;
-        trace.db_start = r.db_start_us;
-        trace.db_end = r.db_end_us;
-        trace.completed = transport->now_us();
-        if (stage_tracer_ != nullptr) stage_tracer_->Record(trace);
-        // resolve() stamps the attempt count and verdict once it settles.
-        if (!timeline.empty()) timeline[i] = trace;
-      }
       EnsureSlot(result.requests_per_node, r.node);
       EnsureSlot(result.probes_per_node, r.node);
       ++result.requests_per_node[r.node];
       result.probes_per_node[r.node].MergeFrom(r.probe);
     }
+    Micros completed = 0.0;
     if (r.code == StatusCode::kOk) {
-      resolve(i, /*answered=*/true, &r.columns);
+      completed = resolve(i, /*answered=*/true, &r);
     } else if (r.code == StatusCode::kNotFound) {
       // Authoritative miss: every replica stores the same partition set,
       // so one clean NotFound settles the sub-query.
-      resolve(i, /*answered=*/true, nullptr);
+      completed = resolve(i, /*answered=*/true, nullptr);
     } else {
+      completed = transport->now_us();
       // kCorruption and friends are retryable: the next replica holds a
       // clean copy. A shed (kResourceExhausted) is the deadline's doing,
       // not the node's: it retries without an error tally, and the
@@ -557,6 +573,15 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
       }
       if (try_dispatch(i, false)) ++outstanding;
     }
+    if (traced) {
+      trace.completed = completed;
+      if (stage_tracer_ != nullptr) stage_tracer_->Record(trace);
+      const RequestTrace::ReplySplit split = trace.SlaveToMasterSplit();
+      Instruments::Observe(inst_.reply_encode, split.encode);
+      Instruments::Observe(inst_.reply_residency, split.residency);
+      Instruments::Observe(inst_.reply_decode, split.decode);
+      Instruments::Observe(inst_.reply_fold, split.fold);
+    }
   }
 
   // Read the query's private accounting before releasing it.
@@ -564,6 +589,7 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
   result.virtual_latency_us = totals.virtual_us;
   result.queue_wait_us = totals.queue_wait_us;
   result.wire_frames_sent = totals.wire.frames_sent;
+  result.wire_frames_received = totals.wire.frames_received;
   result.wire_bytes_sent = totals.wire.bytes_sent;
   result.wire_bytes_received = totals.wire.bytes_received;
   result.wire_encode_us = totals.wire.encode_us;

@@ -124,6 +124,10 @@ InProcessCluster::Instruments::Instruments(MetricsRegistry& metrics)
       put_latency(&metrics.GetHistogram("cluster.put.latency_us")),
       subquery_latency(&metrics.GetHistogram("cluster.subquery.latency_us")),
       failover_latency(&metrics.GetHistogram("cluster.failover.latency_us")),
+      reply_encode(&metrics.GetHistogram("cluster.reply.encode_us")),
+      reply_residency(&metrics.GetHistogram("cluster.reply.residency_us")),
+      reply_decode(&metrics.GetHistogram("cluster.reply.decode_us")),
+      reply_fold(&metrics.GetHistogram("cluster.reply.fold_us")),
       joins(&metrics.GetCounter("cluster.membership.joins")),
       decommissions(&metrics.GetCounter("cluster.membership.decommissions")),
       perma_failures(
@@ -179,6 +183,11 @@ FaultInjector& InProcessCluster::fault_injector() { return *injector_; }
 std::vector<NodeId> InProcessCluster::ReplicasOf(
     std::string_view partition_key) {
   MutexLock lock(route_mu_);
+  return ReplicasOfLocked(partition_key);
+}
+
+std::vector<NodeId> InProcessCluster::ReplicasOfLocked(
+    std::string_view partition_key) {
   auto it = directory_.find(partition_key);
   if (it != directory_.end()) return it->second;
   std::vector<NodeId> replicas;
@@ -201,9 +210,9 @@ NodeId InProcessCluster::OwnerOf(std::string_view partition_key) {
   return ReplicasOf(partition_key).front();
 }
 
-void InProcessCluster::RecordDispatch(NodeId node) {
+void InProcessCluster::RecordDispatch(NodeId node, uint64_t count) {
   MutexLock lock(route_mu_);
-  placement_.OnDispatch(node);
+  placement_.OnDispatch(node, count);
 }
 
 std::vector<int64_t> InProcessCluster::PlacementLoad() const {

@@ -164,6 +164,7 @@ struct PutResult {
   // -- Wire totals (zero under the direct transport) ----------------------
 
   uint64_t wire_frames_sent = 0;
+  uint64_t wire_frames_received = 0;
   uint64_t wire_bytes_sent = 0;
   uint64_t wire_bytes_received = 0;
   Micros wire_encode_us = 0.0;
@@ -449,6 +450,12 @@ class InProcessCluster {
     LatencyHistogram* put_latency = nullptr;  ///< cluster.put.latency_us
     LatencyHistogram* subquery_latency = nullptr;  ///< cluster.subquery.latency_us
     LatencyHistogram* failover_latency = nullptr;  ///< cluster.failover.latency_us
+    // The slave-to-master stage of each served read, split
+    // (RequestTrace::SlaveToMasterSplit).
+    LatencyHistogram* reply_encode = nullptr;     ///< cluster.reply.encode_us
+    LatencyHistogram* reply_residency = nullptr;  ///< cluster.reply.residency_us
+    LatencyHistogram* reply_decode = nullptr;     ///< cluster.reply.decode_us
+    LatencyHistogram* reply_fold = nullptr;       ///< cluster.reply.fold_us
     Counter* joins = nullptr;              ///< cluster.membership.joins
     Counter* decommissions = nullptr;      ///< cluster.membership.decommissions
     Counter* perma_failures = nullptr;     ///< cluster.membership.permanent_failures
@@ -525,8 +532,13 @@ class InProcessCluster {
   /// Load feedback at an actual dispatch site: a read attempt or a
   /// replica write was issued against `node`. This is what the
   /// load-aware placement policies consume, so *repeat* traffic keeps
-  /// moving the signal (a directory hit no longer freezes it).
-  void RecordDispatch(NodeId node);
+  /// moving the signal (a directory hit no longer freezes it). `count`
+  /// attempts that left in one frame are recorded under one lock.
+  void RecordDispatch(NodeId node, uint64_t count = 1);
+
+  /// ReplicasOf's body, for callers resolving many keys under one lock.
+  std::vector<NodeId> ReplicasOfLocked(std::string_view partition_key)
+      KV_REQUIRES(route_mu_);
 
   /// The read handler both transports call: runs the request's operator
   /// against `node`'s table (gather_engine.cpp).

@@ -65,6 +65,7 @@ NodeRuntime::NodeRuntime(uint32_t nodes, NodeRuntimeOptions options,
     bytes_sent_counter_ = &metrics->GetCounter("wire.bytes.sent");
     bytes_received_counter_ = &metrics->GetCounter("wire.bytes.received");
     frames_counter_ = &metrics->GetCounter("wire.frames.sent");
+    frames_received_counter_ = &metrics->GetCounter("wire.frames.received");
     admitted_counter_ = &metrics->GetCounter("master.admission.admitted");
     shed_counter_ = &metrics->GetCounter("master.admission.shed");
     inflight_gauge_ = &metrics->GetGauge("master.queries.inflight");
@@ -210,6 +211,7 @@ void NodeRuntime::SetDepthGauge(uint32_t node) {
 NodeRuntime::WireStats NodeRuntime::wire_stats() const {
   WireStats stats;
   stats.frames_sent = frames_sent_.load(std::memory_order_relaxed);
+  stats.frames_received = frames_received_.load(std::memory_order_relaxed);
   stats.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
   stats.bytes_received = bytes_received_.load(std::memory_order_relaxed);
   stats.encode_us =
@@ -224,6 +226,8 @@ NodeRuntime::WireStats NodeRuntime::query_wire_stats(uint64_t query_id) const {
   KV_CHECK(query != nullptr);
   WireStats stats;
   stats.frames_sent = query->frames_sent.load(std::memory_order_relaxed);
+  stats.frames_received =
+      query->frames_received.load(std::memory_order_relaxed);
   stats.bytes_sent = query->bytes_sent.load(std::memory_order_relaxed);
   stats.bytes_received =
       query->bytes_received.load(std::memory_order_relaxed);
@@ -426,31 +430,94 @@ void NodeRuntime::WorkerLoop(uint32_t node) {
           "items", std::to_string(decoded.value().requests.size()));
       spans_->Record(std::move(decode_span));
     }
-
-    for (size_t i = 0; i < env.sub_ids.size(); ++i) {
-      Status transport = Status::Ok();
-      const SubQueryRequest* request = nullptr;
-      if (!decoded.ok()) {
-        transport = decoded.status();
-      } else if (decoded.value().requests.size() != env.sub_ids.size() ||
-                 decoded.value().requests[i].sub_id != env.sub_ids[i] ||
-                 decoded.value().attempts[i] != env.attempts[i]) {
-        transport = Status::Corruption(
-            "batch does not match its transport metadata");
-      } else {
-        request = &decoded.value().requests[i];
-      }
-      SubQueryRequest fallback;
-      if (request == nullptr) {
-        fallback.query_id = env.query->query_id;
-        fallback.sub_id = env.sub_ids[i];
-        request = &fallback;
-      }
-      const uint8_t wire_flags =
-          decoded.ok() ? decoded.value().trace_flags : env.query->trace_flags;
-      ServeOne(node, *request, env, i, transport, wire_flags);
-    }
+    ServeReads(node, env, decoded);
   }
+}
+
+void NodeRuntime::ServeReads(uint32_t node, const RequestEnvelope& env,
+                             const Result<DecodedSubQueryBatch>& decoded) {
+  QueryState& query = *env.query;
+  const uint8_t wire_flags =
+      decoded.ok() ? decoded.value().trace_flags : query.trace_flags;
+  const bool sampled = (wire_flags & kTraceSampled) != 0 && decoded.ok() &&
+                       spans_ != nullptr;
+  // The reply frame being filled: its answers and their out-of-band
+  // metadata.
+  SubQueryReplyBatch batch;
+  ReplyEnvelope out;
+  std::string first_key;  // the frame's first answer, for injection
+  size_t answer_bytes = 0;
+  auto start_frame = [&] {
+    batch = SubQueryReplyBatch{};
+    batch.query_id = query.query_id;
+    batch.node = node;
+    out = ReplyEnvelope{};
+    answer_bytes = 0;
+  };
+  auto send = [&] {
+    if (batch.sub_ids.empty()) return;
+    const Micros encode_start = NowMicros();
+    SpanTracer::Scope encode_scope;
+    if (sampled) {
+      encode_scope = spans_->StartSpan("encode", node);
+      encode_scope.Flow(
+          TraceFlowId(query.query_id, out.sub_ids.front(),
+                      out.attempts.front()),
+          FlowPhase::kStep);
+      encode_scope.Attr("query", std::to_string(query.query_id));
+      encode_scope.Attr("items", std::to_string(out.sub_ids.size()));
+    }
+    WireBuffer buf;
+    EncodeReplyBatchFrame(batch, wire_flags, query.codec, registry_, buf);
+    encode_scope.End();
+    RecordEncode(query, encode_start);
+    out.frame = buf.TakeBytes();
+    if (injector_ != nullptr &&
+        injector_->ShouldCorruptReplyFrame(node, first_key,
+                                           out.attempts.front())) {
+      // Envelope damage: the frame header plays the role a checksum
+      // would on a real wire, so every answer in the frame fails over.
+      out.frame[0] ^= std::byte{0x01};
+    }
+    out.node = node;
+    out.issued_us = env.issued_us;
+    out.received_us = env.received_us;
+    out.encoded_us = NowMicros();
+    // Demultiplex: the frame lands on the owning query's private
+    // channel, never on another query's collector.
+    query.replies.Push(std::move(out));
+    start_frame();
+  };
+
+  start_frame();
+
+  for (size_t i = 0; i < env.sub_ids.size(); ++i) {
+    Status transport = Status::Ok();
+    const SubQueryRequest* request = nullptr;
+    if (!decoded.ok()) {
+      transport = decoded.status();
+    } else if (decoded.value().requests.size() != env.sub_ids.size() ||
+               decoded.value().requests[i].sub_id != env.sub_ids[i] ||
+               decoded.value().attempts[i] != env.attempts[i]) {
+      transport =
+          Status::Corruption("batch does not match its transport metadata");
+    } else {
+      request = &decoded.value().requests[i];
+    }
+    SubQueryRequest fallback;
+    if (request == nullptr) {
+      fallback.query_id = query.query_id;
+      fallback.sub_id = env.sub_ids[i];
+      request = &fallback;
+    }
+    if (batch.sub_ids.empty()) first_key = request->partition_key;
+    const size_t values_before = batch.col_a.size() + batch.col_b.size();
+    ServeOne(node, *request, env, i, transport, wire_flags, batch, out);
+    answer_bytes +=
+        8 * (batch.col_a.size() + batch.col_b.size() - values_before) + 40;
+    if (answer_bytes >= kReplyFrameBytes) send();
+  }
+  send();
 }
 
 Micros NodeRuntime::RecordEncode(QueryState& query, Micros start) {
@@ -490,58 +557,55 @@ StatusCode NodeRuntime::Refusal(uint32_t node, const RequestEnvelope& env,
 
 void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
                            const RequestEnvelope& env, size_t item,
-                           Status transport, uint8_t wire_trace_flags) {
+                           Status transport, uint8_t wire_trace_flags,
+                           SubQueryReplyBatch& batch, ReplyEnvelope& out) {
   QueryState& query = *env.query;
-  ReplyEnvelope out;
-  out.node = node;
-  out.sub_id = env.sub_ids[item];
-  out.attempt = env.attempts[item];
-  out.issued_us = env.issued_us;
-  out.received_us = env.received_us;
+  const uint32_t sub_id = env.sub_ids[item];
+  const uint32_t attempt = env.attempts[item];
   const bool sampled = (wire_trace_flags & kTraceSampled) != 0 &&
                        transport.ok() && spans_ != nullptr;
-  // The flow id every span of this attempt shares with the master's
-  // dispatch span — derived from the wire-propagated context.
-  const uint64_t flow =
-      TraceFlowId(query.query_id, out.sub_id, out.attempt);
-
-  SubQueryReply reply;
-  reply.query_id = request.query_id;
-  reply.sub_id = out.sub_id;
-  reply.node = node;
-  reply.status = static_cast<uint32_t>(Refusal(node, env, transport));
-  if (reply.status == static_cast<uint32_t>(StatusCode::kOk)) {
-    out.db_start_us = NowMicros();
+  ReadProbe probe;
+  bool served = false;
+  uint64_t db_start_ns = 0;
+  uint64_t db_end_ns = 0;
+  StatusCode code = Refusal(node, env, transport);
+  if (code == StatusCode::kOk) {
+    const Micros db_start_us = NowMicros();
     SpanTracer::Scope read;
     if (spans_ != nullptr) {
       read = spans_->StartSpan("store-read", node);
       read.Attr("partition", request.partition_key);
-      read.Attr("attempt", std::to_string(out.attempt));
+      read.Attr("attempt", std::to_string(attempt));
       if (sampled) {
-        read.Flow(flow, FlowPhase::kStep);
+        // The flow id every span of this attempt shares with the
+        // master's dispatch span, from the wire-propagated context.
+        read.Flow(TraceFlowId(query.query_id, sub_id, attempt),
+                  FlowPhase::kStep);
         read.Attr("query", std::to_string(query.query_id));
-        read.Attr("sub", std::to_string(out.sub_id));
+        read.Attr("sub", std::to_string(sub_id));
       }
     }
-    auto columns = handler_(node, request, &out.probe);
-    out.db_end_us = NowMicros();
-    out.served = true;
+    auto columns = handler_(node, request, &probe);
+    const Micros db_end_us = NowMicros();
+    served = true;
     if (read.active()) {
-      read.Attr("blocks_decoded", std::to_string(out.probe.blocks_decoded));
-      read.Attr("blocks_from_cache",
-                std::to_string(out.probe.blocks_from_cache));
-      read.Attr("bloom_negatives", std::to_string(out.probe.bloom_negatives));
+      read.Attr("blocks_decoded", std::to_string(probe.blocks_decoded));
+      read.Attr("blocks_from_cache", std::to_string(probe.blocks_from_cache));
+      read.Attr("bloom_negatives", std::to_string(probe.bloom_negatives));
       read.End();
     }
     if (columns.ok()) {
-      // The operator's paired result columns ride the reply's two u64
-      // vectors; the master's fold interprets them per the plan's kind.
-      reply.type_ids = std::move(columns.value().col_a);
-      reply.counts = std::move(columns.value().col_b);
+      // The operator's paired result columns ride the batch's two u64
+      // columns; the master's fold interprets them per the plan's kind.
+      batch.col_a.insert(batch.col_a.end(), columns.value().col_a.begin(),
+                         columns.value().col_a.end());
+      batch.col_b.insert(batch.col_b.end(), columns.value().col_b.begin(),
+                         columns.value().col_b.end());
     } else {
-      reply.status = static_cast<uint32_t>(columns.status().code());
+      code = columns.status().code();
     }
-    reply.db_micros = out.db_end_us - out.db_start_us;
+    db_start_ns = MicrosToNanos(db_start_us);
+    db_end_ns = std::max(db_start_ns, MicrosToNanos(db_end_us));
     // The injected latency is charged after serving (to the owning
     // query's private clock), so the request that burned the clock past
     // a deadline still completes and only the ones behind it shed —
@@ -549,35 +613,25 @@ void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
     query.clock_nanos.fetch_add(MicrosToNanos(env.extra_latency_us[item]),
                                 std::memory_order_relaxed);
   }
-
-  const Micros encode_start = NowMicros();
-  SpanTracer::Scope encode_scope;
-  if (sampled) {
-    encode_scope = spans_->StartSpan("encode", node);
-    encode_scope.Flow(flow, FlowPhase::kStep);
-    encode_scope.Attr("query", std::to_string(query.query_id));
-    encode_scope.Attr("sub", std::to_string(out.sub_id));
-    encode_scope.Attr("attempt", std::to_string(out.attempt));
+  batch.sub_ids.push_back(sub_id);
+  batch.attempts.push_back(attempt);
+  batch.statuses.push_back(static_cast<uint64_t>(code));
+  batch.db_start_ns.push_back(db_start_ns);
+  batch.db_end_ns.push_back(db_end_ns);
+  batch.a_ends.push_back(batch.col_a.size());
+  batch.b_ends.push_back(batch.col_b.size());
+  batch.checksums.push_back(
+      ReplyItemChecksum(batch, batch.sub_ids.size() - 1));
+  if (served && injector_ != nullptr &&
+      injector_->ShouldCorruptReply(node, request.partition_key, attempt)) {
+    // In-flight damage to this answer alone: its checksum no longer
+    // matches, so the master fails it over while its siblings fold.
+    batch.checksums.back() ^= 1;
   }
-  WireBuffer buf;
-  EncodeReplyFrame(reply, out.attempt, wire_trace_flags, query.codec,
-                   registry_, buf);
-  encode_scope.End();
-  RecordEncode(query, encode_start);
-  out.frame = buf.TakeBytes();
-
-  if (out.served && injector_ != nullptr &&
-      injector_->ShouldCorruptReply(node, request.partition_key,
-                                    out.attempt)) {
-    // In-flight reply corruption: flip a header bit so the frame fails
-    // validation at the master (the frame header plays the role a
-    // checksum would on a real wire) and the master must fail over.
-    out.frame[0] ^= std::byte{0x01};
-  }
-
-  // Demultiplex: the reply lands on the owning query's private channel,
-  // never on another query's collector.
-  query.replies.Push(std::move(out));
+  out.sub_ids.push_back(sub_id);
+  out.attempts.push_back(attempt);
+  out.served.push_back(served ? 1 : 0);
+  out.probes.push_back(probe);
 }
 
 void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
@@ -585,10 +639,14 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
   ReplyEnvelope out;
   out.write = true;
   out.node = node;
-  out.sub_id = env.sub_ids.front();
-  out.attempt = env.attempts.front();
+  out.sub_ids = {env.sub_ids.front()};
+  out.attempts = {env.attempts.front()};
+  out.served = {0};
+  out.probes.resize(1);
   out.issued_us = env.issued_us;
   out.received_us = env.received_us;
+  const uint32_t sub_id = out.sub_ids.front();
+  const uint32_t attempt = out.attempts.front();
 
   const Micros decode_start = NowMicros();
   auto decoded = DecodeWriteBatchFrame(env.frame, query.codec, registry_);
@@ -621,17 +679,17 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
     if (spans_ != nullptr) {
       write_span = spans_->StartSpan("store-write", node);
       write_span.Attr("keys", std::to_string(batch.keys.size()));
-      write_span.Attr("attempt", std::to_string(out.attempt));
+      write_span.Attr("attempt", std::to_string(attempt));
       if (sampled) {
-        write_span.Flow(TraceFlowId(query.query_id, out.sub_id, out.attempt),
+        write_span.Flow(TraceFlowId(query.query_id, sub_id, attempt),
                         FlowPhase::kStep);
         write_span.Attr("query", std::to_string(query.query_id));
-        write_span.Attr("sub", std::to_string(out.sub_id));
+        write_span.Attr("sub", std::to_string(sub_id));
       }
     }
     reply = write_handler_(node, batch, this);
     out.db_end_us = NowMicros();
-    out.served = true;
+    out.served.front() = 1;
     write_span.End();
     reply.db_micros = out.db_end_us - out.db_start_us;
     query.clock_nanos.fetch_add(
@@ -641,67 +699,113 @@ void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
   // The routing fields are the runtime's, not the handler's: a handler
   // bug must not be able to misroute a reply past the demultiplexer.
   reply.query_id = query.query_id;
-  reply.sub_id = out.sub_id;
+  reply.sub_id = sub_id;
   reply.node = node;
 
   const Micros encode_start = NowMicros();
   WireBuffer buf;
-  EncodeWriteReplyFrame(reply, out.attempt, wire_flags, query.codec,
+  EncodeWriteReplyFrame(reply, attempt, wire_flags, query.codec,
                         registry_, buf);
   RecordEncode(query, encode_start);
   out.frame = buf.TakeBytes();
   query.replies.Push(std::move(out));
 }
 
-TransportReply NodeRuntime::Await(uint64_t query_id) {
-  auto query = FindQuery(query_id);
-  KV_CHECK(query != nullptr);
-  TransportReply out;
-  auto popped = query->replies.Pop();
-  if (!popped) return out;  // shut down: kUnavailable, never served
-  ReplyEnvelope env = std::move(*popped);
-  out.node = env.node;
-  out.sub_id = env.sub_id;
-  out.attempt = env.attempt;
-  out.served = env.served;
-  out.probe = env.probe;
-  out.issued_us = env.issued_us;
-  out.received_us = env.received_us;
-  out.db_start_us = env.db_start_us;
-  out.db_end_us = env.db_end_us;
+bool NodeRuntime::NextReplyFrame(QueryState& query) {
+  auto popped = query.replies.Pop();
+  if (!popped) return false;
+  query.frame = std::move(*popped);
+  query.next_answer = 0;
+  query.dequeued_us = NowMicros();
+  const ReplyEnvelope& env = query.frame;
+  frames_received_.fetch_add(1, std::memory_order_relaxed);
   bytes_received_.fetch_add(env.frame.size(), std::memory_order_relaxed);
-  query->bytes_received.fetch_add(env.frame.size(),
-                                  std::memory_order_relaxed);
+  query.frames_received.fetch_add(1, std::memory_order_relaxed);
+  query.bytes_received.fetch_add(env.frame.size(), std::memory_order_relaxed);
+  if (frames_received_counter_ != nullptr) {
+    frames_received_counter_->Increment();
+  }
   if (bytes_received_counter_ != nullptr) {
     bytes_received_counter_->Increment(env.frame.size());
   }
 
   // The query_id-checked decode is the wire half of the demultiplexer: a
-  // reply naming another query is kCorruption, handled like any other
+  // frame naming another query is kCorruption, handled like any other
   // unreadable reply (failover), never folded. So is a frame whose
-  // envelope attempt disagrees with the transport metadata.
-  const Micros decode_start = NowMicros();
-  out.code = StatusCode::kCorruption;
+  // answers disagree with the requests it was sent for.
   if (env.write) {
-    auto decoded =
-        DecodeWriteReplyFrame(env.frame, query->codec, registry_, query_id);
-    if (decoded.ok() && decoded.value().attempt == env.attempt) {
-      out.trace_flags = decoded.value().trace_flags;
-      out.write = std::move(decoded).value().reply;
-      out.code = static_cast<StatusCode>(out.write.status);
+    auto decoded = DecodeWriteReplyFrame(env.frame, query.codec, registry_,
+                                         query.query_id);
+    if (decoded.ok() && decoded.value().attempt != env.attempts.front()) {
+      decoded = Status::Corruption("write reply answers another attempt");
+    }
+    query.frame_status = decoded.status();
+    if (decoded.ok()) {
+      query.reply_flags = decoded.value().trace_flags;
+      query.write = std::move(decoded).value().reply;
     }
   } else {
     auto decoded =
-        DecodeReplyFrame(env.frame, query->codec, registry_, query_id);
-    if (decoded.ok() && decoded.value().attempt == env.attempt) {
-      out.trace_flags = decoded.value().trace_flags;
-      SubQueryReply& reply = decoded.value().reply;
-      out.code = static_cast<StatusCode>(reply.status);
-      out.columns.col_a = std::move(reply.type_ids);
-      out.columns.col_b = std::move(reply.counts);
+        DecodeReplyBatchFrame(env.frame, query.codec, registry_,
+                              query.query_id, env.sub_ids, env.attempts);
+    query.frame_status = decoded.status();
+    if (decoded.ok()) {
+      query.reply_flags = decoded.value().trace_flags;
+      query.reads = std::move(decoded).value();
     }
   }
-  RecordDecode(*query, decode_start);
+  RecordDecode(query, query.dequeued_us);
+  query.decoded_us = NowMicros();
+  return true;
+}
+
+TransportReply NodeRuntime::Await(uint64_t query_id) {
+  auto found = FindQuery(query_id);
+  KV_CHECK(found != nullptr);
+  QueryState& query = *found;
+  TransportReply out;
+  if (query.next_answer >= query.frame.sub_ids.size() &&
+      !NextReplyFrame(query)) {
+    return out;  // shut down: kUnavailable, never served
+  }
+  const ReplyEnvelope& env = query.frame;
+  const size_t i = query.next_answer++;
+  out.node = env.node;
+  out.sub_id = env.sub_ids[i];
+  out.attempt = env.attempts[i];
+  out.served = env.served[i] != 0;
+  out.probe = env.probes[i];
+  out.issued_us = env.issued_us;
+  out.received_us = env.received_us;
+  out.reply_encoded_us = env.encoded_us;
+  out.reply_dequeued_us = query.dequeued_us;
+  out.reply_decoded_us = query.decoded_us;
+  // An answer that cannot be read keeps the request's own stamps.
+  out.db_start_us = env.write ? env.db_start_us : env.received_us;
+  out.db_end_us = env.write ? env.db_end_us : env.received_us;
+  out.code = StatusCode::kCorruption;
+  if (!query.frame_status.ok()) return out;
+  if (env.write) {
+    out.trace_flags = query.reply_flags;
+    out.write = query.write;
+    out.code = static_cast<StatusCode>(out.write.status);
+    return out;
+  }
+  const DecodedReplyBatch& reads = query.reads;
+  out.trace_flags = query.reply_flags;
+  const uint32_t slot = reads.slot[i];
+  if (slot == DecodedReplyBatch::kAbsent || reads.intact[slot] == 0) {
+    return out;  // this answer alone fails over
+  }
+  out.code = static_cast<StatusCode>(reads.batch.statuses[slot]);
+  if (out.served) {
+    out.db_start_us =
+        static_cast<double>(reads.batch.db_start_ns[slot]) / 1000.0;
+    out.db_end_us = static_cast<double>(reads.batch.db_end_ns[slot]) / 1000.0;
+  }
+  out.in_frame = true;
+  out.frame_col_a = reads.col_a(slot);
+  out.frame_col_b = reads.col_b(slot);
   return out;
 }
 

@@ -7,8 +7,10 @@
 // (Tagged vs Compact — the Java-vs-Kryo axis of Section V-B), optionally
 // coalescing the sub-queries bound for one node into a single framed
 // SubQueryBatch, and enqueues the frame on the target node. Workers
-// dequeue, decode, execute against the local store, and reply with an
-// encoded SubQueryReply frame that the master decodes and folds.
+// dequeue, decode, execute against the local store, and answer the
+// whole frame with one encoded SubQueryReplyBatch frame (cut early at
+// kReplyFrameBytes), which the master decodes once and folds answer by
+// answer.
 //
 // One runtime serves *many concurrent queries*. The queues and worker
 // pools are built once and shared; each query registers with BeginQuery
@@ -26,15 +28,17 @@
 //   issued --(master-to-slave: encode + any backpressure blocking)-->
 //   received --(in-queue: queue residency + decode)--> db_start
 //   --(in-db: the store read)--> db_end
-//   --(slave-to-master: reply encode + queue + master decode)--> completed
+//   --(slave-to-master: reply encode + queue + master decode + fold)-->
+//   completed
 //
 // Fault injection composes at three points: the master consults
 // FaultInjector::OnRead at *dispatch* (so failover decisions stay
 // bit-identical to the direct path), workers re-check node liveness at
 // *dequeue* (a kill landing while requests are queued bounces them with
-// kUnavailable), and FaultConfig::reply_corrupt_rate flips a bit in the
-// encoded *reply* so the master sees a frame that fails validation and
-// fails over — a fault class only a real message path has.
+// kUnavailable), and FaultConfig::reply_corrupt_rate damages one answer
+// inside the encoded *reply* (reply_frame_corrupt_rate a whole frame's
+// envelope) so the master sees an answer that fails validation and
+// fails it over — a fault class only a real message path has.
 #pragma once
 
 #include <atomic>
@@ -199,6 +203,13 @@ using WriteBatchHandler = std::function<WriteReply(
 using MaintenanceHandler =
     std::function<void(uint32_t node, const std::string& table)>;
 
+/// A worker answering a request frame ends its reply frame once the
+/// answers in it reach this many bytes (estimated at 8 per result value
+/// plus 40 per item), so one large answer does not wait behind the rest
+/// of its batch. Picked by a sweep over fine_count and coarse_mix (see
+/// CHANGES.md); request batching itself is the `batch` option.
+inline constexpr size_t kReplyFrameBytes = 64 * kKiB;
+
 /// One decoded answer from a node: a read's result columns or a write's
 /// reply, plus the transport metadata echoed with it.
 struct TransportReply {
@@ -208,11 +219,15 @@ struct TransportReply {
   /// The node's handler ran. False for liveness bounces and deadline
   /// sheds, which never reached the store.
   bool served = false;
-  /// kOk, the store's verdict, kCorruption for an unreadable frame, or
-  /// kUnavailable once the runtime shut down.
+  /// kOk, the store's verdict, kCorruption for an unreadable frame or
+  /// item, or kUnavailable once the runtime shut down.
   StatusCode code = StatusCode::kUnavailable;
   ReadProbe probe;           ///< reads: what the store touched
-  OperatorResult columns;    ///< reads: the operator's paired columns
+  /// Reads on the inline transport: the operator's paired columns. The
+  /// message transport leaves this empty and views the columns in the
+  /// reply frame it decoded instead (`in_frame`); either way, read them
+  /// through col_a() / col_b().
+  OperatorResult columns;
   WriteReply write;          ///< writes: applied / failed keys / syncs
   /// Trace flags the node echoed back (what the wire actually carried).
   uint8_t trace_flags = 0;
@@ -222,6 +237,27 @@ struct TransportReply {
   Micros received_us = 0.0;
   Micros db_start_us = 0.0;
   Micros db_end_us = 0.0;
+  // The reply path (slave-to-master), split: the node finished encoding
+  // the frame holding this answer, the master took that frame off the
+  // query's channel, and the master finished decoding it. The inline
+  // transport has none of these steps and stamps all three at db_end.
+  Micros reply_encoded_us = 0.0;
+  Micros reply_dequeued_us = 0.0;
+  Micros reply_decoded_us = 0.0;
+
+  /// The paired result columns. On the message transport they view the
+  /// decoded reply frame and stay valid until the next Await of the same
+  /// query.
+  std::span<const uint64_t> col_a() const {
+    return in_frame ? frame_col_a : std::span<const uint64_t>(columns.col_a);
+  }
+  std::span<const uint64_t> col_b() const {
+    return in_frame ? frame_col_b : std::span<const uint64_t>(columns.col_b);
+  }
+
+  bool in_frame = false;
+  std::span<const uint64_t> frame_col_a;
+  std::span<const uint64_t> frame_col_b;
 };
 
 /// Per-node request queues + worker pools shared by concurrent queries,
@@ -251,6 +287,7 @@ class NodeRuntime {
   /// directions of the paper's 7.5 MB fine-grained query.
   struct WireStats {
     uint64_t frames_sent = 0;     ///< request frames dispatched
+    uint64_t frames_received = 0;  ///< reply frames the master decoded
     uint64_t bytes_sent = 0;      ///< request frame bytes (master egress)
     uint64_t bytes_received = 0;  ///< reply frame bytes (master ingress)
     Micros encode_us = 0.0;       ///< total encode time, both directions
@@ -327,11 +364,14 @@ class NodeRuntime {
                        const WriteBatch& batch, uint32_t attempt,
                        Micros extra_latency_us = 0.0);
 
-  /// Blocks until one of `query_id`'s reply frames — read or write —
-  /// arrives and decodes it (the in-flight corruption injection point
-  /// lives between those two steps; a decoded reply naming a different
-  /// query_id is a demux corruption, reported as kCorruption). Call
-  /// exactly once per dispatched request / write batch.
+  /// The next answer to one of `query_id`'s requests. Reply frames are
+  /// decoded once, when the first of their answers is due: this blocks
+  /// for the next frame — read or write — only when the last one is
+  /// used up (the in-flight corruption injection point lives between
+  /// the node's encode and this decode; a frame naming a different
+  /// query_id is a demux corruption, reported as kCorruption for every
+  /// answer in it). Call exactly once per dispatched sub-query / write
+  /// batch, from one thread per query.
   TransportReply Await(uint64_t query_id);
 
   /// Enqueues one background-maintenance step (flush/compaction check
@@ -383,18 +423,23 @@ class NodeRuntime {
   void Shutdown();
 
  private:
+  /// One reply frame on a query's channel. The answers it carries are
+  /// named out of band too (transport metadata, like the request's), so
+  /// a frame that fails to decode still fails over each of them.
   struct ReplyEnvelope {
-    bool write = false;  ///< frame holds a WriteReply, not a SubQueryReply
+    bool write = false;  ///< frame holds a WriteReply, not a reply batch
     uint32_t node = 0;
-    uint32_t sub_id = 0;
-    uint32_t attempt = 0;
-    bool served = false;  ///< the handler ran
-    ReadProbe probe;
-    std::vector<std::byte> frame;  ///< encoded SubQueryReply / WriteReply
-    Micros issued_us = 0.0;
-    Micros received_us = 0.0;
-    Micros db_start_us = 0.0;
-    Micros db_end_us = 0.0;
+    // Per answer, parallel: the request items this frame answers.
+    std::vector<uint32_t> sub_ids;
+    std::vector<uint32_t> attempts;
+    std::vector<uint8_t> served;  ///< the handler ran
+    std::vector<ReadProbe> probes;
+    std::vector<std::byte> frame;  ///< encoded reply batch / WriteReply
+    Micros issued_us = 0.0;    ///< of the request frame
+    Micros received_us = 0.0;  ///< of the request frame
+    Micros encoded_us = 0.0;   ///< the node finished encoding this frame
+    Micros db_start_us = 0.0;  ///< writes only (reads carry theirs inline)
+    Micros db_end_us = 0.0;    ///< writes only
   };
 
   /// Everything private to one admitted query: the reply channel the
@@ -417,11 +462,23 @@ class NodeRuntime {
     BoundedQueue<ReplyEnvelope> replies;
     std::atomic<uint64_t> clock_nanos{0};
     std::atomic<uint64_t> frames_sent{0};
+    std::atomic<uint64_t> frames_received{0};
     std::atomic<uint64_t> bytes_sent{0};
     std::atomic<uint64_t> bytes_received{0};
     std::atomic<uint64_t> encode_nanos{0};
     std::atomic<uint64_t> decode_nanos{0};
     std::atomic<uint64_t> queue_wait_nanos{0};
+
+    // The reply frame Await is handing out, answer by answer. Only the
+    // query's collecting thread touches these.
+    ReplyEnvelope frame;
+    size_t next_answer = 0;
+    Status frame_status;      ///< the frame decoded and validated
+    uint8_t reply_flags = 0;  ///< trace flags the frame carried
+    DecodedReplyBatch reads;  ///< read frames
+    WriteReply write;         ///< write frames
+    Micros dequeued_us = 0.0;
+    Micros decoded_us = 0.0;
   };
 
   /// What a queued envelope carries: a read sub-query batch, a write
@@ -463,13 +520,21 @@ class NodeRuntime {
   StatusCode Refusal(uint32_t node, const RequestEnvelope& env,
                      const Status& transport) const;
   void WorkerLoop(uint32_t node);
-  /// Serves one decoded request (or refuses it), appending the encoded
-  /// reply envelope to the owning query's channel. `wire_trace_flags` is
-  /// the trace context decoded off the request frame (echoed into the
-  /// reply and, when sampled, stamped on the worker's spans).
+  /// Serves every item of one dequeued read frame, in order, answering
+  /// with reply frames of at most kReplyFrameBytes of answers each.
+  void ServeReads(uint32_t node, const RequestEnvelope& env,
+                  const Result<DecodedSubQueryBatch>& decoded);
+  /// Serves one decoded request (or refuses it), appending its answer to
+  /// `batch` and its metadata to `out`. `wire_trace_flags` is the trace
+  /// context decoded off the request frame (echoed into the reply and,
+  /// when sampled, stamped on the worker's spans).
   void ServeOne(uint32_t node, const SubQueryRequest& request,
                 const RequestEnvelope& env, size_t item, Status transport,
-                uint8_t wire_trace_flags);
+                uint8_t wire_trace_flags, SubQueryReplyBatch& batch,
+                ReplyEnvelope& out);
+  /// Takes `query`'s next reply frame off its channel and decodes it;
+  /// false once the runtime shut down.
+  bool NextReplyFrame(QueryState& query);
   /// Serves one dequeued write envelope end to end: decode, liveness /
   /// deadline checks, the write handler, and the encoded WriteReply
   /// pushed onto the owning query's channel.
@@ -518,6 +583,7 @@ class NodeRuntime {
   // Lifetime wire totals (kept independently of the registry so callers
   // can read them even without telemetry attached).
   std::atomic<uint64_t> frames_sent_{0};
+  std::atomic<uint64_t> frames_received_{0};
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};
   std::atomic<uint64_t> encode_nanos_{0};
@@ -527,6 +593,7 @@ class NodeRuntime {
   Counter* bytes_sent_counter_ = nullptr;      ///< wire.bytes.sent
   Counter* bytes_received_counter_ = nullptr;  ///< wire.bytes.received
   Counter* frames_counter_ = nullptr;          ///< wire.frames.sent
+  Counter* frames_received_counter_ = nullptr;  ///< wire.frames.received
   Counter* admitted_counter_ = nullptr;        ///< master.admission.admitted
   Counter* shed_counter_ = nullptr;            ///< master.admission.shed
   Gauge* inflight_gauge_ = nullptr;            ///< master.queries.inflight

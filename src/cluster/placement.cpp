@@ -70,9 +70,9 @@ NodeId PlacementPolicy::Place(std::string_view key) {
   return 0;
 }
 
-void PlacementPolicy::OnDispatch(NodeId node) {
+void PlacementPolicy::OnDispatch(NodeId node, uint64_t count) {
   KV_CHECK(node < nodes_);
-  ++outstanding_[node];
+  outstanding_[node] += static_cast<int64_t>(count);
 }
 
 void PlacementPolicy::OnComplete(NodeId node) {

@@ -50,8 +50,9 @@ class PlacementPolicy {
   /// load-dependent for kLeastLoaded / kPowerOfTwo.
   NodeId Place(std::string_view key);
 
-  /// Load feedback: a request was dispatched to / completed on `node`.
-  void OnDispatch(NodeId node);
+  /// Load feedback: `count` requests were dispatched to / one completed
+  /// on `node`.
+  void OnDispatch(NodeId node, uint64_t count = 1);
   void OnComplete(NodeId node);
 
   /// Widens the node-id space to `nodes` (no-op if already that wide).

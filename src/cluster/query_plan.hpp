@@ -167,6 +167,7 @@ struct GatherResult {
   // -- Wire totals (zero under the direct transport) ----------------------
 
   uint64_t wire_frames_sent = 0;    ///< request frames dispatched
+  uint64_t wire_frames_received = 0;  ///< reply frames the master decoded
   uint64_t wire_bytes_sent = 0;     ///< request frame bytes (master egress)
   uint64_t wire_bytes_received = 0; ///< reply frame bytes (master ingress)
   Micros wire_encode_us = 0.0;      ///< total serialization time

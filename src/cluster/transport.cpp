@@ -42,6 +42,9 @@ TransportReply Transport::ServeRead(NodeId node,
   out.db_start_us = now_us();
   Result<OperatorResult> columns = handlers_.read(node, request, &out.probe);
   out.db_end_us = now_us();
+  out.reply_encoded_us = out.db_end_us;  // no reply frame to encode,
+  out.reply_dequeued_us = out.db_end_us;  // queue or decode
+  out.reply_decoded_us = out.db_end_us;
   out.served = true;
   if (read.active()) {
     read.Attr("blocks_decoded", std::to_string(out.probe.blocks_decoded));
@@ -70,6 +73,9 @@ TransportReply Transport::ServeWrite(const WriteBatch& batch,
   out.db_start_us = now_us();
   out.write = handlers_.write(batch.target, batch, nullptr);
   out.db_end_us = now_us();
+  out.reply_encoded_us = out.db_end_us;
+  out.reply_dequeued_us = out.db_end_us;
+  out.reply_decoded_us = out.db_end_us;
   out.served = true;
   out.code = static_cast<StatusCode>(out.write.status);
   return out;

@@ -228,6 +228,7 @@ void InProcessCluster::RecordPut(uint64_t query_id, const std::string& table,
   record.wire_bytes_sent = result.wire_bytes_sent;
   record.wire_bytes_received = result.wire_bytes_received;
   record.wire_frames_sent = result.wire_frames_sent;
+  record.wire_frames_received = result.wire_frames_received;
   record.ring_epoch = ring_epoch();
   flight_recorder_->Record(std::move(record));
 }
@@ -383,7 +384,7 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
       const uint32_t sub_id = static_cast<uint32_t>(by_sub.size());
       // Load feedback at the dispatch *attempt* — the write has not
       // happened yet, exactly like a read attempt that may still fail.
-      for (size_t i = 0; i < chunk.keys.size(); ++i) RecordDispatch(chunk.node);
+      RecordDispatch(chunk.node, chunk.keys.size());
       result.replica_writes += chunk.keys.size();
       ++result.batches_sent;
       const Status sent =
@@ -447,6 +448,7 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
   // Read the query's private wire accounting before releasing it.
   const Transport::Totals totals = transport->End();
   result.wire_frames_sent = totals.wire.frames_sent;
+  result.wire_frames_received = totals.wire.frames_received;
   result.wire_bytes_sent = totals.wire.bytes_sent;
   result.wire_bytes_received = totals.wire.bytes_received;
   result.wire_encode_us = totals.wire.encode_us;

@@ -22,6 +22,7 @@ double UnitFromHash(uint64_t bits) {
 constexpr uint64_t kErrorSalt = 0x9d3f2c6a715b04e9ULL;
 constexpr uint64_t kSpikeSalt = 0x1b45ef8820c7d36dULL;
 constexpr uint64_t kReplySalt = 0x7e21ab9c44d0f583ULL;
+constexpr uint64_t kReplyFrameSalt = 0x3c9a61f2d8e4b705ULL;
 constexpr uint64_t kWalSalt = 0x35c8d91e6f0a27b4ULL;
 constexpr uint64_t kMigrationSalt = 0x52af7d03e9c168b7ULL;
 
@@ -88,6 +89,20 @@ bool FaultInjector::ShouldCorruptReply(uint32_t node,
       AttemptBasis(config_.seed, node, partition_key, attempt);
   if (UnitFromHash(basis ^ kReplySalt) < config_.reply_corrupt_rate) {
     corrupted_replies_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  return false;
+}
+
+bool FaultInjector::ShouldCorruptReplyFrame(uint32_t node,
+                                            std::string_view partition_key,
+                                            uint32_t attempt) const {
+  if (config_.reply_frame_corrupt_rate <= 0.0) return false;
+  const uint64_t basis =
+      AttemptBasis(config_.seed, node, partition_key, attempt);
+  if (UnitFromHash(basis ^ kReplyFrameSalt) <
+      config_.reply_frame_corrupt_rate) {
+    corrupted_reply_frames_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   return false;

@@ -54,9 +54,14 @@ struct FaultConfig {
   /// Probability that the encoded reply of one served sub-query gets a
   /// bit flipped before the master decodes it (a fault class only the
   /// message-driven path has: the read succeeded, the *reply* is
-  /// garbage). Consulted by NodeRuntime at the reply injection point;
-  /// the direct-call gather never sees it.
+  /// garbage). The damage lands inside that answer's item of the reply
+  /// frame, so it fails over alone. Consulted by NodeRuntime at the
+  /// reply injection point; the direct-call gather never sees it.
   double reply_corrupt_rate = 0.0;
+  /// Probability that a whole reply frame gets a bit flipped in its
+  /// envelope header, failing over every answer it carries. Rolled once
+  /// per frame, on its first answer's (node, key, attempt).
+  double reply_frame_corrupt_rate = 0.0;
   /// Probability that one WAL append (a replica's DurablePut) fails with
   /// kUnavailable — a full or failing log device. Consulted by
   /// InProcessCluster::Put at the write injection point; reads never
@@ -110,6 +115,13 @@ class FaultInjector {
   /// independent salt.
   bool ShouldCorruptReply(uint32_t node, std::string_view partition_key,
                           uint32_t attempt) const;
+
+  /// True when the reply frame whose first answer is attempt `attempt`
+  /// of a read of `partition_key` on `node` should have its envelope
+  /// corrupted in flight. Deterministic like ShouldCorruptReply, with an
+  /// independent salt.
+  bool ShouldCorruptReplyFrame(uint32_t node, std::string_view partition_key,
+                               uint32_t attempt) const;
 
   // -- Migration faults ---------------------------------------------------
 
@@ -165,6 +177,9 @@ class FaultInjector {
   uint64_t corrupted_replies() const {
     return corrupted_replies_.load(std::memory_order_relaxed);
   }
+  uint64_t corrupted_reply_frames() const {
+    return corrupted_reply_frames_.load(std::memory_order_relaxed);
+  }
   uint64_t injected_wal_errors() const {
     return injected_wal_errors_.load(std::memory_order_relaxed);
   }
@@ -190,6 +205,7 @@ class FaultInjector {
   mutable std::atomic<uint64_t> injected_spikes_{0};
   mutable std::atomic<uint64_t> rejected_dead_{0};
   mutable std::atomic<uint64_t> corrupted_replies_{0};
+  mutable std::atomic<uint64_t> corrupted_reply_frames_{0};
   mutable std::atomic<uint64_t> injected_wal_errors_{0};
   mutable std::atomic<uint64_t> corrupted_migration_frames_{0};
   std::atomic<uint64_t> migration_source_kills_{0};

@@ -1,6 +1,7 @@
 #include "store/segment.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/check.hpp"
 #include "hash/hash.hpp"
@@ -18,33 +19,179 @@ void ReadProbe::MergeFrom(const ReadProbe& other) {
   columns_returned += other.columns_returned;
 }
 
-Segment::Writer::Writer(uint64_t segment_id, const SegmentOptions& options) {
+void Segment::Staging::AddBlock(std::span<const std::byte> bytes,
+                                uint64_t checksum) {
+  blocks.Append(bytes);
+  block_ends.push_back(blocks.size());
+  checksums.push_back(checksum);
+}
+
+void Segment::Staging::AddRecord(
+    std::string_view key, PartitionMeta meta,
+    std::span<const ColumnIndexEntry> index_entries) {
+  meta.key_offset = keys.size();
+  meta.key_size = static_cast<uint32_t>(key.size());
+  meta.index_begin = static_cast<uint32_t>(index.size());
+  meta.index_count = static_cast<uint32_t>(index_entries.size());
+  keys.Append(std::as_bytes(std::span<const char>(key.data(), key.size())));
+  for (const ColumnIndexEntry& entry : index_entries) index.push_back(entry);
+  records.push_back(meta);
+}
+
+std::string_view Segment::Staging::last_key() const {
+  KV_CHECK(!records.empty());
+  const PartitionMeta& last = records.view().back();
+  return {reinterpret_cast<const char*>(keys.data()) + last.key_offset,
+          last.key_size};
+}
+
+Segment::Writer::Writer(uint64_t segment_id, const SegmentOptions& options)
+    : segment_id_(segment_id), options_(options) {
   KV_CHECK(options.block_size > 0);
-  // Private constructor: cannot use make_shared. The bloom filter is
-  // rebuilt in Finish, once the partition count is known.
-  segment_.reset(new Segment(segment_id, options, 1));
 }
 
 void Segment::Writer::Add(std::string_view key,
                           std::span<const Column* const> columns) {
-  KV_CHECK(segment_ != nullptr);
-  KV_CHECK(segment_->directory_.empty() ||
-           segment_->directory_.back().first < key);
+  KV_CHECK(staging_.records.empty() || staging_.last_key() < key);
   KV_CHECK(std::is_sorted(columns.begin(), columns.end(),
                           [](const Column* a, const Column* b) {
                             return a->clustering < b->clustering;
                           }));
-  segment_->AddPartition(key, columns);
+  if (columns.empty()) return;
+
+  PartitionMeta meta;
+  meta.first_block = static_cast<uint32_t>(staging_.block_ends.size());
+  meta.column_count = columns.size();
+
+  // Pack columns into blocks of at most block_size encoded bytes.
+  size_t pending_begin = 0;
+  size_t pending_bytes = 0;
+  index_scratch_.clear();
+  auto flush_block = [&](size_t pending_end) {
+    if (pending_end == pending_begin) return;
+    const auto pending =
+        columns.subspan(pending_begin, pending_end - pending_begin);
+    scratch_.clear();
+    EncodeColumnRefs(pending, scratch_);
+    ColumnIndexEntry entry;
+    entry.first_clustering = pending.front()->clustering;
+    entry.last_clustering = pending.back()->clustering;
+    entry.block = static_cast<uint32_t>(staging_.block_ends.size());
+    index_scratch_.push_back(entry);
+    staging_.AddBlock(scratch_.data(), Fnv1a64(scratch_.data()));
+    meta.encoded_bytes += scratch_.size();
+    pending_begin = pending_end;
+    pending_bytes = 0;
+  };
+
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const size_t sz = columns[i]->EncodedSize();
+    if (i > pending_begin && pending_bytes + sz > options_.block_size) {
+      flush_block(i);
+    }
+    pending_bytes += sz;
+  }
+  flush_block(columns.size());
+
+  meta.block_count =
+      static_cast<uint32_t>(staging_.block_ends.size()) - meta.first_block;
+  // Cassandra's column_index_size_in_kb rule: only partitions larger than
+  // the threshold carry a column index.
+  meta.has_column_index = meta.encoded_bytes > options_.column_index_threshold;
+  staging_.AddRecord(key, meta,
+                     meta.has_column_index
+                         ? std::span<const ColumnIndexEntry>(index_scratch_)
+                         : std::span<const ColumnIndexEntry>());
+}
+
+bool Segment::Writer::CanCopyFrom(const Segment& source) const {
+  // Block packing and the index rule depend on these two knobs only, so
+  // equal knobs re-encode a partition into exactly its stored blocks.
+  return source.options_.block_size == options_.block_size &&
+         source.options_.column_index_threshold ==
+             options_.column_index_threshold;
+}
+
+Status Segment::Writer::CopyPartition(const Segment& source,
+                                      const PartitionMeta& meta) {
+  const std::string_view key = source.Key(meta);
+  KV_CHECK(staging_.records.empty() || staging_.last_key() < key);
+  const uint32_t end = meta.first_block + meta.block_count;
+  // Verify every block before appending any: a damaged copy must abort
+  // the merge, not land in the output under a valid checksum.
+  for (uint32_t b = meta.first_block; b < end; ++b) {
+    if (Fnv1a64(source.BlockBytes(b)) != source.block_checksums_[b]) {
+      return Status::Corruption("segment " + std::to_string(source.id_) +
+                                " block " + std::to_string(b) +
+                                " checksum mismatch");
+    }
+  }
+  PartitionMeta copy = meta;
+  copy.first_block = static_cast<uint32_t>(staging_.block_ends.size());
+  for (uint32_t b = meta.first_block; b < end; ++b) {
+    staging_.AddBlock(source.BlockBytes(b), source.block_checksums_[b]);
+  }
+  index_scratch_.clear();
+  for (ColumnIndexEntry entry : source.ColumnIndex(meta)) {
+    entry.block = entry.block - meta.first_block + copy.first_block;
+    index_scratch_.push_back(entry);
+  }
+  staging_.AddRecord(key, copy, index_scratch_);
+  return Status::Ok();
 }
 
 std::shared_ptr<const Segment> Segment::Writer::Finish() {
-  KV_CHECK(segment_ != nullptr);
-  Segment& segment = *segment_;
-  segment.directory_.shrink_to_fit();
-  segment.bloom_ = BloomFilter(std::max<size_t>(segment.directory_.size(), 1),
-                               segment.options_.bloom_fp_rate);
-  for (const auto& [key, meta] : segment.directory_) segment.bloom_.Add(key);
-  return std::move(segment_);
+  return Seal(segment_id_, options_, std::move(staging_));
+}
+
+std::shared_ptr<const Segment> Segment::Seal(uint64_t id,
+                                             const SegmentOptions& options,
+                                             Staging staging) {
+  // Private constructor: cannot use make_shared.
+  std::shared_ptr<Segment> segment(new Segment(id, options));
+  const size_t blocks = staging.block_ends.size();
+  const size_t partitions = staging.records.size();
+  const size_t index_entries = staging.index.size();
+  // The block bytes stay where they were written: the image grows past
+  // them (mremap moves pages, not bytes) and the side arrays are copied
+  // in behind, each 8-byte aligned.
+  const size_t ends_at = (staging.blocks.size() + 7) & ~size_t{7};
+  const size_t checksums_at = ends_at + blocks * sizeof(uint64_t);
+  const size_t records_at = checksums_at + blocks * sizeof(uint64_t);
+  const size_t index_at = records_at + partitions * sizeof(PartitionMeta);
+  const size_t keys_at = index_at + index_entries * sizeof(ColumnIndexEntry);
+  MappedBuffer image = std::move(staging.blocks);
+  image.Resize(keys_at + staging.keys.size());
+  auto place = [&image](size_t at, std::span<const std::byte> bytes) {
+    if (!bytes.empty()) std::memcpy(image.data() + at, bytes.data(), bytes.size());
+  };
+  place(ends_at, staging.block_ends.bytes());
+  place(checksums_at, staging.checksums.bytes());
+  place(records_at, staging.records.bytes());
+  place(index_at, staging.index.bytes());
+  place(keys_at, {staging.keys.data(), staging.keys.size()});
+  image.ShrinkToFit();
+
+  Segment& s = *segment;
+  s.image_ = std::move(image);
+  const std::byte* base = s.image_.data();
+  s.block_ends_ = {reinterpret_cast<const uint64_t*>(base + ends_at), blocks};
+  s.block_checksums_ = {reinterpret_cast<const uint64_t*>(base + checksums_at),
+                        blocks};
+  s.directory_ = {reinterpret_cast<const PartitionMeta*>(base + records_at),
+                  partitions};
+  s.column_index_ = {
+      reinterpret_cast<const ColumnIndexEntry*>(base + index_at),
+      index_entries};
+  s.keys_ = reinterpret_cast<const char*>(base + keys_at);
+  s.bloom_ =
+      BloomFilter(std::max<size_t>(partitions, 1), options.bloom_fp_rate);
+  for (const PartitionMeta& meta : s.directory_) {
+    s.bloom_.Add(s.Key(meta));
+    s.total_columns_ += meta.column_count;
+    s.total_bytes_ += meta.encoded_bytes;
+  }
+  return segment;
 }
 
 std::shared_ptr<const Segment> Segment::Build(const Memtable& memtable,
@@ -63,55 +210,13 @@ std::shared_ptr<const Segment> Segment::Build(const Memtable& memtable,
   return writer.Finish();
 }
 
-void Segment::AddPartition(std::string_view key,
-                           std::span<const Column* const> columns) {
-  if (columns.empty()) return;
+std::span<const std::byte> Segment::BlockBytes(uint32_t block_no) const {
+  const uint64_t begin = block_no == 0 ? 0 : block_ends_[block_no - 1];
+  return {image_.data() + begin, block_ends_[block_no] - begin};
+}
 
-  PartitionMeta meta;
-  meta.first_block = static_cast<uint32_t>(blocks_.size());
-  meta.column_count = columns.size();
-
-  // Pack columns into blocks of at most block_size encoded bytes.
-  size_t pending_begin = 0;
-  size_t pending_bytes = 0;
-  std::vector<ColumnIndexEntry> index;
-  auto flush_block = [&](size_t pending_end) {
-    if (pending_end == pending_begin) return;
-    const auto pending =
-        columns.subspan(pending_begin, pending_end - pending_begin);
-    WireBuffer buf;
-    EncodeColumnRefs(pending, buf);
-    ColumnIndexEntry entry;
-    entry.first_clustering = pending.front()->clustering;
-    entry.last_clustering = pending.back()->clustering;
-    entry.block = static_cast<uint32_t>(blocks_.size());
-    index.push_back(entry);
-    auto span = buf.data();
-    blocks_.emplace_back(span.begin(), span.end());
-    block_checksums_.push_back(Fnv1a64(blocks_.back()));
-    meta.encoded_bytes += blocks_.back().size();
-    pending_begin = pending_end;
-    pending_bytes = 0;
-  };
-
-  for (size_t i = 0; i < columns.size(); ++i) {
-    const size_t sz = columns[i]->EncodedSize();
-    if (i > pending_begin && pending_bytes + sz > options_.block_size) {
-      flush_block(i);
-    }
-    pending_bytes += sz;
-  }
-  flush_block(columns.size());
-
-  meta.block_count = static_cast<uint32_t>(blocks_.size()) - meta.first_block;
-  // Cassandra's column_index_size_in_kb rule: only partitions larger than
-  // the threshold carry a column index.
-  meta.has_column_index = meta.encoded_bytes > options_.column_index_threshold;
-  if (meta.has_column_index) meta.column_index = std::move(index);
-
-  total_columns_ += meta.column_count;
-  total_bytes_ += meta.encoded_bytes;
-  directory_.emplace_back(std::string(key), std::move(meta));
+size_t Segment::footprint_bytes() const {
+  return image_.mapped_bytes() + bloom_.memory_bytes() + sizeof(Segment);
 }
 
 bool Segment::MayContain(std::string_view partition_key) const {
@@ -124,11 +229,14 @@ bool Segment::HasPartition(std::string_view partition_key) const {
 
 const Segment::PartitionMeta* Segment::FindMeta(
     std::string_view partition_key) const {
-  auto it = std::lower_bound(
-      directory_.begin(), directory_.end(), partition_key,
-      [](const auto& entry, std::string_view key) { return entry.first < key; });
-  return it == directory_.end() || it->first != partition_key ? nullptr
-                                                              : &it->second;
+  auto it = std::lower_bound(directory_.begin(), directory_.end(),
+                             partition_key,
+                             [this](const PartitionMeta& meta,
+                                    std::string_view key) {
+                               return Key(meta) < key;
+                             });
+  return it == directory_.end() || Key(*it) != partition_key ? nullptr
+                                                             : &*it;
 }
 
 void Segment::SerializeTo(WireBuffer& out) const {
@@ -137,22 +245,22 @@ void Segment::SerializeTo(WireBuffer& out) const {
   out.WriteVarint(options_.column_index_threshold);
   out.WriteF64(options_.bloom_fp_rate);
   out.WriteVarint(directory_.size());
-  for (const auto& [key, meta] : directory_) {
-    out.WriteString(key);
+  for (const PartitionMeta& meta : directory_) {
+    out.WriteString(Key(meta));
     out.WriteVarint(meta.first_block);
     out.WriteVarint(meta.block_count);
     out.WriteVarint(meta.column_count);
     out.WriteVarint(meta.encoded_bytes);
     out.WriteU8(meta.has_column_index ? 1 : 0);
-    out.WriteVarint(meta.column_index.size());
-    for (const auto& entry : meta.column_index) {
+    out.WriteVarint(meta.index_count);
+    for (const ColumnIndexEntry& entry : ColumnIndex(meta)) {
       out.WriteVarint(entry.first_clustering);
       out.WriteVarint(entry.last_clustering);
       out.WriteVarint(entry.block);
     }
   }
-  out.WriteVarint(blocks_.size());
-  for (const auto& block : blocks_) out.WriteBytes(block);
+  out.WriteVarint(block_count());
+  for (uint32_t b = 0; b < block_count(); ++b) out.WriteBytes(BlockBytes(b));
   for (uint64_t checksum : block_checksums_) out.WriteU64(checksum);
 }
 
@@ -169,10 +277,12 @@ Result<std::shared_ptr<const Segment>> Segment::Deserialize(
     return Status::Corruption("segment header");
   }
 
-  std::shared_ptr<Segment> segment(
-      new Segment(id, options, std::max<size_t>(partitions, 1)));
+  Staging staging;
+  std::vector<ColumnIndexEntry> entries;
   for (uint64_t p = 0; p < partitions; ++p) {
-    std::string key = r.ReadString();
+    const auto key_bytes = r.ReadBytesView();
+    const std::string_view key(reinterpret_cast<const char*>(key_bytes.data()),
+                               key_bytes.size());
     PartitionMeta meta;
     meta.first_block = static_cast<uint32_t>(r.ReadVarint());
     meta.block_count = static_cast<uint32_t>(r.ReadVarint());
@@ -183,62 +293,65 @@ Result<std::shared_ptr<const Segment>> Segment::Deserialize(
     if (!r.ok() || index_entries > data.size()) {
       return Status::Corruption("segment directory");
     }
-    meta.column_index.reserve(index_entries);
+    entries.clear();
     for (uint64_t e = 0; e < index_entries; ++e) {
       ColumnIndexEntry entry;
       entry.first_clustering = r.ReadVarint();
       entry.last_clustering = r.ReadVarint();
       entry.block = static_cast<uint32_t>(r.ReadVarint());
-      meta.column_index.push_back(entry);
+      entries.push_back(entry);
     }
-    Directory& directory = segment->directory_;
-    if (!directory.empty() && !(directory.back().first < key)) {
+    if (!staging.records.empty() && !(staging.last_key() < key)) {
       return Status::Corruption("segment directory out of order");
     }
-    segment->total_columns_ += meta.column_count;
-    segment->total_bytes_ += meta.encoded_bytes;
-    segment->bloom_.Add(key);
-    directory.emplace_back(std::move(key), std::move(meta));
+    staging.AddRecord(key, meta, entries);
   }
   const uint64_t block_count = r.ReadVarint();
   if (!r.ok() || block_count > data.size()) {
     return Status::Corruption("segment block table");
   }
-  segment->blocks_.reserve(block_count);
+  std::vector<std::span<const std::byte>> blocks;
+  blocks.reserve(block_count);
   for (uint64_t b = 0; b < block_count; ++b) {
-    segment->blocks_.push_back(r.ReadBytes());
+    blocks.push_back(r.ReadBytesView());
   }
-  segment->block_checksums_.reserve(block_count);
   for (uint64_t b = 0; b < block_count; ++b) {
     const uint64_t checksum = r.ReadU64();
-    if (!r.ok() || Fnv1a64(segment->blocks_[b]) != checksum) {
+    if (!r.ok() || Fnv1a64(blocks[b]) != checksum) {
       return Status::Corruption("segment block checksum mismatch");
     }
-    segment->block_checksums_.push_back(checksum);
+    staging.AddBlock(blocks[b], checksum);
   }
   if (!r.AtEnd()) return Status::Corruption("segment trailing bytes");
   // Validate directory block ranges against the block table.
-  for (const auto& [key, meta] : segment->directory_) {
+  for (const PartitionMeta& meta : staging.records.view()) {
     if (static_cast<uint64_t>(meta.first_block) + meta.block_count >
-        segment->blocks_.size()) {
+        block_count) {
       return Status::Corruption("segment directory out of range");
     }
   }
-  return std::shared_ptr<const Segment>(std::move(segment));
+  for (const ColumnIndexEntry& entry : staging.index.view()) {
+    if (entry.block >= block_count) {
+      return Status::Corruption("segment column index out of range");
+    }
+  }
+  return Seal(id, options, std::move(staging));
 }
 
 void Segment::FlipBlockBitForFaultInjection(uint32_t block_no,
                                             uint64_t bit_index) {
-  KV_CHECK(block_no < blocks_.size());
-  auto& block = blocks_[block_no];
+  KV_CHECK(block_no < block_count());
+  const std::span<const std::byte> block = BlockBytes(block_no);
   KV_CHECK(!block.empty());
   const uint64_t bit = bit_index % (block.size() * 8);
-  block[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+  // The image is this segment's own writable mapping.
+  std::byte* bytes = image_.data() + (block.data() - image_.data());
+  bytes[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
 }
 
 Result<BlockHandle> Segment::ReadBlock(uint32_t block_no, CacheRef cache,
                                       ReadProbe* probe) const {
-  KV_CHECK(block_no < blocks_.size());
+  KV_CHECK(block_no < block_count());
   const BlockKey key{cache.table_id, id_, block_no};
   if (cache.cache != nullptr) {
     if (BlockHandle cached = cache.cache->Lookup(key)) {
@@ -246,16 +359,17 @@ Result<BlockHandle> Segment::ReadBlock(uint32_t block_no, CacheRef cache,
       return cached;
     }
   }
-  if (Fnv1a64(blocks_[block_no]) != block_checksums_[block_no]) {
+  const std::span<const std::byte> bytes = BlockBytes(block_no);
+  if (Fnv1a64(bytes) != block_checksums_[block_no]) {
     return Status::Corruption("segment " + std::to_string(id_) + " block " +
                               std::to_string(block_no) +
                               " checksum mismatch");
   }
-  auto decoded = DecodeColumns(blocks_[block_no]);
+  auto decoded = DecodeColumns(bytes);
   if (!decoded.ok()) return decoded.status();
   if (probe != nullptr) {
     ++probe->blocks_decoded;
-    probe->bytes_decoded += blocks_[block_no].size();
+    probe->bytes_decoded += bytes.size();
   }
   BlockHandle block = std::make_shared<const std::vector<Column>>(
       std::move(decoded).value());
@@ -290,7 +404,7 @@ Result<std::vector<BlockHandle>> Segment::ReadBlocks(const PartitionMeta& meta,
     // Indexed partition: binary-search the column index, read only the
     // blocks overlapping [lo, hi].
     if (probe != nullptr) ++probe->index_probes;
-    const auto& index = meta.column_index;
+    const auto index = ColumnIndex(meta);
     auto first = std::lower_bound(index.begin(), index.end(), lo,
                                   [](const ColumnIndexEntry& e, uint64_t v) {
                                     return e.last_clustering < v;

@@ -23,6 +23,7 @@
 #include "common/units.hpp"
 #include "store/block_cache.hpp"
 #include "store/bloom.hpp"
+#include "store/mapped_buffer.hpp"
 #include "store/memtable.hpp"
 #include "store/row.hpp"
 
@@ -48,7 +49,15 @@ struct ReadProbe {
   void MergeFrom(const ReadProbe& other);
 };
 
-/// Immutable sorted segment.
+/// Immutable sorted segment, stored as one flat image in one anonymous
+/// mapping (store/mapped_buffer.hpp):
+///
+///   [block bytes][block end offsets][block checksums]
+///   [directory records][column-index entries][key bytes]
+///
+/// Every partition costs one fixed-size directory record, its key bytes,
+/// and 16 bytes per block (end offset + checksum) on top of its encoded
+/// blocks — no per-partition or per-block heap node.
 class Segment {
  public:
   /// Per-block column-index entry (only for indexed partitions).
@@ -58,20 +67,43 @@ class Segment {
     uint32_t block = 0;  ///< absolute block number within the segment
   };
 
-  /// Directory entry for one partition.
+  /// Fixed-size directory record for one partition. The key and the
+  /// column index live in the image's side arrays: Key() and
+  /// ColumnIndex() resolve them.
   struct PartitionMeta {
-    uint32_t first_block = 0;
-    uint32_t block_count = 0;
     uint64_t column_count = 0;
     uint64_t encoded_bytes = 0;
+    uint64_t key_offset = 0;   ///< into the key bytes
+    uint32_t key_size = 0;
+    uint32_t first_block = 0;
+    uint32_t block_count = 0;
+    uint32_t index_begin = 0;  ///< into the column-index entries
+    uint32_t index_count = 0;
     bool has_column_index = false;
-    std::vector<ColumnIndexEntry> column_index;
   };
 
-  /// (partition key, directory entry) pairs, ascending by key: one
-  /// contiguous array, binary-searched, with no per-partition node.
-  using Directory = std::vector<std::pair<std::string, PartitionMeta>>;
+  /// Directory records, ascending by key: binary-searched in place.
+  using Directory = std::span<const PartitionMeta>;
 
+ private:
+  /// The arrays a segment is built from before Seal lays them out as one
+  /// image. Each sits in its own mapping while it grows.
+  struct Staging {
+    MappedBuffer blocks;                  ///< concatenated block bytes
+    MappedArray<uint64_t> block_ends;     ///< end offset of each block
+    MappedArray<uint64_t> checksums;      ///< fnv1a of each block
+    MappedArray<PartitionMeta> records;
+    MappedArray<ColumnIndexEntry> index;
+    MappedBuffer keys;                    ///< concatenated partition keys
+
+    void AddBlock(std::span<const std::byte> bytes, uint64_t checksum);
+    /// Appends `meta` for `key`, filling in its key and index offsets.
+    void AddRecord(std::string_view key, PartitionMeta meta,
+                   std::span<const ColumnIndexEntry> index_entries);
+    std::string_view last_key() const;
+  };
+
+ public:
   /// Streams partitions, in ascending key order, into a new segment, so
   /// a flush or compaction holds one partition's columns at a time.
   class Writer {
@@ -82,11 +114,28 @@ class Segment {
     /// and are only read during the call; an empty partition is skipped.
     void Add(std::string_view key, std::span<const Column* const> columns);
 
+    /// Appends `meta`'s partition of `source` as it is stored there: its
+    /// encoded blocks, their stored checksums and its column index
+    /// (rebased to this segment's block numbers), without decoding. The
+    /// output bytes equal what Add would write for the same columns when
+    /// `source` has this writer's block size and index threshold (see
+    /// CanCopyFrom). Each block's checksum is verified first; a mismatch
+    /// fails with kCorruption and appends nothing.
+    Status CopyPartition(const Segment& source, const PartitionMeta& meta);
+
+    /// True when CopyPartition from `source` writes the same bytes a
+    /// decode and re-encode would.
+    bool CanCopyFrom(const Segment& source) const;
+
     /// Seals the segment (the bloom filter is sized to what was added).
     std::shared_ptr<const Segment> Finish();
 
    private:
-    std::shared_ptr<Segment> segment_;
+    uint64_t segment_id_;
+    SegmentOptions options_;
+    Staging staging_;
+    WireBuffer scratch_;  ///< one block's encoding, reused
+    std::vector<ColumnIndexEntry> index_scratch_;
   };
 
   /// Freezes a memtable into a segment, one partition at a time.
@@ -116,6 +165,17 @@ class Segment {
   bool HasPartition(std::string_view partition_key) const;
   const PartitionMeta* FindMeta(std::string_view partition_key) const;
 
+  /// The key of a directory record of this segment. The view points into
+  /// the image: it is valid while the segment is.
+  std::string_view Key(const PartitionMeta& meta) const {
+    return {keys_ + meta.key_offset, meta.key_size};
+  }
+  /// The column index of a directory record (empty when unindexed).
+  std::span<const ColumnIndexEntry> ColumnIndex(
+      const PartitionMeta& meta) const {
+    return column_index_.subspan(meta.index_begin, meta.index_count);
+  }
+
   /// Serialises the whole segment (directory, column indexes, blocks,
   /// per-block checksums) into `out`; Deserialize restores an identical
   /// segment (the bloom filter is rebuilt from the keys) and rejects
@@ -133,19 +193,25 @@ class Segment {
 
   uint64_t id() const { return id_; }
   size_t partition_count() const { return directory_.size(); }
-  size_t block_count() const { return blocks_.size(); }
+  size_t block_count() const { return block_ends_.size(); }
   uint64_t column_count() const { return total_columns_; }
   uint64_t encoded_bytes() const { return total_bytes_; }
-  const Directory& directory() const { return directory_; }
+  Directory directory() const { return directory_; }
+  /// Memory this segment holds: its mapped image, its bloom filter and
+  /// the object itself.
+  size_t footprint_bytes() const;
 
  private:
-  Segment(uint64_t id, const SegmentOptions& options, size_t partitions)
-      : id_(id),
-        options_(options),
-        bloom_(std::max<size_t>(partitions, 1), options.bloom_fp_rate) {}
+  Segment(uint64_t id, const SegmentOptions& options)
+      : id_(id), options_(options), bloom_(1, options.bloom_fp_rate) {}
 
-  void AddPartition(std::string_view key,
-                    std::span<const Column* const> columns);
+  /// Lays `staging` out as this segment's image, points the views into
+  /// it, and builds the bloom filter and totals.
+  static std::shared_ptr<const Segment> Seal(uint64_t id,
+                                             const SegmentOptions& options,
+                                             Staging staging);
+
+  std::span<const std::byte> BlockBytes(uint32_t block_no) const;
 
   /// Decodes block `block_no`, through `cache` when it has one. Verifies
   /// the block's checksum before every decode (a cache hit needs none:
@@ -157,9 +223,13 @@ class Segment {
   uint64_t id_;
   SegmentOptions options_;
   BloomFilter bloom_;
+  MappedBuffer image_;
+  // Views into image_.
+  std::span<const uint64_t> block_ends_;
+  std::span<const uint64_t> block_checksums_;
   Directory directory_;
-  std::vector<std::vector<std::byte>> blocks_;  // encoded column runs
-  std::vector<uint64_t> block_checksums_;       // fnv1a of each block
+  std::span<const ColumnIndexEntry> column_index_;
+  const char* keys_ = nullptr;
   uint64_t total_columns_ = 0;
   uint64_t total_bytes_ = 0;
 };

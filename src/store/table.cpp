@@ -133,57 +133,64 @@ void Table::FlushLocked() {
 Result<std::shared_ptr<const Segment>> Table::MergeSegmentsLocked(
     const std::vector<size_t>& indices, bool purge_tombstones) {
   // A k-way walk over the run's sorted directories: each partition key is
-  // decoded from the segments that hold it, merged, written out and
-  // dropped before the next key, so one partition is live at a time.
+  // written out before the next, so one partition is live at a time. A
+  // key only one input holds is copied through as its stored blocks when
+  // nothing is purged; any other key is decoded from every input that
+  // holds it, merged and re-encoded.
   struct DirectoryCursor {
     const Segment* segment;
-    Segment::Directory::const_iterator at;
+    Segment::Directory left;  ///< records not yet merged
   };
   std::vector<DirectoryCursor> cursors;
   cursors.reserve(indices.size());
   for (size_t idx : indices) {  // ascending = oldest first
-    cursors.push_back({segments_[idx].get(),
-                       segments_[idx]->directory().begin()});
+    cursors.push_back({segments_[idx].get(), segments_[idx]->directory()});
   }
   Segment::Writer writer(next_segment_id_++, options_.segment);
+  std::vector<DirectoryCursor*> holders;
   std::vector<std::vector<BlockHandle>> sources;
   std::vector<RunCursor> runs;
   std::vector<const Column*> kept;
   for (;;) {
-    const std::string* key = nullptr;
-    for (const DirectoryCursor& c : cursors) {
-      if (c.at != c.segment->directory().end() &&
-          (key == nullptr || c.at->first < *key)) {
-        key = &c.at->first;
-      }
-    }
-    if (key == nullptr) break;
-    sources.clear();
+    // `key` views a segment image, which outlives the merge.
+    std::string_view key;
+    holders.clear();
     for (DirectoryCursor& c : cursors) {
-      if (c.at == c.segment->directory().end() || c.at->first != *key) {
-        continue;
-      }
-      // Uncached: compaction output replaces these segments' blocks. A
-      // copy that fails its checksum aborts the merge: dropping it would
-      // let an older value resurface, silently.
-      auto blocks = c.segment->ReadBlocks(c.at->second, 0, UINT64_MAX,
-                                          CacheRef{}, nullptr);
-      if (!blocks.ok()) return blocks.status();
-      sources.push_back(std::move(blocks).value());
-    }
-    runs.clear();
-    for (const auto& source : sources) runs.emplace_back(source);
-    kept.clear();
-    MergeNewestWins(runs, [&](const Column& column) {
-      if (!(purge_tombstones && column.tombstone)) kept.push_back(&column);
-    });
-    writer.Add(*key, kept);
-    // `key` points into a directory node, which outlives the advance.
-    for (DirectoryCursor& c : cursors) {
-      if (c.at != c.segment->directory().end() && c.at->first == *key) {
-        ++c.at;
+      if (c.left.empty()) continue;
+      const std::string_view k = c.segment->Key(c.left.front());
+      if (holders.empty() || k < key) {
+        key = k;
+        holders.assign(1, &c);
+      } else if (k == key) {
+        holders.push_back(&c);
       }
     }
+    if (holders.empty()) break;
+    if (holders.size() == 1 && !purge_tombstones &&
+        writer.CanCopyFrom(*holders.front()->segment)) {
+      // A checksum mismatch aborts the merge, like a failed decode below.
+      KV_RETURN_IF_ERROR(writer.CopyPartition(*holders.front()->segment,
+                                              holders.front()->left.front()));
+    } else {
+      sources.clear();
+      for (const DirectoryCursor* c : holders) {
+        // Uncached: compaction output replaces these segments' blocks. A
+        // copy that fails its checksum aborts the merge: dropping it
+        // would let an older value resurface, silently.
+        auto blocks = c->segment->ReadBlocks(c->left.front(), 0, UINT64_MAX,
+                                             CacheRef{}, nullptr);
+        if (!blocks.ok()) return blocks.status();
+        sources.push_back(std::move(blocks).value());
+      }
+      runs.clear();
+      for (const auto& source : sources) runs.emplace_back(source);
+      kept.clear();
+      MergeNewestWins(runs, [&](const Column& column) {
+        if (!(purge_tombstones && column.tombstone)) kept.push_back(&column);
+      });
+      writer.Add(key, kept);
+    }
+    for (DirectoryCursor* c : holders) c->left = c->left.subspan(1);
   }
   return writer.Finish();
 }
@@ -586,7 +593,9 @@ std::vector<std::string> Table::PartitionKeys() const {
   std::set<std::string> keys;
   for (auto& key : memtable_.PartitionKeys()) keys.insert(std::move(key));
   for (const auto& segment : segments_) {
-    for (const auto& [key, meta] : segment->directory()) keys.insert(key);
+    for (const auto& meta : segment->directory()) {
+      keys.emplace(segment->Key(meta));
+    }
   }
   return {keys.begin(), keys.end()};
 }

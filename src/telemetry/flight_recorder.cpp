@@ -45,6 +45,8 @@ std::string QueryRecordToJson(const QueryRecord& record) {
   out += ",\"wire_bytes_received\":" +
          std::to_string(record.wire_bytes_received);
   out += ",\"wire_frames_sent\":" + std::to_string(record.wire_frames_sent);
+  out += ",\"wire_frames_received\":" +
+         std::to_string(record.wire_frames_received);
   out += ",\"ring_epoch\":" + std::to_string(record.ring_epoch);
   out += ",\"timeline\":[";
   for (size_t i = 0; i < record.timeline.size(); ++i) {
@@ -58,6 +60,9 @@ std::string QueryRecordToJson(const QueryRecord& record) {
     out += ",\"received_us\":" + JsonMicros(entry.received);
     out += ",\"db_start_us\":" + JsonMicros(entry.db_start);
     out += ",\"db_end_us\":" + JsonMicros(entry.db_end);
+    out += ",\"reply_encoded_us\":" + JsonMicros(entry.reply_encoded);
+    out += ",\"reply_dequeued_us\":" + JsonMicros(entry.reply_dequeued);
+    out += ",\"reply_decoded_us\":" + JsonMicros(entry.reply_decoded);
     out += ",\"completed_us\":" + JsonMicros(entry.completed);
     out += '}';
   }

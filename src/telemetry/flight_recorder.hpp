@@ -47,6 +47,7 @@ struct QueryRecord {
   uint64_t wire_bytes_sent = 0;
   uint64_t wire_bytes_received = 0;
   uint64_t wire_frames_sent = 0;
+  uint64_t wire_frames_received = 0;
   /// Ring epoch the cluster was at when the query finished: 0 until the
   /// first membership change, then monotone. Lets a post-mortem split a
   /// drill's records into before/during/after a migration.

@@ -30,4 +30,18 @@ Micros RequestTrace::StageDuration(Stage stage) const {
   return 0.0;
 }
 
+RequestTrace::ReplySplit RequestTrace::SlaveToMasterSplit() const {
+  // A record without reply stamps (zero) charges the whole stage to the
+  // fold, the one step every path has.
+  const Micros encoded = reply_encoded > 0.0 ? reply_encoded : db_end;
+  const Micros dequeued = reply_dequeued > 0.0 ? reply_dequeued : encoded;
+  const Micros decoded = reply_decoded > 0.0 ? reply_decoded : dequeued;
+  ReplySplit split;
+  split.encode = encoded - db_end;
+  split.residency = dequeued - encoded;
+  split.decode = decoded - dequeued;
+  split.fold = completed - decoded;
+  return split;
+}
+
 }  // namespace kvscale

@@ -1,13 +1,18 @@
 #include "wire/buffer.hpp"
 
+#include <algorithm>
+
 namespace kvscale {
 
 void WireBuffer::WriteVarint(uint64_t v) {
+  uint8_t bytes[10];
+  size_t n = 0;
   while (v >= 0x80) {
-    WriteU8(static_cast<uint8_t>(v) | 0x80);
+    bytes[n++] = static_cast<uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  WriteU8(static_cast<uint8_t>(v));
+  bytes[n++] = static_cast<uint8_t>(v);
+  WriteRaw(bytes, n);
 }
 
 void WireBuffer::WriteZigZag(int64_t v) {
@@ -32,20 +37,21 @@ uint64_t WireReader::ReadU64() { return ReadRaw<uint64_t>(); }
 double WireReader::ReadF64() { return ReadRaw<double>(); }
 
 uint64_t WireReader::ReadVarint() {
+  // At most ten bytes: a longer encoding is over-long, a shorter run of
+  // continuation bytes at the end is truncated — both fail.
+  const size_t avail = ok_ ? std::min<size_t>(data_.size() - pos_, 10) : 0;
+  const std::byte* p = data_.data() + pos_;
   uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (shift >= 64) {  // over-long encoding
-      ok_ = false;
-      return 0;
+  for (size_t i = 0; i < avail; ++i) {
+    const auto b = static_cast<uint8_t>(p[i]);
+    v |= static_cast<uint64_t>(b & 0x7f) << (7 * i);
+    if ((b & 0x80) == 0) {
+      pos_ += i + 1;
+      return v;
     }
-    const uint8_t b = ReadU8();
-    if (!ok_) return 0;
-    v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
   }
-  return v;
+  ok_ = false;
+  return 0;
 }
 
 int64_t WireReader::ReadZigZag() {
@@ -68,6 +74,14 @@ std::vector<std::byte> WireReader::ReadBytes() {
                              data_.begin() + static_cast<ptrdiff_t>(pos_ + len));
   pos_ += len;
   return out;
+}
+
+std::span<const std::byte> WireReader::ReadBytesView() {
+  const uint64_t len = ReadVarint();
+  if (!Ensure(len)) return {};
+  const auto view = data_.subspan(pos_, len);
+  pos_ += len;
+  return view;
 }
 
 Status WireReader::status() const {

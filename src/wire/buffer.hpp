@@ -70,6 +70,9 @@ class WireReader {
   int64_t ReadZigZag();
   std::string ReadString();
   std::vector<std::byte> ReadBytes();
+  /// Like ReadBytes, but a view into the reader's data instead of a copy
+  /// (empty once the reader has failed).
+  std::span<const std::byte> ReadBytesView();
 
   /// True while no decode error has occurred.
   bool ok() const { return ok_; }

@@ -18,6 +18,7 @@
 // presents each field as visitor.Field("name", member).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -296,6 +297,9 @@ class CompactCodec {
     void Field(std::string_view, std::vector<uint64_t>& v) {
       const uint64_t len = in.ReadVarint();
       v.clear();
+      // Every element takes at least one byte: never reserve past what
+      // is present.
+      v.reserve(static_cast<size_t>(std::min<uint64_t>(len, in.remaining())));
       for (uint64_t i = 0; i < len && in.ok(); ++i)
         v.push_back(in.ReadVarint());
     }

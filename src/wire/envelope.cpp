@@ -1,6 +1,9 @@
 #include "wire/envelope.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace kvscale {
@@ -22,21 +25,37 @@ Result<WireCodecKind> ParseWireCodec(std::string_view name) {
                                  "' (expected tagged|compact)");
 }
 
-void EncodeFrame(WireCodecKind codec, uint64_t query_id, uint8_t trace_flags,
-                 std::span<const uint32_t> sub_ids,
-                 std::span<const uint32_t> attempts,
-                 std::span<const WireBuffer> items, WireBuffer& out) {
+namespace {
+
+void WriteFrameHeader(WireCodecKind codec, uint64_t query_id,
+                      uint8_t trace_flags, size_t count, WireBuffer& out) {
   out.WriteU16(kFrameMagic);
   out.WriteU8(kFrameVersion);
   out.WriteU8(static_cast<uint8_t>(codec));
   out.WriteU8(trace_flags);
   out.WriteVarint(query_id);
-  out.WriteVarint(items.size());
+  out.WriteVarint(count);
+}
+
+void WriteFrameItem(uint32_t sub_id, uint32_t attempt,
+                    std::span<const std::byte> payload, WireBuffer& out) {
+  out.WriteVarint(sub_id);
+  out.WriteVarint(attempt);
+  // WriteBytes emits the varint length prefix itself.
+  out.WriteBytes(payload);
+}
+
+}  // namespace
+
+void EncodeFrame(WireCodecKind codec, uint64_t query_id, uint8_t trace_flags,
+                 std::span<const uint32_t> sub_ids,
+                 std::span<const uint32_t> attempts,
+                 std::span<const WireBuffer> items, WireBuffer& out) {
+  WriteFrameHeader(codec, query_id, trace_flags, items.size(), out);
   for (size_t i = 0; i < items.size(); ++i) {
-    out.WriteVarint(i < sub_ids.size() ? sub_ids[i] : 0);
-    out.WriteVarint(i < attempts.size() ? attempts[i] : 0);
-    // WriteBytes emits the varint length prefix itself.
-    out.WriteBytes(items[i].data());
+    WriteFrameItem(i < sub_ids.size() ? sub_ids[i] : 0,
+                   i < attempts.size() ? attempts[i] : 0, items[i].data(),
+                   out);
   }
 }
 
@@ -107,8 +126,9 @@ Result<FrameParts> SplitFrame(std::span<const std::byte> frame,
     item.attempt = static_cast<uint32_t>(attempt);
     item.payload = frame.subspan(offset, static_cast<size_t>(length));
     parts.items.push_back(item);
-    // Skip over the payload without copying it.
-    for (uint64_t skipped = 0; skipped < length; ++skipped) r.ReadU8();
+    // Skip over the payload without copying it: the reader continues on
+    // the rest of the frame.
+    r = WireReader(frame.subspan(offset + static_cast<size_t>(length)));
   }
   if (!r.AtEnd()) return Status::Corruption("frame: trailing bytes");
   return parts;
@@ -118,14 +138,15 @@ void EncodeSubQueryBatch(std::span<const SubQueryRequest> requests,
                          std::span<const uint32_t> attempts,
                          uint8_t trace_flags, WireCodecKind kind,
                          const CompactCodec& registry, WireBuffer& out) {
-  std::vector<WireBuffer> items(requests.size());
-  std::vector<uint32_t> sub_ids(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EncodeWith(kind, registry, requests[i], items[i]);
-    sub_ids[i] = requests[i].sub_id;
-  }
   const uint64_t query_id = requests.empty() ? 0 : requests[0].query_id;
-  EncodeFrame(kind, query_id, trace_flags, sub_ids, attempts, items, out);
+  WriteFrameHeader(kind, query_id, trace_flags, requests.size(), out);
+  WireBuffer item;  // one request's encoding, reused across the batch
+  for (size_t i = 0; i < requests.size(); ++i) {
+    item.clear();
+    EncodeWith(kind, registry, requests[i], item);
+    WriteFrameItem(requests[i].sub_id, i < attempts.size() ? attempts[i] : 0,
+                   item.data(), out);
+  }
 }
 
 Result<DecodedSubQueryBatch> DecodeSubQueryBatch(
@@ -142,6 +163,7 @@ Result<DecodedSubQueryBatch> DecodeSubQueryBatch(
   batch.requests.reserve(split.value().items.size());
   batch.attempts.reserve(split.value().items.size());
   std::unordered_set<uint32_t> seen_sub_ids;
+  seen_sub_ids.reserve(split.value().items.size());
   for (const FrameItem& item : split.value().items) {
     auto decoded = DecodeWith<SubQueryRequest>(kind, registry, item.payload);
     if (!decoded.ok()) return decoded.status();
@@ -170,45 +192,217 @@ Result<DecodedSubQueryBatch> DecodeSubQueryBatch(
   return batch;
 }
 
+namespace {
+
+/// The one payload of a single-item frame, with its envelope context.
+struct SingleItem {
+  uint64_t query_id = 0;
+  uint8_t trace_flags = 0;
+  FrameItem item;
+};
+
+Result<SingleItem> SplitSingleItem(std::span<const std::byte> frame,
+                                   WireCodecKind kind, std::string_view what) {
+  auto split = SplitFrame(frame, kind);
+  if (!split.ok()) return split.status();
+  if (split.value().items.size() != 1) {
+    return Status::Corruption(std::string(what) +
+                              ": expected exactly one payload");
+  }
+  return SingleItem{split.value().query_id, split.value().trace_flags,
+                    split.value().items.front()};
+}
+
+/// Decodes a reply frame's batch and checks everything that does not
+/// depend on the request it answers: envelope/payload agreement, at
+/// least one item, parallel columns, result offsets.
+Result<SubQueryReplyBatch> DecodeReplyBatchPayload(
+    const SingleItem& single, WireCodecKind kind,
+    const CompactCodec& registry) {
+  auto decoded =
+      DecodeWith<SubQueryReplyBatch>(kind, registry, single.item.payload);
+  if (!decoded.ok()) return decoded.status();
+  const SubQueryReplyBatch& batch = decoded.value();
+  if (batch.query_id != single.query_id) {
+    return Status::Corruption("reply frame: payload query_id " +
+                              std::to_string(batch.query_id) +
+                              " disagrees with the envelope's " +
+                              std::to_string(single.query_id));
+  }
+  const size_t n = batch.sub_ids.size();
+  if (n == 0) return Status::Corruption("reply frame: no items");
+  if (batch.attempts.size() != n || batch.statuses.size() != n ||
+      batch.db_start_ns.size() != n || batch.db_end_ns.size() != n ||
+      batch.a_ends.size() != n || batch.b_ends.size() != n ||
+      batch.checksums.size() != n) {
+    return Status::Corruption("reply frame: item columns disagree on length");
+  }
+  if (batch.sub_ids[0] != single.item.sub_id ||
+      batch.attempts[0] != single.item.attempt) {
+    return Status::Corruption(
+        "reply frame: payload sub_id/attempt " +
+        std::to_string(batch.sub_ids[0]) + "/" +
+        std::to_string(batch.attempts[0]) + " disagree with the envelope's " +
+        std::to_string(single.item.sub_id) + "/" +
+        std::to_string(single.item.attempt));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t a_begin = i == 0 ? 0 : batch.a_ends[i - 1];
+    const uint64_t b_begin = i == 0 ? 0 : batch.b_ends[i - 1];
+    if (batch.a_ends[i] < a_begin || batch.b_ends[i] < b_begin) {
+      return Status::Corruption("reply frame: result offsets go backwards");
+    }
+    if (batch.db_end_ns[i] < batch.db_start_ns[i]) {
+      return Status::Corruption("reply frame: item stamps go backwards");
+    }
+    if (batch.sub_ids[i] > std::numeric_limits<uint32_t>::max() ||
+        batch.attempts[i] > std::numeric_limits<uint32_t>::max()) {
+      return Status::Corruption("reply frame: item id out of range");
+    }
+  }
+  if (batch.a_ends.back() != batch.col_a.size() ||
+      batch.b_ends.back() != batch.col_b.size()) {
+    return Status::Corruption("reply frame: result offsets overrun");
+  }
+  return decoded;
+}
+
+}  // namespace
+
+std::span<const uint64_t> DecodedReplyBatch::col_a(size_t item) const {
+  const uint64_t begin = item == 0 ? 0 : batch.a_ends[item - 1];
+  return std::span<const uint64_t>(batch.col_a)
+      .subspan(begin, batch.a_ends[item] - begin);
+}
+
+std::span<const uint64_t> DecodedReplyBatch::col_b(size_t item) const {
+  const uint64_t begin = item == 0 ? 0 : batch.b_ends[item - 1];
+  return std::span<const uint64_t>(batch.col_b)
+      .subspan(begin, batch.b_ends[item] - begin);
+}
+
+void EncodeReplyBatchFrame(const SubQueryReplyBatch& batch,
+                           uint8_t trace_flags, WireCodecKind kind,
+                           const CompactCodec& registry, WireBuffer& out) {
+  KV_CHECK(!batch.sub_ids.empty() && !batch.attempts.empty());
+  WireBuffer payload;
+  EncodeWith(kind, registry, batch, payload);
+  WriteFrameHeader(kind, batch.query_id, trace_flags, 1, out);
+  WriteFrameItem(static_cast<uint32_t>(batch.sub_ids[0]),
+                 static_cast<uint32_t>(batch.attempts[0]), payload.data(),
+                 out);
+}
+
+Result<DecodedReplyBatch> DecodeReplyBatchFrame(
+    std::span<const std::byte> frame, WireCodecKind kind,
+    const CompactCodec& registry, uint64_t expected_query_id,
+    std::span<const uint32_t> sub_ids, std::span<const uint32_t> attempts) {
+  KV_CHECK(sub_ids.size() == attempts.size());
+  auto single = SplitSingleItem(frame, kind, "reply frame");
+  if (!single.ok()) return single.status();
+  auto decoded = DecodeReplyBatchPayload(single.value(), kind, registry);
+  if (!decoded.ok()) return decoded.status();
+  DecodedReplyBatch out;
+  out.trace_flags = single.value().trace_flags;
+  out.batch = std::move(decoded).value();
+  const SubQueryReplyBatch& batch = out.batch;
+  if (batch.query_id != expected_query_id) {
+    return Status::Corruption(
+        "reply frame: demux mismatch (reply names query " +
+        std::to_string(batch.query_id) + ", channel belongs to " +
+        std::to_string(expected_query_id) + ")");
+  }
+  const size_t n = batch.sub_ids.size();
+  if (n > sub_ids.size()) {
+    return Status::Corruption("reply frame: " + std::to_string(n) +
+                              " items answer a request of " +
+                              std::to_string(sub_ids.size()));
+  }
+  out.slot.assign(sub_ids.size(), DecodedReplyBatch::kAbsent);
+  // Nodes answer in request order, so item i usually answers request
+  // item i; anything else is looked up.
+  std::unordered_map<uint32_t, uint32_t> position;
+  for (size_t i = 0; i < n; ++i) {
+    const auto sub_id = static_cast<uint32_t>(batch.sub_ids[i]);
+    size_t at = i;
+    if (sub_ids[i] != sub_id) {
+      if (position.empty()) {
+        for (size_t k = 0; k < sub_ids.size(); ++k) {
+          position.emplace(sub_ids[k], static_cast<uint32_t>(k));
+        }
+      }
+      const auto it = position.find(sub_id);
+      if (it == position.end()) {
+        return Status::Corruption("reply frame: sub_id " +
+                                  std::to_string(sub_id) +
+                                  " is not in the request frame");
+      }
+      at = it->second;
+    }
+    if (out.slot[at] != DecodedReplyBatch::kAbsent) {
+      return Status::Corruption("reply frame: duplicate sub_id " +
+                                std::to_string(sub_id));
+    }
+    if (batch.attempts[i] != attempts[at]) {
+      return Status::Corruption(
+          "reply frame: sub_id " + std::to_string(sub_id) + " answers attempt " +
+          std::to_string(batch.attempts[i]) + ", the request sent " +
+          std::to_string(attempts[at]));
+    }
+    out.slot[at] = static_cast<uint32_t>(i);
+  }
+  out.intact.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    out.intact[i] = ReplyItemChecksum(batch, i) == batch.checksums[i] ? 1 : 0;
+  }
+  return out;
+}
+
 void EncodeReplyFrame(const SubQueryReply& reply, uint32_t attempt,
                       uint8_t trace_flags, WireCodecKind kind,
                       const CompactCodec& registry, WireBuffer& out) {
-  std::vector<WireBuffer> items(1);
-  EncodeWith(kind, registry, reply, items[0]);
-  const uint32_t sub_id = reply.sub_id;
-  EncodeFrame(kind, reply.query_id, trace_flags,
-              std::span<const uint32_t>(&sub_id, 1),
-              std::span<const uint32_t>(&attempt, 1), items, out);
+  SubQueryReplyBatch batch;
+  batch.query_id = reply.query_id;
+  batch.node = reply.node;
+  batch.sub_ids = {reply.sub_id};
+  batch.attempts = {attempt};
+  batch.statuses = {reply.status};
+  batch.db_start_ns = {0};
+  batch.db_end_ns = {static_cast<uint64_t>(
+      std::llround(std::max(reply.db_micros, 0.0) * 1000.0))};
+  batch.a_ends = {reply.type_ids.size()};
+  batch.b_ends = {reply.counts.size()};
+  batch.col_a = reply.type_ids;
+  batch.col_b = reply.counts;
+  batch.checksums = {ReplyItemChecksum(batch, 0)};
+  EncodeReplyBatchFrame(batch, trace_flags, kind, registry, out);
 }
 
 Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
                                            WireCodecKind kind,
                                            const CompactCodec& registry) {
-  auto split = SplitFrame(frame, kind);
-  if (!split.ok()) return split.status();
-  if (split.value().items.size() != 1) {
-    return Status::Corruption("reply frame: expected exactly one payload");
-  }
-  const FrameItem& item = split.value().items.front();
-  auto decoded = DecodeWith<SubQueryReply>(kind, registry, item.payload);
+  auto single = SplitSingleItem(frame, kind, "reply frame");
+  if (!single.ok()) return single.status();
+  auto decoded = DecodeReplyBatchPayload(single.value(), kind, registry);
   if (!decoded.ok()) return decoded.status();
-  if (decoded.value().query_id != split.value().query_id) {
-    return Status::Corruption(
-        "reply frame: payload query_id " +
-        std::to_string(decoded.value().query_id) +
-        " disagrees with the envelope's " +
-        std::to_string(split.value().query_id));
+  SubQueryReplyBatch& batch = decoded.value();
+  if (batch.sub_ids.size() != 1) {
+    return Status::Corruption("reply frame: expected exactly one reply");
   }
-  if (decoded.value().sub_id != item.sub_id) {
-    return Status::Corruption(
-        "reply frame: payload sub_id " +
-        std::to_string(decoded.value().sub_id) +
-        " disagrees with the envelope's " + std::to_string(item.sub_id));
+  if (ReplyItemChecksum(batch, 0) != batch.checksums[0]) {
+    return Status::Corruption("reply frame: item checksum mismatch");
   }
   DecodedReplyFrame out;
-  out.trace_flags = split.value().trace_flags;
-  out.attempt = item.attempt;
-  out.reply = std::move(decoded).value();
+  out.trace_flags = single.value().trace_flags;
+  out.attempt = static_cast<uint32_t>(batch.attempts[0]);
+  out.reply.query_id = batch.query_id;
+  out.reply.sub_id = static_cast<uint32_t>(batch.sub_ids[0]);
+  out.reply.node = batch.node;
+  out.reply.status = static_cast<uint32_t>(batch.statuses[0]);
+  out.reply.type_ids = std::move(batch.col_a);
+  out.reply.counts = std::move(batch.col_b);
+  out.reply.db_micros =
+      static_cast<double>(batch.db_end_ns[0] - batch.db_start_ns[0]) / 1000.0;
   return out;
 }
 

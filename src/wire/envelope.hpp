@@ -23,6 +23,11 @@
 // decoded payloads — a frame whose wire metadata disagrees with its
 // contents is kCorruption, exactly like a bad length prefix.
 //
+// A reply frame carries one SubQueryReplyBatch item: the answers to the
+// sub-queries of one request frame as parallel columns, each with its own
+// checksum, so a damaged answer fails over alone while a damaged envelope
+// fails over the whole frame.
+//
 // Frame layout (version 2):
 //   [u16 magic 0xFAB1][u8 version][u8 codec][u8 trace_flags]
 //   [varint query_id][varint count]
@@ -164,6 +169,47 @@ Result<DecodedSubQueryBatch> DecodeSubQueryBatch(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry);
 
+/// Encodes a SubQueryReplyBatch as a reply frame: one envelope item
+/// carrying the whole batch, named by the batch's first sub-query id and
+/// attempt (the envelope/payload agreement the decoders check).
+void EncodeReplyBatchFrame(const SubQueryReplyBatch& batch,
+                           uint8_t trace_flags, WireCodecKind kind,
+                           const CompactCodec& registry, WireBuffer& out);
+
+/// A decoded and validated reply frame, checked against the request
+/// frame it answers.
+struct DecodedReplyBatch {
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  uint8_t trace_flags = 0;
+  SubQueryReplyBatch batch;
+  /// Parallel to the request items the decode was checked against: the
+  /// index of each one's answer in `batch`, or kAbsent when this frame
+  /// does not answer it.
+  std::vector<uint32_t> slot;
+  /// Parallel to `batch`'s items: 1 when the item's checksum matched. A
+  /// damaged item fails on its own; its siblings stay usable.
+  std::vector<uint8_t> intact;
+
+  /// Item `item`'s result columns, viewed in place.
+  std::span<const uint64_t> col_a(size_t item) const;
+  std::span<const uint64_t> col_b(size_t item) const;
+};
+
+/// Decodes a reply frame and validates it against the request frame it
+/// answers: `sub_ids` / `attempts` are that request's items. Beyond the
+/// envelope and payload checks (query_id agreement with the envelope and
+/// with `expected_query_id`, parallel columns of equal length, result
+/// offsets that fit the columns), the frame must hold at least one and
+/// at most sub_ids.size() items, each a sub-query of the request with
+/// the request's attempt for it, none twice. Any violation is
+/// kCorruption for the whole frame. Per-item checksums are reported in
+/// `intact`, not as an error.
+Result<DecodedReplyBatch> DecodeReplyBatchFrame(
+    std::span<const std::byte> frame, WireCodecKind kind,
+    const CompactCodec& registry, uint64_t expected_query_id,
+    std::span<const uint32_t> sub_ids, std::span<const uint32_t> attempts);
+
 /// A decoded and validated single-reply frame with its envelope context.
 struct DecodedReplyFrame {
   uint8_t trace_flags = 0;
@@ -171,17 +217,17 @@ struct DecodedReplyFrame {
   SubQueryReply reply;
 };
 
-/// Encodes one SubQueryReply as a single-item frame. The envelope echoes
-/// the reply's query_id/sub_id plus the request's attempt ordinal and
-/// trace flags, so the master can re-link the reply without trusting the
-/// payload alone.
+/// Encodes one SubQueryReply as a reply frame holding a batch of one:
+/// `attempt` is the request's attempt ordinal and db_micros becomes the
+/// item's store stamps (0 .. db_micros).
 void EncodeReplyFrame(const SubQueryReply& reply, uint32_t attempt,
                       uint8_t trace_flags, WireCodecKind kind,
                       const CompactCodec& registry, WireBuffer& out);
 
-/// Decodes a single-item reply frame (kCorruption on anything malformed,
-/// including a frame holding more than one payload or an envelope whose
-/// query_id/sub_id disagree with the decoded reply's).
+/// Decodes a reply frame holding exactly one reply (kCorruption on
+/// anything malformed, on a frame of more than one item, on a failed
+/// item checksum, or on an envelope whose query_id/sub_id disagree with
+/// the decoded reply's).
 Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
                                            WireCodecKind kind,
                                            const CompactCodec& registry);

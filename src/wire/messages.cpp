@@ -15,6 +15,7 @@ void RegisterClusterMessages(CompactCodec& codec) {
   codec.Register<MigrationDone>();
   codec.Register<WriteBatch>();
   codec.Register<WriteReply>();
+  codec.Register<SubQueryReplyBatch>();
 }
 
 uint64_t MigrationBlockChecksum(const std::vector<std::string>& payloads) {
@@ -33,6 +34,26 @@ uint64_t MigrationBlockChecksum(const std::vector<std::string>& payloads) {
     }
     for (const char c : payload) mix(static_cast<unsigned char>(c));
   }
+  return h;
+}
+
+uint64_t ReplyItemChecksum(const SubQueryReplyBatch& batch, size_t item) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t word) {
+    h ^= word;
+    h *= 0x100000001b3ULL;
+  };
+  mix(batch.sub_ids[item]);
+  mix(batch.attempts[item]);
+  mix(batch.statuses[item]);
+  mix(batch.db_start_ns[item]);
+  mix(batch.db_end_ns[item]);
+  const uint64_t a_begin = item == 0 ? 0 : batch.a_ends[item - 1];
+  const uint64_t b_begin = item == 0 ? 0 : batch.b_ends[item - 1];
+  mix(batch.a_ends[item] - a_begin);
+  for (uint64_t k = a_begin; k < batch.a_ends[item]; ++k) mix(batch.col_a[k]);
+  mix(batch.b_ends[item] - b_begin);
+  for (uint64_t k = b_begin; k < batch.b_ends[item]; ++k) mix(batch.col_b[k]);
   return h;
 }
 

@@ -115,6 +115,48 @@ struct SubQueryReply {
   }
 };
 
+/// Slave -> master: the answers to one SubQueryBatch frame, or to the
+/// part of it that fit under the node's reply byte bound, as parallel
+/// columns. Item i is (sub_ids[i], attempts[i], statuses[i], its store
+/// stamps db_start_ns[i] / db_end_ns[i] on the serving runtime's clock,
+/// and its paired result columns col_a[a_ends[i-1], a_ends[i]) and
+/// col_b[b_ends[i-1], b_ends[i]) with the meaning SubQueryReply gives
+/// them). checksums[i] is ReplyItemChecksum of item i, so one damaged
+/// item is caught — and failed over — on its own while its siblings
+/// fold. A single reply travels as a batch of one.
+struct SubQueryReplyBatch {
+  static constexpr std::string_view kTypeName = "kvscale.SubQueryReplyBatch";
+
+  uint64_t query_id = 0;
+  uint32_t node = 0;                  ///< replica that served every item
+  std::vector<uint64_t> sub_ids;
+  std::vector<uint64_t> attempts;
+  std::vector<uint64_t> statuses;     ///< StatusCode per item
+  std::vector<uint64_t> db_start_ns;
+  std::vector<uint64_t> db_end_ns;
+  std::vector<uint64_t> a_ends;       ///< cumulative end of each item in col_a
+  std::vector<uint64_t> b_ends;       ///< cumulative end of each item in col_b
+  std::vector<uint64_t> col_a;
+  std::vector<uint64_t> col_b;
+  std::vector<uint64_t> checksums;    ///< ReplyItemChecksum per item
+
+  template <typename V>
+  void Visit(V&& v) {
+    v.Field("query_id", query_id);
+    v.Field("node", node);
+    v.Field("sub_ids", sub_ids);
+    v.Field("attempts", attempts);
+    v.Field("statuses", statuses);
+    v.Field("db_start_ns", db_start_ns);
+    v.Field("db_end_ns", db_end_ns);
+    v.Field("a_ends", a_ends);
+    v.Field("b_ends", b_ends);
+    v.Field("col_a", col_a);
+    v.Field("col_b", col_b);
+    v.Field("checksums", checksums);
+  }
+};
+
 /// Master -> all slaves: a query is starting.
 struct QueryAnnounce {
   static constexpr std::string_view kTypeName = "kvscale.QueryAnnounce";
@@ -328,6 +370,11 @@ struct WriteReply {
 /// and the verifier can never disagree on the recipe. WriteBatch reuses
 /// the same recipe over its payload vector.
 uint64_t MigrationBlockChecksum(const std::vector<std::string>& payloads);
+
+/// The checksum of item `item` of a SubQueryReplyBatch whose parallel
+/// columns are consistent: FNV-1a over its id, attempt, status, stamps
+/// and result columns, one 64-bit word at a time.
+uint64_t ReplyItemChecksum(const SubQueryReplyBatch& batch, size_t item);
 
 /// Registers the whole message set with a CompactCodec instance; both
 /// peers must call this so type ids agree.

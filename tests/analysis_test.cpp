@@ -115,6 +115,13 @@ TEST(KvscaleAnalysis, WireDriftFindsVisitAndCodecDrift) {
   EXPECT_TRUE(AnyMessageContains(findings, "OrderRequest (order_request)"));
 }
 
+TEST(KvscaleAnalysis, WireDriftFindsAnUngatedReplyBatch) {
+  const auto findings = AnalyzeWireDrift(Fixture("wire_reply_gate"));
+  ASSERT_EQ(findings.size(), 1u) << FindingsJson(findings);
+  EXPECT_EQ(findings[0].rule, "wire-reply-gate");
+  EXPECT_TRUE(AnyMessageContains(findings, "ReplyItemChecksum"));
+}
+
 TEST(KvscaleAnalysis, WireDriftFindsOperatorGaps) {
   const auto findings = AnalyzeWireDrift(Fixture("wire_operator"));
   const auto counts = CountByRule(findings);

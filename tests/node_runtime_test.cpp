@@ -4,6 +4,7 @@
 // sheds, in-flight reply corruption, and the real four-stage timestamps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <latch>
 #include <span>
 #include <string>
@@ -12,6 +13,7 @@
 
 #include "cluster/in_process_cluster.hpp"
 #include "cluster/node_runtime.hpp"
+#include "fault/fault_injector.hpp"
 #include "store/row.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "trace/stage_trace.hpp"
@@ -149,17 +151,22 @@ TEST(NodeRuntimeTest, DispatchRoundTripsOneSubQuery) {
   EXPECT_EQ(reply.sub_id, 7u);
   EXPECT_TRUE(reply.served);
   EXPECT_EQ(reply.code, StatusCode::kOk);
-  ASSERT_EQ(reply.columns.col_a.size(), 1u);
-  EXPECT_EQ(reply.columns.col_a[0], 3u);
-  EXPECT_EQ(reply.columns.col_b[0], 11u);
+  ASSERT_EQ(reply.col_a().size(), 1u);
+  EXPECT_EQ(reply.col_a()[0], 3u);
+  EXPECT_EQ(reply.col_b()[0], 11u);
   EXPECT_EQ(reply.probe.columns_returned, 11u);
   // The five timestamps delimit the paper's four stages in order.
   EXPECT_LE(reply.issued_us, reply.received_us);
   EXPECT_LE(reply.received_us, reply.db_start_us);
   EXPECT_LE(reply.db_start_us, reply.db_end_us);
+  // The reply path's stamps continue the order.
+  EXPECT_LE(reply.db_end_us, reply.reply_encoded_us);
+  EXPECT_LE(reply.reply_encoded_us, reply.reply_dequeued_us);
+  EXPECT_LE(reply.reply_dequeued_us, reply.reply_decoded_us);
 
   const NodeRuntime::WireStats wire = runtime.wire_stats();
   EXPECT_EQ(wire.frames_sent, 1u);
+  EXPECT_EQ(wire.frames_received, 1u);
   EXPECT_GT(wire.bytes_sent, 0u);
   EXPECT_GT(wire.bytes_received, 0u);
   // The query's private accounting matches: it was the only traffic.
@@ -169,6 +176,135 @@ TEST(NodeRuntimeTest, DispatchRoundTripsOneSubQuery) {
   EXPECT_EQ(own.bytes_received, wire.bytes_received);
   runtime.EndQuery(42);
   EXPECT_EQ(runtime.inflight_queries(), 0u);
+}
+
+/// Sends `count` sub-queries (keys "p0".."p<count-1>", attempt 0) to
+/// node 0 of `runtime` as one request frame under query `query_id`.
+void DispatchOneFrame(NodeRuntime& runtime, uint64_t query_id, size_t count) {
+  std::vector<SubQueryRequest> requests(count);
+  for (size_t i = 0; i < count; ++i) {
+    requests[i].query_id = query_id;
+    requests[i].sub_id = static_cast<uint32_t>(i);
+    requests[i].table = "t";
+    requests[i].partition_key = "p" + std::to_string(i);
+    requests[i].expected_elements = static_cast<uint32_t>(i);
+  }
+  const std::vector<uint32_t> attempts(count, 0);
+  const std::vector<Micros> extras(count, 0.0);
+  ASSERT_TRUE(runtime.Dispatch(query_id, 0, requests, attempts, extras).ok());
+}
+
+/// Answers sub-query i with `width` rows (i, i + k).
+SubQueryHandler WideHandler(size_t width) {
+  return [width](uint32_t, const SubQueryRequest& req,
+                 ReadProbe*) -> Result<OperatorResult> {
+    OperatorResult out;
+    for (size_t k = 0; k < width; ++k) {
+      out.col_a.push_back(req.sub_id);
+      out.col_b.push_back(req.sub_id + k);
+    }
+    return out;
+  };
+}
+
+TEST(NodeRuntimeTest, OneRequestFrameIsAnsweredByOneReplyFrame) {
+  CompactCodec registry;
+  RegisterClusterMessages(registry);
+  NodeRuntime runtime(1, NodeRuntimeOptions{}, WideHandler(2), registry,
+                      nullptr, nullptr, nullptr);
+  ASSERT_TRUE(runtime.BeginQuery(5, NodeRuntime::QueryOptions{}).ok());
+  DispatchOneFrame(runtime, 5, 50);
+  std::vector<bool> seen(50, false);
+  for (size_t i = 0; i < 50; ++i) {
+    const TransportReply reply = runtime.Await(5);
+    ASSERT_EQ(reply.code, StatusCode::kOk);
+    ASSERT_LT(reply.sub_id, 50u);
+    seen[reply.sub_id] = true;
+    ASSERT_EQ(reply.col_b().size(), 2u);
+    EXPECT_EQ(reply.col_b()[1], reply.sub_id + 1u);
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 50);
+  EXPECT_EQ(runtime.query_wire_stats(5).frames_received, 1u);
+  runtime.EndQuery(5);
+}
+
+TEST(NodeRuntimeTest, LargeAnswersSplitAtTheReplyByteBound) {
+  CompactCodec registry;
+  RegisterClusterMessages(registry);
+  // Each answer is estimated at 8 bytes per value: 16 answers of this
+  // width need four frames or more.
+  const size_t width = kReplyFrameBytes / 8 / 2 / 4;
+  NodeRuntime runtime(1, NodeRuntimeOptions{}, WideHandler(width), registry,
+                      nullptr, nullptr, nullptr);
+  ASSERT_TRUE(runtime.BeginQuery(6, NodeRuntime::QueryOptions{}).ok());
+  DispatchOneFrame(runtime, 6, 16);
+  for (size_t i = 0; i < 16; ++i) {
+    const TransportReply reply = runtime.Await(6);
+    ASSERT_EQ(reply.code, StatusCode::kOk);
+    ASSERT_EQ(reply.col_a().size(), width);
+    EXPECT_EQ(reply.col_a()[width - 1], reply.sub_id);
+    EXPECT_EQ(reply.col_b()[width - 1], reply.sub_id + width - 1);
+  }
+  const uint64_t frames = runtime.query_wire_stats(6).frames_received;
+  EXPECT_GE(frames, 4u);
+  EXPECT_LE(frames, 16u);
+  runtime.EndQuery(6);
+}
+
+TEST(NodeRuntimeTest, ACorruptedAnswerFailsAloneWhileItsSiblingsArrive) {
+  CompactCodec registry;
+  RegisterClusterMessages(registry);
+  FaultConfig config;
+  config.seed = 99;
+  config.reply_corrupt_rate = 0.3;
+  FaultInjector injector(config);
+  // The same seed predicts the injector's per-answer verdicts.
+  const FaultInjector oracle(config);
+  NodeRuntime runtime(1, NodeRuntimeOptions{}, WideHandler(3), registry,
+                      &injector, nullptr, nullptr);
+  ASSERT_TRUE(runtime.BeginQuery(7, NodeRuntime::QueryOptions{}).ok());
+  DispatchOneFrame(runtime, 7, 40);
+  size_t corrupted = 0;
+  for (size_t i = 0; i < 40; ++i) {
+    const TransportReply reply = runtime.Await(7);
+    const bool damaged = oracle.ShouldCorruptReply(
+        0, "p" + std::to_string(reply.sub_id), 0);
+    if (damaged) {
+      ++corrupted;
+      EXPECT_EQ(reply.code, StatusCode::kCorruption) << reply.sub_id;
+    } else {
+      ASSERT_EQ(reply.code, StatusCode::kOk) << reply.sub_id;
+      EXPECT_EQ(reply.col_b().size(), 3u);
+    }
+  }
+  EXPECT_GT(corrupted, 0u);
+  EXPECT_LT(corrupted, 40u);
+  EXPECT_EQ(injector.corrupted_replies(), corrupted);
+  EXPECT_EQ(runtime.query_wire_stats(7).frames_received, 1u);
+  runtime.EndQuery(7);
+}
+
+TEST(NodeRuntimeTest, ACorruptedEnvelopeFailsEveryAnswerInTheFrame) {
+  CompactCodec registry;
+  RegisterClusterMessages(registry);
+  FaultConfig config;
+  config.reply_frame_corrupt_rate = 1.0;
+  FaultInjector injector(config);
+  NodeRuntime runtime(1, NodeRuntimeOptions{}, WideHandler(1), registry,
+                      &injector, nullptr, nullptr);
+  ASSERT_TRUE(runtime.BeginQuery(8, NodeRuntime::QueryOptions{}).ok());
+  DispatchOneFrame(runtime, 8, 12);
+  std::vector<bool> seen(12, false);
+  for (size_t i = 0; i < 12; ++i) {
+    const TransportReply reply = runtime.Await(8);
+    EXPECT_EQ(reply.code, StatusCode::kCorruption);
+    EXPECT_TRUE(reply.served);  // the store did the work; the wire lost it
+    ASSERT_LT(reply.sub_id, 12u);
+    seen[reply.sub_id] = true;
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 12);
+  EXPECT_EQ(injector.corrupted_reply_frames(), 1u);
+  runtime.EndQuery(8);
 }
 
 TEST(NodeRuntimeTest, RejectPolicyShedsWhenQueueAndWorkerAreBusy) {
@@ -458,6 +594,38 @@ TEST(MessageGatherTest, CorruptedRepliesAreDetectedAndFailedOver) {
   EXPECT_EQ(injector.corrupted_replies(), before);
 }
 
+TEST(MessageGatherTest, ItemAndEnvelopeCorruptionKeepTheAccountingIdentity) {
+  InProcessCluster cluster(3, PlacementKind::kDhtRandom, StoreOptions{}, 7,
+                           2);
+  TypeCounts truth;
+  const WorkloadSpec workload = LoadUniform(cluster, 60, 8, &truth);
+  cluster.FlushAll();
+  for (const bool envelope : {false, true}) {
+    FaultConfig config;
+    config.seed = 777;
+    // Far fewer frames than answers: the envelope rate is set higher.
+    (envelope ? config.reply_frame_corrupt_rate : config.reply_corrupt_rate) =
+        envelope ? 0.5 : 0.3;
+    FaultInjector injector(config);
+    cluster.AttachFaultInjector(&injector);
+    GatherOptions options;
+    options.transport = GatherTransport::kMessage;
+    options.batch = true;
+    options.max_attempts = 8;
+    const GatherResult result = cluster.CountByTypeAll(workload, options);
+    const std::string label = envelope ? "envelope" : "item";
+    EXPECT_GT(envelope ? injector.corrupted_reply_frames()
+                       : injector.corrupted_replies(),
+              0u)
+        << label;
+    EXPECT_EQ(result.completed + result.failed, result.subqueries) << label;
+    EXPECT_EQ(result.failed, 0u) << label;
+    EXPECT_EQ(result.totals, truth) << label;
+    EXPECT_GT(result.retries, 0u) << label;
+    cluster.AttachFaultInjector(nullptr);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry: stage timestamps and wire instruments
 
@@ -521,8 +689,13 @@ TEST(MessageGatherTest, ExportsWireCountersAndQueueGauges) {
             result.wire_bytes_received);
   EXPECT_EQ(registry.GetCounter("wire.frames.sent").Value(),
             result.wire_frames_sent);
+  EXPECT_EQ(registry.GetCounter("wire.frames.received").Value(),
+            result.wire_frames_received);
+  // One encode per frame, both directions: replies come one frame per
+  // request frame here (tiny answers stay under the byte bound).
+  EXPECT_EQ(result.wire_frames_received, result.wire_frames_sent);
   EXPECT_EQ(registry.GetHistogram("wire.encode.latency_us").Count(),
-            result.wire_frames_sent + result.subqueries);  // + replies
+            result.wire_frames_sent + result.wire_frames_received);
   EXPECT_GT(registry.GetHistogram("wire.decode.latency_us").Count(), 0u);
   EXPECT_GT(registry.GetHistogram("cluster.queue.wait_us").Count(), 0u);
   // The per-node depth gauges exist (drained back to zero by the end).

@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "store/local_store.hpp"
 #include "store/row.hpp"
+#include "store/segment.hpp"
 
 namespace kvscale {
 namespace {
@@ -250,6 +251,141 @@ TEST(StoreConcurrencyTest, HeldBlockHandlesSurviveCompactionCorruptionReloadAndE
   auto view = table.Read("stable", 0, UINT64_MAX);
   ASSERT_TRUE(view.ok());
   EXPECT_TRUE(stable_rows(view.value()));
+}
+
+// Segment images live in anonymous mappings that are unmapped the moment
+// the last owner drops them, and ASan does not watch mapped pages: the
+// lifetime of everything a reader holds must follow ownership. Readers
+// keep ColumnViews of several partitions and re-read them while
+// size-tiered compaction (disjoint keys: the copy-through path) retires
+// and unmaps the segments they came from, corruption damages blocks and
+// snapshot reloads swap every segment out.
+TEST(StoreConcurrencyTest, HeldViewsSurviveSegmentUnmapByCopyThroughCompaction) {
+  constexpr uint64_t kColumns = 200;
+  TableOptions options;
+  options.segment.block_size = 1 * kKiB;
+  options.compaction_min_segments = 4;
+  options.compaction_size_ratio = 4.0;
+  options.auto_flush = false;
+  Table table("t", options, nullptr);
+  for (int p = 0; p < 4; ++p) {
+    for (uint64_t i = 0; i < kColumns; ++i) {
+      table.Put("stable-" + std::to_string(p), MakeColumn(i, i % 3));
+    }
+    table.Flush();  // four segments: the fourth flush merges them
+  }
+  const std::string snapshot =
+      "/tmp/kvscale_unmap_drill_" + std::to_string(::getpid());
+  ASSERT_TRUE(table.SaveSnapshot(snapshot).ok());
+
+  auto stable_rows = [](const ColumnView& view) {
+    uint64_t next = 0;
+    bool same = true;
+    view.ForEach([&](const Column& c) {
+      same = same && c.clustering == next && c.type_id == next % 3 &&
+             c.payload == MakePayload(9, next, 24);
+      ++next;
+      return same;
+    });
+    return same && next == kColumns;
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> wrong{0};
+  std::atomic<uint64_t> held_rereads{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        std::vector<ColumnView> held;
+        for (int p = 0; p < 4; ++p) {
+          auto view = table.Read("stable-" + std::to_string(p), 0, UINT64_MAX);
+          if (!view.ok()) {
+            if (view.status().code() != StatusCode::kCorruption) ++wrong;
+            continue;
+          }
+          held.push_back(std::move(view).value());
+        }
+        // Every key a directory lists is a view into a mapped image.
+        for (const std::string& key : table.PartitionKeys()) {
+          if (key.empty()) ++wrong;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+        for (const ColumnView& view : held) {
+          if (!stable_rows(view)) ++wrong;  // after the segments changed
+        }
+        if (!held.empty()) {
+          held_rereads.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {  // fresh keys each flush: copy-through merges
+    uint64_t i = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      table.Put("fresh-" + std::to_string(i), MakeColumn(i, 1));
+      table.Flush();
+      ++i;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  threads.emplace_back([&] {  // corruption, then a clean reload
+    Rng rng(11);
+    while (!stop.load(std::memory_order_relaxed)) {
+      table.CorruptBlocksForFaultInjection(0.1, rng);
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      if (!table.LoadSnapshot(snapshot).ok()) ++wrong;
+      std::this_thread::sleep_for(std::chrono::microseconds(700));
+    }
+  });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (held_rereads.load() < 200 && wrong.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop = true;
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(held_rereads.load(), 0u);
+  EXPECT_GT(table.auto_compactions(), 0u);
+  std::remove(snapshot.c_str());
+}
+
+// Directory key views point into a segment's image: they are valid for
+// as long as the reader holds the segment. Threads each take their own
+// reference and walk keys and blocks while the others drop theirs; the
+// image is unmapped by whichever drop is last.
+TEST(StoreConcurrencyTest, SegmentKeyViewsLiveAsLongAsTheirOwner) {
+  for (int round = 0; round < 20; ++round) {
+    Memtable memtable;
+    for (int p = 0; p < 64; ++p) {
+      for (uint64_t c = 0; c < 4; ++c) {
+        memtable.Put("key-" + std::to_string(1000 + p), MakeColumn(c, 2));
+      }
+    }
+    auto segment = Segment::Build(memtable, 1, SegmentOptions{});
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 3; ++t) {
+      threads.emplace_back([owned = segment, &wrong] {
+        std::vector<std::string_view> keys;
+        for (const auto& meta : owned->directory()) {
+          keys.push_back(owned->Key(meta));
+        }
+        for (size_t k = 0; k < keys.size(); ++k) {
+          if (keys[k] != "key-" + std::to_string(1000 + k)) ++wrong;
+          auto blocks =
+              owned->ReadBlocks(keys[k], 0, UINT64_MAX, CacheRef{}, nullptr);
+          if (!blocks.ok() || blocks.value().front()->size() != 4) ++wrong;
+        }
+      });
+    }
+    segment.reset();  // the threads' copies keep the image mapped
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(wrong.load(), 0);
+  }
 }
 
 }  // namespace

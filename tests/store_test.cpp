@@ -174,7 +174,7 @@ TEST(SegmentTest, ColumnIndexOnlyAboveThreshold) {
   ASSERT_NE(big_meta, nullptr);
   EXPECT_FALSE(small_meta->has_column_index);
   EXPECT_TRUE(big_meta->has_column_index);
-  EXPECT_EQ(big_meta->column_index.size(), big_meta->block_count);
+  EXPECT_EQ(segment->ColumnIndex(*big_meta).size(), big_meta->block_count);
 }
 
 TEST(SegmentTest, IndexedSliceDecodesFewerBlocks) {
@@ -235,6 +235,87 @@ TEST(SegmentTest, BloomSkipsAbsentPartitions) {
     false_positives += segment->MayContain("nope-" + std::to_string(p));
   }
   EXPECT_LT(false_positives, 2000 * 0.05);
+}
+
+TEST(SegmentTest, FootprintStaysWithin96BytesPerPartition) {
+  // The ingest writer's shape: 17-character keys, 8 small columns each.
+  constexpr size_t kPartitions = 10000;
+  Memtable mt;
+  char key[32];
+  for (size_t p = 0; p < kPartitions; ++p) {
+    std::snprintf(key, sizeof(key), "writer-%010zu", p);
+    for (uint64_t c = 0; c < 8; ++c) mt.Put(key, MakeColumn(c, c % 3));
+  }
+  auto segment = Segment::Build(mt, 1, SegmentOptions{});
+  ASSERT_EQ(segment->partition_count(), kPartitions);
+  EXPECT_LE(segment->footprint_bytes(),
+            segment->encoded_bytes() + 96 * kPartitions);
+  EXPECT_GE(segment->footprint_bytes(), segment->encoded_bytes());
+}
+
+/// Partitions of every shape a copy can meet: one small block, several
+/// indexed blocks, tombstones.
+Memtable MixedMemtable() {
+  Memtable mt;
+  for (uint64_t i = 0; i < 20; ++i) mt.Put("a-small", MakeColumn(i, i % 3));
+  for (uint64_t i = 0; i < 600; ++i) mt.Put("b-big", MakeColumn(i, i % 5));
+  for (uint64_t i = 0; i < 30; ++i) mt.Put("c-graves", MakeColumn(i, 1));
+  for (uint64_t i = 0; i < 30; i += 3) {
+    mt.Put("c-graves", Column::Tombstone(i));
+  }
+  return mt;
+}
+
+std::vector<std::byte> Serialized(const Segment& segment) {
+  WireBuffer out;
+  segment.SerializeTo(out);
+  return {out.data().begin(), out.data().end()};
+}
+
+TEST(SegmentTest, CopyThroughMatchesDecodeAndReencode) {
+  auto source = Segment::Build(MixedMemtable(), 1, SmallBlockOptions());
+  ASSERT_TRUE(source->FindMeta("b-big")->has_column_index);
+  Segment::Writer copied(2, SmallBlockOptions());
+  Segment::Writer reencoded(2, SmallBlockOptions());
+  ASSERT_TRUE(copied.CanCopyFrom(*source));
+  for (const auto& meta : source->directory()) {
+    ASSERT_TRUE(copied.CopyPartition(*source, meta).ok());
+    auto blocks = source->ReadBlocks(meta, 0, UINT64_MAX, CacheRef{}, nullptr);
+    ASSERT_TRUE(blocks.ok());
+    std::vector<const Column*> columns;
+    for (const BlockHandle& block : blocks.value()) {
+      for (const Column& c : *block) columns.push_back(&c);
+    }
+    reencoded.Add(source->Key(meta), columns);
+  }
+  const auto a = copied.Finish();
+  const auto b = reencoded.Finish();
+  EXPECT_EQ(Serialized(*a), Serialized(*b));
+  // Other packing knobs would re-encode differently: no copy then.
+  SegmentOptions other = SmallBlockOptions();
+  other.block_size *= 2;
+  EXPECT_FALSE(Segment::Writer(3, other).CanCopyFrom(*source));
+}
+
+TEST(SegmentTest, CopyOfACorruptBlockFailsAndAppendsNothing) {
+  auto built = Segment::Build(MixedMemtable(), 1, SmallBlockOptions());
+  const auto* meta = built->FindMeta("b-big");
+  ASSERT_NE(meta, nullptr);
+  const_cast<Segment&>(*built).FlipBlockBitForFaultInjection(
+      meta->first_block + 1, 5);
+  Segment::Writer writer(2, SmallBlockOptions());
+  EXPECT_EQ(writer.CopyPartition(*built, *meta).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(writer.Finish()->partition_count(), 0u);
+}
+
+TEST(SegmentTest, SerializeRoundTripIsByteIdentical) {
+  auto built = Segment::Build(MixedMemtable(), 7, SmallBlockOptions());
+  const std::vector<std::byte> bytes = Serialized(*built);
+  auto restored = Segment::Deserialize(bytes);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(Serialized(*restored.value()), bytes);
+  EXPECT_EQ(restored.value()->footprint_bytes(), built->footprint_bytes());
 }
 
 BlockHandle MakeBlock(std::vector<Column> columns) {
@@ -461,6 +542,68 @@ TEST(SizeTieredCompactionTest, SimilarSizedRunsAreMerged) {
   auto cols = table.GetPartition("p0");
   ASSERT_TRUE(cols.ok());
   EXPECT_EQ(cols.value().size(), 80u);  // 20 per round x 4 rounds
+}
+
+TEST(SizeTieredCompactionTest, CorruptBlockOnTheCopyPathKeepsTheInputs) {
+  TableOptions opt = SmallTableOptions();
+  opt.compaction_min_segments = 4;
+  opt.auto_flush = false;
+  Table table("t", opt, nullptr);
+  // Disjoint keys per flush: every partition takes the copy path.
+  auto flush_round = [&table](int round) {
+    for (uint64_t i = 0; i < 40; ++i) {
+      table.Put("r" + std::to_string(round) + "-" + std::to_string(i % 4),
+                MakeColumn(i, round));
+    }
+    table.Flush();
+  };
+  for (int round = 0; round < 3; ++round) flush_round(round);
+  ASSERT_TRUE(table.CorruptBlockForFaultInjection(0, 0, 9).ok());
+  flush_round(3);
+  EXPECT_EQ(table.auto_compactions(), 0u);
+  EXPECT_EQ(table.segment_count(), 4u);
+  EXPECT_EQ(table.GetPartition("r0-0").status().code(),
+            StatusCode::kCorruption);
+  auto intact = table.GetPartition("r3-1");
+  ASSERT_TRUE(intact.ok());
+  EXPECT_EQ(intact.value().size(), 10u);
+}
+
+TEST(SizeTieredCompactionTest, SnapshotRoundTripIsByteIdentical) {
+  TableOptions opt = SmallTableOptions();
+  opt.compaction_min_segments = 4;
+  Table table("t", opt, nullptr);
+  for (int round = 0; round < 5; ++round) {
+    for (uint64_t i = 0; i < 60; ++i) {
+      table.Put("p" + std::to_string((round * 7 + i) % 9),
+                MakeColumn(round * 100 + i, round));
+    }
+    table.Delete("p1", round * 100 + 3);
+    table.Flush();
+  }
+  const std::string base =
+      "/tmp/kvscale_store_test_snapshot_" + std::to_string(::getpid());
+  ASSERT_TRUE(table.SaveSnapshot(base + ".a").ok());
+  Table restored("t", opt, nullptr);
+  ASSERT_TRUE(restored.LoadSnapshot(base + ".a").ok());
+  ASSERT_TRUE(restored.SaveSnapshot(base + ".b").ok());
+  auto slurp = [](const std::string& path) {
+    std::vector<char> bytes;
+    if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+      char buf[4096];
+      size_t n = 0;
+      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+        bytes.insert(bytes.end(), buf, buf + n);
+      }
+      std::fclose(f);
+    }
+    return bytes;
+  };
+  const std::vector<char> a = slurp(base + ".a");
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, slurp(base + ".b"));
+  std::remove((base + ".a").c_str());
+  std::remove((base + ".b").c_str());
 }
 
 TEST(SizeTieredCompactionTest, DissimilarSizesAreLeftAlone) {

@@ -587,6 +587,204 @@ TEST_P(WireFuzzTest, RandomBytesNeverCrashTheWriteFrameDecoders) {
   }
 }
 
+/// A consistent reply batch: item i answers sub_ids[i] at attempts[i]
+/// with `values[i]` paired result rows; ends and checksums filled in.
+SubQueryReplyBatch MakeReplyBatch(uint64_t query_id,
+                                  const std::vector<uint32_t>& sub_ids,
+                                  const std::vector<uint32_t>& attempts,
+                                  const std::vector<size_t>& values, Rng& rng) {
+  SubQueryReplyBatch batch;
+  batch.query_id = query_id;
+  batch.node = static_cast<uint32_t>(rng.Below(8));
+  for (size_t i = 0; i < sub_ids.size(); ++i) {
+    batch.sub_ids.push_back(sub_ids[i]);
+    batch.attempts.push_back(attempts[i]);
+    batch.statuses.push_back(rng.Below(3));
+    batch.db_start_ns.push_back(rng.Below(1u << 30));
+    batch.db_end_ns.push_back(batch.db_start_ns.back() + rng.Below(1u << 20));
+    for (size_t k = 0; k < values[i]; ++k) {
+      batch.col_a.push_back(rng.Next());
+      batch.col_b.push_back(rng.Below(1000));
+    }
+    batch.a_ends.push_back(batch.col_a.size());
+    batch.b_ends.push_back(batch.col_b.size());
+  }
+  for (size_t i = 0; i < sub_ids.size(); ++i) {
+    batch.checksums.push_back(ReplyItemChecksum(batch, i));
+  }
+  return batch;
+}
+
+std::vector<std::byte> ReplyBatchFrame(const SubQueryReplyBatch& batch,
+                                       WireCodecKind kind,
+                                       const CompactCodec& codec) {
+  WireBuffer out;
+  EncodeReplyBatchFrame(batch, 0, kind, codec, out);
+  return {out.data().begin(), out.data().end()};
+}
+
+TEST_P(WireFuzzTest, ReplyBatchFramesRoundTripAndRejectEveryTruncation) {
+  Rng rng(GetParam() ^ 0x4e91);
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  for (int round = 0; round < 20; ++round) {
+    // The request frame: some sub-queries, of which the reply answers a
+    // (possibly reordered) subset.
+    const size_t requested = 1 + rng.Below(12);
+    std::vector<uint32_t> req_subs, req_attempts;
+    for (size_t i = 0; i < requested; ++i) {
+      req_subs.push_back(static_cast<uint32_t>(rng.Below(1u << 20)) * 16 +
+                         static_cast<uint32_t>(i));
+      req_attempts.push_back(static_cast<uint32_t>(rng.Below(4)));
+    }
+    std::vector<size_t> order(requested);
+    for (size_t i = 0; i < requested; ++i) order[i] = i;
+    if (rng.Chance(0.5)) std::swap(order.front(), order.back());
+    const size_t answered = 1 + rng.Below(requested);
+    std::vector<uint32_t> subs, attempts;
+    std::vector<size_t> values;
+    for (size_t i = 0; i < answered; ++i) {
+      subs.push_back(req_subs[order[i]]);
+      attempts.push_back(req_attempts[order[i]]);
+      values.push_back(rng.Below(6));
+    }
+    const SubQueryReplyBatch batch =
+        MakeReplyBatch(99, subs, attempts, values, rng);
+    for (const WireCodecKind kind :
+         {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+      const std::vector<std::byte> frame = ReplyBatchFrame(batch, kind, codec);
+      auto decoded =
+          DecodeReplyBatchFrame(frame, kind, codec, 99, req_subs, req_attempts);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      const DecodedReplyBatch& d = decoded.value();
+      size_t found = 0;
+      for (size_t r = 0; r < requested; ++r) {
+        if (d.slot[r] == DecodedReplyBatch::kAbsent) continue;
+        ++found;
+        const uint32_t item = d.slot[r];
+        EXPECT_EQ(d.batch.sub_ids[item], req_subs[r]);
+        EXPECT_TRUE(d.intact[item]);
+        const size_t begin = item == 0 ? 0 : batch.a_ends[item - 1];
+        ASSERT_EQ(d.col_a(item).size(), values[item]);
+        for (size_t k = 0; k < values[item]; ++k) {
+          EXPECT_EQ(d.col_a(item)[k], batch.col_a[begin + k]);
+          EXPECT_EQ(d.col_b(item)[k], batch.col_b[begin + k]);
+        }
+      }
+      EXPECT_EQ(found, answered);
+      for (size_t cut = 0; cut < frame.size(); ++cut) {
+        auto partial = DecodeReplyBatchFrame(
+            std::span<const std::byte>(frame).subspan(0, cut), kind, codec, 99,
+            req_subs, req_attempts);
+        ASSERT_FALSE(partial.ok()) << "cut=" << cut;
+        EXPECT_EQ(partial.status().code(), StatusCode::kCorruption);
+      }
+    }
+  }
+}
+
+TEST_P(WireFuzzTest, RandomBytesNeverCrashTheReplyBatchDecoder) {
+  Rng rng(GetParam() ^ 0x2ab7);
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  const std::vector<uint32_t> subs = {0, 1, 2};
+  const std::vector<uint32_t> attempts = {0, 0, 0};
+  for (int i = 0; i < 500; ++i) {
+    std::vector<std::byte> soup(rng.Below(400));
+    for (auto& b : soup) b = static_cast<std::byte>(rng.Below(256));
+    for (const WireCodecKind kind :
+         {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+      auto decoded = DecodeReplyBatchFrame(soup, kind, codec, 0, subs, attempts);
+      if (!decoded.ok()) {
+        EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+      }
+    }
+  }
+}
+
+// A reply frame answers the request frame it was sent for: every way it
+// can disagree with that request fails the whole frame, for both codecs.
+TEST(FrameEnvelopeTest, ReplyBatchesThatDisagreeWithTheRequestAreRejected) {
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  Rng rng(0x5eed);
+  const std::vector<uint32_t> req_subs = {10, 11, 12};
+  const std::vector<uint32_t> req_attempts = {0, 1, 0};
+  const std::vector<size_t> values = {2, 0, 3};
+  struct Case {
+    const char* what;
+    std::vector<uint32_t> subs;
+    std::vector<uint32_t> attempts;
+    uint64_t query_id;
+  };
+  const std::vector<Case> cases = {
+      {"duplicate sub_id", {10, 10, 12}, {0, 0, 0}, 5},
+      {"sub_id absent from the request", {10, 13, 12}, {0, 1, 0}, 5},
+      {"attempt mismatch", {10, 11, 12}, {0, 0, 0}, 5},
+      {"query_id mismatch", {10, 11, 12}, {0, 1, 0}, 6},
+  };
+  for (const WireCodecKind kind :
+       {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+    const auto good = ReplyBatchFrame(
+        MakeReplyBatch(5, req_subs, req_attempts, values, rng), kind, codec);
+    ASSERT_TRUE(
+        DecodeReplyBatchFrame(good, kind, codec, 5, req_subs, req_attempts)
+            .ok());
+    for (const Case& c : cases) {
+      const auto frame = ReplyBatchFrame(
+          MakeReplyBatch(c.query_id, c.subs, c.attempts, values, rng), kind,
+          codec);
+      auto decoded =
+          DecodeReplyBatchFrame(frame, kind, codec, 5, req_subs, req_attempts);
+      ASSERT_FALSE(decoded.ok()) << c.what;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption) << c.what;
+    }
+    // More items than the request frame carried.
+    const auto oversized = ReplyBatchFrame(
+        MakeReplyBatch(5, {10, 11, 12, 13}, {0, 1, 0, 0}, {1, 1, 1, 1}, rng),
+        kind, codec);
+    auto too_many = DecodeReplyBatchFrame(oversized, kind, codec, 5, req_subs,
+                                          req_attempts);
+    ASSERT_FALSE(too_many.ok());
+    EXPECT_EQ(too_many.status().code(), StatusCode::kCorruption);
+    // A truncated frame.
+    auto truncated = DecodeReplyBatchFrame(
+        std::span<const std::byte>(good).subspan(0, good.size() - 1), kind,
+        codec, 5, req_subs, req_attempts);
+    ASSERT_FALSE(truncated.ok());
+    EXPECT_EQ(truncated.status().code(), StatusCode::kCorruption);
+  }
+}
+
+// A damaged item fails its own checksum and nothing else: the frame and
+// the sibling items stay usable.
+TEST(FrameEnvelopeTest, ReplyItemChecksumsIsolateOneDamagedItem) {
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  Rng rng(0x1e7);
+  const std::vector<uint32_t> subs = {1, 2, 3};
+  const std::vector<uint32_t> attempts = {0, 0, 0};
+  SubQueryReplyBatch batch = MakeReplyBatch(9, subs, attempts, {2, 2, 2}, rng);
+  batch.col_b[2] ^= 4;  // item 1's first row
+  for (const WireCodecKind kind :
+       {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+    auto decoded = DecodeReplyBatchFrame(ReplyBatchFrame(batch, kind, codec),
+                                         kind, codec, 9, subs, attempts);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(decoded.value().intact[0]);
+    EXPECT_FALSE(decoded.value().intact[1]);
+    EXPECT_TRUE(decoded.value().intact[2]);
+  }
+  // The single-reply decoder has no siblings: a damaged item fails it.
+  SubQueryReplyBatch one = MakeReplyBatch(9, {1}, {0}, {2}, rng);
+  one.col_a[0] ^= 1;
+  auto single = DecodeReplyFrame(
+      ReplyBatchFrame(one, WireCodecKind::kCompact, codec),
+      WireCodecKind::kCompact, codec);
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(single.status().code(), StatusCode::kCorruption);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzzTest,
                          ::testing::Values(101, 202, 303, 404));
 

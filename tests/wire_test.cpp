@@ -184,7 +184,7 @@ TEST(TaggedCodecTest, RejectsTruncation) {
 TEST(CompactCodecTest, RoundTripsRegisteredTypes) {
   CompactCodec codec;
   RegisterClusterMessages(codec);
-  EXPECT_EQ(codec.registered_count(), 11u);
+  EXPECT_EQ(codec.registered_count(), 12u);
 
   WireBuffer buf;
   codec.Encode(SampleResult(), buf);

@@ -917,11 +917,12 @@ int CmdGather(CommonArgs& args, const GatherArgs& gather_args) {
                 result.lost_partitions.size());
   }
   if (!gather_args.codec.empty()) {
-    std::printf("  wire (%s%s): %llu frames, %llu B sent, %llu B received | "
-                "encode %s, decode %s\n",
+    std::printf("  wire (%s%s): %llu frames (+%llu reply frames), %llu B "
+                "sent, %llu B received | encode %s, decode %s\n",
                 gather_args.codec.c_str(),
                 gather_args.batch ? ", batched" : "",
                 static_cast<unsigned long long>(result.wire_frames_sent),
+                static_cast<unsigned long long>(result.wire_frames_received),
                 static_cast<unsigned long long>(result.wire_bytes_sent),
                 static_cast<unsigned long long>(result.wire_bytes_received),
                 FormatMicros(result.wire_encode_us).c_str(),

@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
            {"lock-cycle", "wait-holding", "wire-visit-drift",
             "wire-field-order", "wire-codec-asymmetry",
             "wire-unregistered-message", "wire-operator-unhandled",
-            "wire-operator-count", "wire-decode-gate", "metric-collision",
+            "wire-operator-count", "wire-decode-gate", "wire-reply-gate",
+            "metric-collision",
             "metric-kind-overlap", "metric-undocumented",
             "analysis-whitelist"}) {
         std::printf("%s\n", id);

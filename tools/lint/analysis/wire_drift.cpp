@@ -7,9 +7,10 @@
 // visited, once, in declaration order, under its own name, (b) the four
 // codec Field-overload sets (tagged/compact x writer/reader) support
 // the same type set and the tagged pair agrees on each type's FieldTag,
-// (c) every message is registered with the compact codec, and (d) every
+// (c) every message is registered with the compact codec, (d) every
 // QueryOp the wire can carry is both gated at decode and handled by the
-// per-node operator switch. Each of those is exactly the kind of edit
+// per-node operator switch, and (e) batched replies are decoded through
+// their per-item checksums. Each of those is exactly the kind of edit
 // that drifts silently when a field or operator is added in one place
 // and not the other; this pass makes the fuzz-only bug class a
 // deterministic gate.
@@ -33,6 +34,7 @@ constexpr std::string_view kUnregistered = "wire-unregistered-message";
 constexpr std::string_view kOperatorUnhandled = "wire-operator-unhandled";
 constexpr std::string_view kOperatorCount = "wire-operator-count";
 constexpr std::string_view kDecodeGate = "wire-decode-gate";
+constexpr std::string_view kReplyGate = "wire-reply-gate";
 
 constexpr std::string_view kMessagesHpp = "src/wire/messages.hpp";
 constexpr std::string_view kMessagesCpp = "src/wire/messages.cpp";
@@ -543,6 +545,30 @@ std::vector<Finding> AnalyzeWireDrift(const std::filesystem::path& root) {
                "sub-query decode path never calls IsKnownQueryOp: corrupt "
                "operator ids reach the execution switch unchecked");
       }
+    }
+  }
+
+  // -- reply-batch gate -----------------------------------------------------
+  // A batched reply carries many answers in one frame; only the per-item
+  // checksum lets one damaged answer fail over alone. A decode path that
+  // stops verifying it would fold damaged answers silently.
+  const bool has_reply_batch =
+      std::any_of(messages.begin(), messages.end(),
+                  [](const MessageStruct& m) {
+                    return m.name == "SubQueryReplyBatch";
+                  });
+  const std::string reply_envelope_text =
+      has_reply_batch ? ReadFileOrEmpty(root / kEnvelopeCpp) : std::string();
+  if (!reply_envelope_text.empty()) {
+    const FileView view = BuildView(reply_envelope_text);
+    bool gated = false;
+    for (const std::string& code : view.code) {
+      if (code.find("ReplyItemChecksum") != std::string::npos) gated = true;
+    }
+    if (!gated) {
+      Report(findings, kEnvelopeCpp, 1, kReplyGate,
+             "SubQueryReplyBatch is decoded without ReplyItemChecksum: a "
+             "damaged answer would fold instead of failing over alone");
     }
   }
 

@@ -21,12 +21,15 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
   -R 'BoundedQueue|NodeRuntime|MessageGather|InProcessCluster|ClusterFaultTolerance|FaultInjector|StoreConcurrency|SharedRuntime|AdmissionControl|ConcurrentGather|Membership|MigrationFault|QueryPlan|BoxQuery|WritePath'
 
-# The shared-block drill, repeated: store readers keep iterating decoded
-# blocks they hold while compaction erases them from the cache, corruption
-# and snapshot reloads replace the segments, and a second table churns a
-# tiny shared cache's LRU.
+# The shared-block and segment-image drills, repeated: store readers keep
+# iterating decoded blocks they hold while compaction erases them from
+# the cache, corruption and snapshot reloads replace the segments, and a
+# second table churns a tiny shared cache's LRU; readers keep views while
+# copy-through compaction retires (and unmaps) their segments, and walk
+# a segment's directory keys while other owners drop it.
 ./build-tsan/tests/store_concurrency_test \
-  --gtest_filter='StoreConcurrencyTest.HeldBlockHandles*' --gtest_repeat=5
+  --gtest_filter='StoreConcurrencyTest.HeldBlockHandles*:StoreConcurrencyTest.HeldViews*:StoreConcurrencyTest.SegmentKeyViews*' \
+  --gtest_repeat=5
 
 # One sanitized end-to-end run over the wire: batched compact frames,
 # multiple workers per node, chaos on top.
