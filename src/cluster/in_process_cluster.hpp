@@ -348,7 +348,8 @@ class InProcessCluster {
   /// WAL Sync() per batch instead of one per key. Under the message
   /// transport the batches travel as WriteBatch frames through the
   /// shared NodeRuntime (admission-controlled, checksummed, validated on
-  /// arrival) and per-replica acks come back as WriteReply frames; the
+  /// arrival) and per-replica acks come back as checksummed reply-batch
+  /// answers, validated before they are folded; the
   /// direct transport applies the same batches as plain calls. A batch
   /// the transport refuses to send (kReject backpressure) counts as a
   /// replica failure for every key it carried. Per-key
@@ -547,14 +548,14 @@ class InProcessCluster {
 
   /// The write handler both transports call (write_path.cpp): a dead
   /// node refuses the whole batch with kUnavailable; per-key WAL faults
-  /// (OnWalWrite) land in failed_keys. WAL-backed nodes group-commit
-  /// through DurablePutBatch (one Sync per call); WAL-less nodes apply
-  /// straight to the table. With a `runtime` and an armed flush
-  /// watermark, a memtable that crossed it schedules a background flush
-  /// on the node's own worker pool. The routing fields of the returned
-  /// reply are left for the caller.
-  WriteReply ServeWrite(uint32_t node, const WriteBatch& batch,
-                        NodeRuntime* runtime);
+  /// (OnWalWrite) land in the ack's refused indices. WAL-backed nodes
+  /// group-commit through DurablePutBatch (one Sync per call); WAL-less
+  /// nodes apply straight to the table. With a `runtime` and an armed
+  /// flush watermark, a memtable that crossed it schedules a background
+  /// flush on the node's own worker pool. Returns the ack columns
+  /// (cluster/query_ops.hpp).
+  Result<OperatorResult> ServeWrite(uint32_t node, const WriteBatch& batch,
+                                    NodeRuntime* runtime);
 
   /// One scheduled background-maintenance step: flushes `table` on
   /// `node` (which also runs the size-tiered compaction check), executed

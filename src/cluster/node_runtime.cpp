@@ -386,66 +386,100 @@ void NodeRuntime::WorkerLoop(uint32_t node) {
     }
     env.query->queue_wait_nanos.fetch_add(MicrosToNanos(wait_us),
                                           std::memory_order_relaxed);
-    if (env.kind == EnvelopeKind::kWrite) {
-      ServeWrite(node, env);
-      continue;
-    }
-
-    const Micros decode_start = NowMicros();
-    auto decoded = DecodeSubQueryBatch(env.frame, env.query->codec, registry_);
-    const Micros decode_us = RecordDecode(*env.query, decode_start);
-
-    // Node-side observability runs off the *decoded wire context*, not
-    // the in-memory transport metadata: a frame is only traced when its
-    // envelope carried the sampled bit across the (simulated) wire.
-    const bool sampled = decoded.ok() && spans_ != nullptr &&
-                         (decoded.value().trace_flags & kTraceSampled) != 0;
-    if (sampled) {
-      // The frame-level stages, flow-linked to the first sub-query they
-      // served (queue residency and decode are per-frame, not per-item).
-      const uint64_t frame_flow =
-          TraceFlowId(decoded.value().query_id,
-                      decoded.value().requests.front().sub_id,
-                      decoded.value().attempts.front());
-      Span queue_span;
-      queue_span.name = "queue-wait";
-      queue_span.track = node;
-      queue_span.start_us = spans_->NowMicros() - decode_us - wait_us;
-      queue_span.duration_us = wait_us;
-      queue_span.flow_id = frame_flow;
-      queue_span.flow_phase = FlowPhase::kStep;
-      queue_span.attributes.emplace_back(
-          "query", std::to_string(decoded.value().query_id));
-      spans_->Record(std::move(queue_span));
-      Span decode_span;
-      decode_span.name = "decode";
-      decode_span.track = node;
-      decode_span.start_us = spans_->NowMicros() - decode_us;
-      decode_span.duration_us = decode_us;
-      decode_span.flow_id = frame_flow;
-      decode_span.flow_phase = FlowPhase::kStep;
-      decode_span.attributes.emplace_back(
-          "query", std::to_string(decoded.value().query_id));
-      decode_span.attributes.emplace_back(
-          "items", std::to_string(decoded.value().requests.size()));
-      spans_->Record(std::move(decode_span));
-    }
-    ServeReads(node, env, decoded);
+    ServeFrame(node, env, wait_us);
   }
 }
 
-void NodeRuntime::ServeReads(uint32_t node, const RequestEnvelope& env,
-                             const Result<DecodedSubQueryBatch>& decoded) {
+NodeRuntime::DecodedRequest NodeRuntime::DecodeRequest(
+    uint32_t node, const RequestEnvelope& env) {
+  DecodedRequest out;
+  out.trace_flags = env.query->trace_flags;
+  if (env.kind == EnvelopeKind::kRead) {
+    auto decoded = DecodeSubQueryBatch(env.frame, env.query->codec, registry_);
+    if (!decoded.ok()) {
+      out.transport = decoded.status();
+      return out;
+    }
+    out.reads = std::move(decoded).value();
+    out.trace_flags = out.reads.trace_flags;
+    out.query_id = out.reads.query_id;
+    bool matches = out.reads.requests.size() == env.sub_ids.size();
+    for (size_t i = 0; matches && i < env.sub_ids.size(); ++i) {
+      matches = out.reads.requests[i].sub_id == env.sub_ids[i] &&
+                out.reads.attempts[i] == env.attempts[i];
+    }
+    if (!matches) {
+      out.transport =
+          Status::Corruption("batch does not match its transport metadata");
+    }
+    return out;
+  }
+  auto decoded = DecodeWriteBatchFrame(env.frame, env.query->codec, registry_);
+  if (!decoded.ok()) {
+    out.transport = decoded.status();
+    return out;
+  }
+  out.write = std::move(decoded).value();
+  out.trace_flags = out.write.trace_flags;
+  out.query_id = out.write.batch.query_id;
+  if (out.write.batch.sub_id != env.sub_ids.front() ||
+      out.write.attempt != env.attempts.front()) {
+    out.transport =
+        Status::Corruption("write batch does not match its transport metadata");
+  } else if (out.write.batch.target != node) {
+    out.transport = Status::Corruption(
+        "write batch names target " + std::to_string(out.write.batch.target) +
+        " but arrived at node " + std::to_string(node));
+  }
+  return out;
+}
+
+void NodeRuntime::ServeFrame(uint32_t node, const RequestEnvelope& env,
+                             Micros wait_us) {
   QueryState& query = *env.query;
-  const uint8_t wire_flags =
-      decoded.ok() ? decoded.value().trace_flags : query.trace_flags;
-  const bool sampled = (wire_flags & kTraceSampled) != 0 && decoded.ok() &&
-                       spans_ != nullptr;
+  const Micros decode_start = NowMicros();
+  const DecodedRequest request = DecodeRequest(node, env);
+  const Micros decode_us = RecordDecode(query, decode_start);
+
+  // Node-side observability runs off the *decoded wire context*, not the
+  // in-memory transport metadata: a frame is only traced when its
+  // envelope carried the sampled bit across the (simulated) wire.
+  const bool sampled = request.transport.ok() && spans_ != nullptr &&
+                       (request.trace_flags & kTraceSampled) != 0;
+  if (sampled) {
+    // The frame-level stages, flow-linked to the first item they served
+    // (queue residency and decode are per-frame, not per-item).
+    const uint64_t frame_flow = TraceFlowId(
+        request.query_id, env.sub_ids.front(), env.attempts.front());
+    Span queue_span;
+    queue_span.name = "queue-wait";
+    queue_span.track = node;
+    queue_span.start_us = spans_->NowMicros() - decode_us - wait_us;
+    queue_span.duration_us = wait_us;
+    queue_span.flow_id = frame_flow;
+    queue_span.flow_phase = FlowPhase::kStep;
+    queue_span.attributes.emplace_back("query",
+                                       std::to_string(request.query_id));
+    spans_->Record(std::move(queue_span));
+    Span decode_span;
+    decode_span.name = "decode";
+    decode_span.track = node;
+    decode_span.start_us = spans_->NowMicros() - decode_us;
+    decode_span.duration_us = decode_us;
+    decode_span.flow_id = frame_flow;
+    decode_span.flow_phase = FlowPhase::kStep;
+    decode_span.attributes.emplace_back("query",
+                                        std::to_string(request.query_id));
+    decode_span.attributes.emplace_back("items",
+                                        std::to_string(env.sub_ids.size()));
+    spans_->Record(std::move(decode_span));
+  }
+
   // The reply frame being filled: its answers and their out-of-band
   // metadata.
   SubQueryReplyBatch batch;
   ReplyEnvelope out;
-  std::string first_key;  // the frame's first answer, for injection
+  std::string_view first_key;  // the frame's first answer, for injection
   size_t answer_bytes = 0;
   auto start_frame = [&] {
     batch = SubQueryReplyBatch{};
@@ -468,11 +502,12 @@ void NodeRuntime::ServeReads(uint32_t node, const RequestEnvelope& env,
       encode_scope.Attr("items", std::to_string(out.sub_ids.size()));
     }
     WireBuffer buf;
-    EncodeReplyBatchFrame(batch, wire_flags, query.codec, registry_, buf);
+    EncodeReplyBatchFrame(batch, request.trace_flags, query.codec, registry_,
+                          buf);
     encode_scope.End();
     RecordEncode(query, encode_start);
     out.frame = buf.TakeBytes();
-    if (injector_ != nullptr &&
+    if (env.kind == EnvelopeKind::kRead && injector_ != nullptr &&
         injector_->ShouldCorruptReplyFrame(node, first_key,
                                            out.attempts.front())) {
       // Envelope damage: the frame header plays the role a checksum
@@ -490,29 +525,13 @@ void NodeRuntime::ServeReads(uint32_t node, const RequestEnvelope& env,
   };
 
   start_frame();
-
   for (size_t i = 0; i < env.sub_ids.size(); ++i) {
-    Status transport = Status::Ok();
-    const SubQueryRequest* request = nullptr;
-    if (!decoded.ok()) {
-      transport = decoded.status();
-    } else if (decoded.value().requests.size() != env.sub_ids.size() ||
-               decoded.value().requests[i].sub_id != env.sub_ids[i] ||
-               decoded.value().attempts[i] != env.attempts[i]) {
-      transport =
-          Status::Corruption("batch does not match its transport metadata");
-    } else {
-      request = &decoded.value().requests[i];
+    if (batch.sub_ids.empty() && env.kind == EnvelopeKind::kRead &&
+        request.transport.ok()) {
+      first_key = request.reads.requests[i].partition_key;
     }
-    SubQueryRequest fallback;
-    if (request == nullptr) {
-      fallback.query_id = query.query_id;
-      fallback.sub_id = env.sub_ids[i];
-      request = &fallback;
-    }
-    if (batch.sub_ids.empty()) first_key = request->partition_key;
     const size_t values_before = batch.col_a.size() + batch.col_b.size();
-    ServeOne(node, *request, env, i, transport, wire_flags, batch, out);
+    ServeOne(node, request, env, i, sampled, batch, out);
     answer_bytes +=
         8 * (batch.col_a.size() + batch.col_b.size() - values_before) + 40;
     if (answer_bytes >= kReplyFrameBytes) send();
@@ -555,48 +574,54 @@ StatusCode NodeRuntime::Refusal(uint32_t node, const RequestEnvelope& env,
   return StatusCode::kOk;
 }
 
-void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
+void NodeRuntime::ServeOne(uint32_t node, const DecodedRequest& request,
                            const RequestEnvelope& env, size_t item,
-                           Status transport, uint8_t wire_trace_flags,
-                           SubQueryReplyBatch& batch, ReplyEnvelope& out) {
+                           bool sampled, SubQueryReplyBatch& batch,
+                           ReplyEnvelope& out) {
   QueryState& query = *env.query;
   const uint32_t sub_id = env.sub_ids[item];
   const uint32_t attempt = env.attempts[item];
-  const bool sampled = (wire_trace_flags & kTraceSampled) != 0 &&
-                       transport.ok() && spans_ != nullptr;
+  const bool write = env.kind == EnvelopeKind::kWrite;
   ReadProbe probe;
   bool served = false;
   uint64_t db_start_ns = 0;
   uint64_t db_end_ns = 0;
-  StatusCode code = Refusal(node, env, transport);
+  StatusCode code = Refusal(node, env, request.transport);
   if (code == StatusCode::kOk) {
     const Micros db_start_us = NowMicros();
-    SpanTracer::Scope read;
+    SpanTracer::Scope span;
     if (spans_ != nullptr) {
-      read = spans_->StartSpan("store-read", node);
-      read.Attr("partition", request.partition_key);
-      read.Attr("attempt", std::to_string(attempt));
+      if (write) {
+        span = spans_->StartSpan("store-write", node);
+        span.Attr("keys", std::to_string(request.write.batch.keys.size()));
+      } else {
+        span = spans_->StartSpan("store-read", node);
+        span.Attr("partition", request.reads.requests[item].partition_key);
+      }
+      span.Attr("attempt", std::to_string(attempt));
       if (sampled) {
         // The flow id every span of this attempt shares with the
         // master's dispatch span, from the wire-propagated context.
-        read.Flow(TraceFlowId(query.query_id, sub_id, attempt),
+        span.Flow(TraceFlowId(query.query_id, sub_id, attempt),
                   FlowPhase::kStep);
-        read.Attr("query", std::to_string(query.query_id));
-        read.Attr("sub", std::to_string(sub_id));
+        span.Attr("query", std::to_string(query.query_id));
+        span.Attr("sub", std::to_string(sub_id));
       }
     }
-    auto columns = handler_(node, request, &probe);
+    auto columns = write
+                       ? write_handler_(node, request.write.batch, this)
+                       : handler_(node, request.reads.requests[item], &probe);
     const Micros db_end_us = NowMicros();
     served = true;
-    if (read.active()) {
-      read.Attr("blocks_decoded", std::to_string(probe.blocks_decoded));
-      read.Attr("blocks_from_cache", std::to_string(probe.blocks_from_cache));
-      read.Attr("bloom_negatives", std::to_string(probe.bloom_negatives));
-      read.End();
+    if (span.active() && !write) {
+      span.Attr("blocks_decoded", std::to_string(probe.blocks_decoded));
+      span.Attr("blocks_from_cache", std::to_string(probe.blocks_from_cache));
+      span.Attr("bloom_negatives", std::to_string(probe.bloom_negatives));
     }
+    span.End();
     if (columns.ok()) {
-      // The operator's paired result columns ride the batch's two u64
-      // columns; the master's fold interprets them per the plan's kind.
+      // The paired result columns ride the batch's two u64 columns; the
+      // master interprets them per the plan's kind (or as a write ack).
       batch.col_a.insert(batch.col_a.end(), columns.value().col_a.begin(),
                          columns.value().col_a.end());
       batch.col_b.insert(batch.col_b.end(), columns.value().col_b.begin(),
@@ -622,8 +647,9 @@ void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
   batch.b_ends.push_back(batch.col_b.size());
   batch.checksums.push_back(
       ReplyItemChecksum(batch, batch.sub_ids.size() - 1));
-  if (served && injector_ != nullptr &&
-      injector_->ShouldCorruptReply(node, request.partition_key, attempt)) {
+  if (served && !write && injector_ != nullptr &&
+      injector_->ShouldCorruptReply(
+          node, request.reads.requests[item].partition_key, attempt)) {
     // In-flight damage to this answer alone: its checksum no longer
     // matches, so the master fails it over while its siblings fold.
     batch.checksums.back() ^= 1;
@@ -632,83 +658,6 @@ void NodeRuntime::ServeOne(uint32_t node, const SubQueryRequest& request,
   out.attempts.push_back(attempt);
   out.served.push_back(served ? 1 : 0);
   out.probes.push_back(probe);
-}
-
-void NodeRuntime::ServeWrite(uint32_t node, const RequestEnvelope& env) {
-  QueryState& query = *env.query;
-  ReplyEnvelope out;
-  out.write = true;
-  out.node = node;
-  out.sub_ids = {env.sub_ids.front()};
-  out.attempts = {env.attempts.front()};
-  out.served = {0};
-  out.probes.resize(1);
-  out.issued_us = env.issued_us;
-  out.received_us = env.received_us;
-  const uint32_t sub_id = out.sub_ids.front();
-  const uint32_t attempt = out.attempts.front();
-
-  const Micros decode_start = NowMicros();
-  auto decoded = DecodeWriteBatchFrame(env.frame, query.codec, registry_);
-  RecordDecode(query, decode_start);
-
-  Status transport = Status::Ok();
-  if (!decoded.ok()) {
-    transport = decoded.status();
-  } else if (decoded.value().batch.sub_id != env.sub_ids.front() ||
-             decoded.value().attempt != env.attempts.front()) {
-    transport =
-        Status::Corruption("write batch does not match its transport metadata");
-  } else if (decoded.value().batch.target != node) {
-    transport = Status::Corruption(
-        "write batch names target " +
-        std::to_string(decoded.value().batch.target) +
-        " but arrived at node " + std::to_string(node));
-  }
-  const uint8_t wire_flags =
-      decoded.ok() ? decoded.value().trace_flags : query.trace_flags;
-  const bool sampled = (wire_flags & kTraceSampled) != 0 && transport.ok() &&
-                       spans_ != nullptr;
-
-  WriteReply reply;
-  reply.status = static_cast<uint32_t>(Refusal(node, env, transport));
-  if (reply.status == static_cast<uint32_t>(StatusCode::kOk)) {
-    const WriteBatch& batch = decoded.value().batch;
-    out.db_start_us = NowMicros();
-    SpanTracer::Scope write_span;
-    if (spans_ != nullptr) {
-      write_span = spans_->StartSpan("store-write", node);
-      write_span.Attr("keys", std::to_string(batch.keys.size()));
-      write_span.Attr("attempt", std::to_string(attempt));
-      if (sampled) {
-        write_span.Flow(TraceFlowId(query.query_id, sub_id, attempt),
-                        FlowPhase::kStep);
-        write_span.Attr("query", std::to_string(query.query_id));
-        write_span.Attr("sub", std::to_string(sub_id));
-      }
-    }
-    reply = write_handler_(node, batch, this);
-    out.db_end_us = NowMicros();
-    out.served.front() = 1;
-    write_span.End();
-    reply.db_micros = out.db_end_us - out.db_start_us;
-    query.clock_nanos.fetch_add(
-        MicrosToNanos(env.extra_latency_us.front()),
-        std::memory_order_relaxed);
-  }
-  // The routing fields are the runtime's, not the handler's: a handler
-  // bug must not be able to misroute a reply past the demultiplexer.
-  reply.query_id = query.query_id;
-  reply.sub_id = sub_id;
-  reply.node = node;
-
-  const Micros encode_start = NowMicros();
-  WireBuffer buf;
-  EncodeWriteReplyFrame(reply, attempt, wire_flags, query.codec,
-                        registry_, buf);
-  RecordEncode(query, encode_start);
-  out.frame = buf.TakeBytes();
-  query.replies.Push(std::move(out));
 }
 
 bool NodeRuntime::NextReplyFrame(QueryState& query) {
@@ -733,26 +682,13 @@ bool NodeRuntime::NextReplyFrame(QueryState& query) {
   // frame naming another query is kCorruption, handled like any other
   // unreadable reply (failover), never folded. So is a frame whose
   // answers disagree with the requests it was sent for.
-  if (env.write) {
-    auto decoded = DecodeWriteReplyFrame(env.frame, query.codec, registry_,
-                                         query.query_id);
-    if (decoded.ok() && decoded.value().attempt != env.attempts.front()) {
-      decoded = Status::Corruption("write reply answers another attempt");
-    }
-    query.frame_status = decoded.status();
-    if (decoded.ok()) {
-      query.reply_flags = decoded.value().trace_flags;
-      query.write = std::move(decoded).value().reply;
-    }
-  } else {
-    auto decoded =
-        DecodeReplyBatchFrame(env.frame, query.codec, registry_,
-                              query.query_id, env.sub_ids, env.attempts);
-    query.frame_status = decoded.status();
-    if (decoded.ok()) {
-      query.reply_flags = decoded.value().trace_flags;
-      query.reads = std::move(decoded).value();
-    }
+  auto decoded = DecodeReplyBatchFrame(env.frame, query.codec, registry_,
+                                       query.query_id, env.sub_ids,
+                                       env.attempts);
+  query.frame_status = decoded.status();
+  if (decoded.ok()) {
+    query.reply_flags = decoded.value().trace_flags;
+    query.answers = std::move(decoded).value();
   }
   RecordDecode(query, query.dequeued_us);
   query.decoded_us = NowMicros();
@@ -781,31 +717,26 @@ TransportReply NodeRuntime::Await(uint64_t query_id) {
   out.reply_dequeued_us = query.dequeued_us;
   out.reply_decoded_us = query.decoded_us;
   // An answer that cannot be read keeps the request's own stamps.
-  out.db_start_us = env.write ? env.db_start_us : env.received_us;
-  out.db_end_us = env.write ? env.db_end_us : env.received_us;
+  out.db_start_us = env.received_us;
+  out.db_end_us = env.received_us;
   out.code = StatusCode::kCorruption;
   if (!query.frame_status.ok()) return out;
-  if (env.write) {
-    out.trace_flags = query.reply_flags;
-    out.write = query.write;
-    out.code = static_cast<StatusCode>(out.write.status);
-    return out;
-  }
-  const DecodedReplyBatch& reads = query.reads;
+  const DecodedReplyBatch& answers = query.answers;
   out.trace_flags = query.reply_flags;
-  const uint32_t slot = reads.slot[i];
-  if (slot == DecodedReplyBatch::kAbsent || reads.intact[slot] == 0) {
+  const uint32_t slot = answers.slot[i];
+  if (slot == DecodedReplyBatch::kAbsent || answers.intact[slot] == 0) {
     return out;  // this answer alone fails over
   }
-  out.code = static_cast<StatusCode>(reads.batch.statuses[slot]);
+  out.code = static_cast<StatusCode>(answers.batch.statuses[slot]);
   if (out.served) {
     out.db_start_us =
-        static_cast<double>(reads.batch.db_start_ns[slot]) / 1000.0;
-    out.db_end_us = static_cast<double>(reads.batch.db_end_ns[slot]) / 1000.0;
+        static_cast<double>(answers.batch.db_start_ns[slot]) / 1000.0;
+    out.db_end_us =
+        static_cast<double>(answers.batch.db_end_ns[slot]) / 1000.0;
   }
   out.in_frame = true;
-  out.frame_col_a = reads.col_a(slot);
-  out.frame_col_b = reads.col_b(slot);
+  out.frame_col_a = answers.col_a(slot);
+  out.frame_col_b = answers.col_b(slot);
   return out;
 }
 

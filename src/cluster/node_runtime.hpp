@@ -6,11 +6,13 @@
 // master *encodes* every sub-query through a selectable wire codec
 // (Tagged vs Compact — the Java-vs-Kryo axis of Section V-B), optionally
 // coalescing the sub-queries bound for one node into a single framed
-// SubQueryBatch, and enqueues the frame on the target node. Workers
-// dequeue, decode, execute against the local store, and answer the
-// whole frame with one encoded SubQueryReplyBatch frame (cut early at
-// kReplyFrameBytes), which the master decodes once and folds answer by
-// answer.
+// SubQueryBatch, and enqueues the frame on the target node. Write
+// batches travel the same queues as one-item WriteBatch frames. Workers
+// dequeue, decode, execute against the local store, and answer every
+// request frame — reads or a write — the same way: with encoded
+// SubQueryReplyBatch frames (cut early at kReplyFrameBytes) carrying a
+// checksum per answer, which the master decodes once and hands out
+// answer by answer.
 //
 // One runtime serves *many concurrent queries*. The queues and worker
 // pools are built once and shared; each query registers with BeginQuery
@@ -38,7 +40,10 @@
 // kUnavailable), and FaultConfig::reply_corrupt_rate damages one answer
 // inside the encoded *reply* (reply_frame_corrupt_rate a whole frame's
 // envelope) so the master sees an answer that fails validation and
-// fails it over — a fault class only a real message path has.
+// fails it over — a fault class only a real message path has. Reply
+// damage is injected into read answers only: the direct transport has no
+// wire to damage, so a damaged write ack would fail a replica write the
+// direct path acks and break their bit-identical parity.
 #pragma once
 
 #include <atomic>
@@ -184,16 +189,17 @@ using SubQueryHandler = std::function<Result<OperatorResult>(
 
 class NodeRuntime;
 
-/// Applies one decoded WriteBatch to `node`'s store, returning the reply
-/// body (status, applied count, per-key failure indices, sync-failure
-/// tally). The runtime stamps query_id/sub_id/node and db_micros itself,
-/// so a handler cannot misroute a reply. `self` is the runtime serving
-/// the batch, so a handler can ScheduleMaintenance (e.g. a background
-/// flush once a memtable crosses a watermark) without holding any lock
-/// that could outlive the runtime; it is null when the batch is applied
-/// without a runtime (the inline transport). Must be safe to call from
-/// many workers at once.
-using WriteBatchHandler = std::function<WriteReply(
+/// Applies one decoded WriteBatch to `node`'s store, returning its ack in
+/// the read operators' paired columns (cluster/query_ops.hpp: the refused
+/// key indices and the sync-failure tally), or the error refusing the
+/// whole batch. The runtime stamps the routing fields and store times
+/// itself, so a handler cannot misroute an answer. `self` is the runtime
+/// serving the batch, so a handler can ScheduleMaintenance (e.g. a
+/// background flush once a memtable crosses a watermark) without holding
+/// any lock that could outlive the runtime; it is null when the batch is
+/// applied without a runtime (the inline transport). Must be safe to call
+/// from many workers at once.
+using WriteBatchHandler = std::function<Result<OperatorResult>(
     uint32_t node, const WriteBatch& batch, NodeRuntime* self)>;
 
 /// Runs one scheduled background-maintenance step (memtable flush /
@@ -210,8 +216,8 @@ using MaintenanceHandler =
 /// CHANGES.md); request batching itself is the `batch` option.
 inline constexpr size_t kReplyFrameBytes = 64 * kKiB;
 
-/// One decoded answer from a node: a read's result columns or a write's
-/// reply, plus the transport metadata echoed with it.
+/// One decoded answer from a node: the paired result columns of a read
+/// or of a write's ack, plus the transport metadata echoed with it.
 struct TransportReply {
   uint32_t node = 0;     ///< replica that served (or refused)
   uint32_t sub_id = 0;
@@ -223,12 +229,11 @@ struct TransportReply {
   /// item, or kUnavailable once the runtime shut down.
   StatusCode code = StatusCode::kUnavailable;
   ReadProbe probe;           ///< reads: what the store touched
-  /// Reads on the inline transport: the operator's paired columns. The
-  /// message transport leaves this empty and views the columns in the
-  /// reply frame it decoded instead (`in_frame`); either way, read them
-  /// through col_a() / col_b().
+  /// The inline transport's paired columns. The message transport
+  /// leaves this empty and views the columns in the reply frame it
+  /// decoded instead (`in_frame`); either way, read them through col_a()
+  /// / col_b().
   OperatorResult columns;
-  WriteReply write;          ///< writes: applied / failed keys / syncs
   /// Trace flags the node echoed back (what the wire actually carried).
   uint8_t trace_flags = 0;
   // Stage boundaries on the serving clock (NodeRuntime::now_us, or the
@@ -357,7 +362,7 @@ class NodeRuntime {
 
   /// Encodes `batch` into a WriteBatch frame with `query_id`'s codec and
   /// enqueues it on `node`, where a worker group-commits it through the
-  /// write handler. Same queue semantics as Dispatch; one WriteReply per
+  /// write handler. Same queue semantics as Dispatch; one answer per
   /// dispatched batch eventually reaches Await(query_id). The runtime
   /// must have been built with a write handler.
   Status DispatchWrite(uint64_t query_id, uint32_t node,
@@ -366,12 +371,11 @@ class NodeRuntime {
 
   /// The next answer to one of `query_id`'s requests. Reply frames are
   /// decoded once, when the first of their answers is due: this blocks
-  /// for the next frame — read or write — only when the last one is
-  /// used up (the in-flight corruption injection point lives between
-  /// the node's encode and this decode; a frame naming a different
-  /// query_id is a demux corruption, reported as kCorruption for every
-  /// answer in it). Call exactly once per dispatched sub-query / write
-  /// batch, from one thread per query.
+  /// for the next frame only when the last one is used up (the in-flight
+  /// corruption injection point lives between the node's encode and this
+  /// decode; a frame naming a different query_id is a demux corruption,
+  /// reported as kCorruption for every answer in it). Call exactly once
+  /// per dispatched sub-query / write batch, from one thread per query.
   TransportReply Await(uint64_t query_id);
 
   /// Enqueues one background-maintenance step (flush/compaction check
@@ -427,19 +431,16 @@ class NodeRuntime {
   /// named out of band too (transport metadata, like the request's), so
   /// a frame that fails to decode still fails over each of them.
   struct ReplyEnvelope {
-    bool write = false;  ///< frame holds a WriteReply, not a reply batch
     uint32_t node = 0;
     // Per answer, parallel: the request items this frame answers.
     std::vector<uint32_t> sub_ids;
     std::vector<uint32_t> attempts;
     std::vector<uint8_t> served;  ///< the handler ran
     std::vector<ReadProbe> probes;
-    std::vector<std::byte> frame;  ///< encoded reply batch / WriteReply
+    std::vector<std::byte> frame;  ///< encoded reply batch
     Micros issued_us = 0.0;    ///< of the request frame
     Micros received_us = 0.0;  ///< of the request frame
     Micros encoded_us = 0.0;   ///< the node finished encoding this frame
-    Micros db_start_us = 0.0;  ///< writes only (reads carry theirs inline)
-    Micros db_end_us = 0.0;    ///< writes only
   };
 
   /// Everything private to one admitted query: the reply channel the
@@ -475,16 +476,15 @@ class NodeRuntime {
     size_t next_answer = 0;
     Status frame_status;      ///< the frame decoded and validated
     uint8_t reply_flags = 0;  ///< trace flags the frame carried
-    DecodedReplyBatch reads;  ///< read frames
-    WriteReply write;         ///< write frames
+    DecodedReplyBatch answers;
     Micros dequeued_us = 0.0;
     Micros decoded_us = 0.0;
   };
 
   /// What a queued envelope carries: a read sub-query batch, a write
-  /// batch, or a background-maintenance step. Workers branch on the tag
-  /// before decoding, since each kind has its own frame type (and
-  /// maintenance has no frame at all).
+  /// batch, or a background-maintenance step. Reads and writes have their
+  /// own request frame types (maintenance has no frame at all) but share
+  /// one serve loop and one reply format.
   enum class EnvelopeKind : uint8_t { kRead = 0, kWrite = 1, kMaintenance = 2 };
 
   struct RequestEnvelope {
@@ -520,25 +520,31 @@ class NodeRuntime {
   StatusCode Refusal(uint32_t node, const RequestEnvelope& env,
                      const Status& transport) const;
   void WorkerLoop(uint32_t node);
-  /// Serves every item of one dequeued read frame, in order, answering
-  /// with reply frames of at most kReplyFrameBytes of answers each.
-  void ServeReads(uint32_t node, const RequestEnvelope& env,
-                  const Result<DecodedSubQueryBatch>& decoded);
-  /// Serves one decoded request (or refuses it), appending its answer to
-  /// `batch` and its metadata to `out`. `wire_trace_flags` is the trace
-  /// context decoded off the request frame (echoed into the reply and,
-  /// when sampled, stamped on the worker's spans).
-  void ServeOne(uint32_t node, const SubQueryRequest& request,
-                const RequestEnvelope& env, size_t item, Status transport,
-                uint8_t wire_trace_flags, SubQueryReplyBatch& batch,
-                ReplyEnvelope& out);
+  /// One dequeued request frame, decoded: the trace context it carried
+  /// and its items — read sub-queries, or one write batch. `transport`
+  /// fails every item: the frame did not decode, or disagrees with its
+  /// transport metadata or its target node.
+  struct DecodedRequest {
+    Status transport;
+    uint8_t trace_flags = 0;  ///< echoed into the reply frames
+    uint64_t query_id = 0;    ///< as the wire named it
+    DecodedSubQueryBatch reads;    ///< kRead
+    DecodedWriteBatchFrame write;  ///< kWrite
+  };
+  DecodedRequest DecodeRequest(uint32_t node, const RequestEnvelope& env);
+  /// Serves every item of one dequeued read or write frame, in order,
+  /// answering with reply frames of at most kReplyFrameBytes of answers
+  /// each. `wait_us` is the frame's queue residency (for its span).
+  void ServeFrame(uint32_t node, const RequestEnvelope& env, Micros wait_us);
+  /// Serves item `item` of `request` (or refuses it), appending its
+  /// answer to `batch` and its metadata to `out`. `sampled` stamps the
+  /// worker's span with the flow of the wire-propagated trace context.
+  void ServeOne(uint32_t node, const DecodedRequest& request,
+                const RequestEnvelope& env, size_t item, bool sampled,
+                SubQueryReplyBatch& batch, ReplyEnvelope& out);
   /// Takes `query`'s next reply frame off its channel and decodes it;
   /// false once the runtime shut down.
   bool NextReplyFrame(QueryState& query);
-  /// Serves one dequeued write envelope end to end: decode, liveness /
-  /// deadline checks, the write handler, and the encoded WriteReply
-  /// pushed onto the owning query's channel.
-  void ServeWrite(uint32_t node, const RequestEnvelope& env);
   Micros NowMicros() const;
   void SetDepthGauge(uint32_t node);
   /// The live state registered for `query_id`, or null.

@@ -12,6 +12,27 @@ void EmitRow(OperatorResult& out, const Column& column) {
 
 }  // namespace
 
+Result<WriteAck> ParseWriteAck(std::span<const uint64_t> col_a,
+                               std::span<const uint64_t> col_b, size_t keys) {
+  if (col_b.size() != 1) {
+    return Status::Corruption("write ack: " + std::to_string(col_b.size()) +
+                              " sync-failure values, expected 1");
+  }
+  for (size_t i = 0; i < col_a.size(); ++i) {
+    if (col_a[i] >= keys) {
+      return Status::Corruption("write ack: refused index " +
+                                std::to_string(col_a[i]) + " is outside a " +
+                                std::to_string(keys) + "-key batch");
+    }
+    if (i > 0 && col_a[i] <= col_a[i - 1]) {
+      return Status::Corruption(
+          "write ack: refused indices not strictly increasing at " +
+          std::to_string(i));
+    }
+  }
+  return WriteAck{col_a, col_b[0]};
+}
+
 Result<OperatorResult> ExecuteOperator(const Table& table,
                                        std::string_view partition_key,
                                        uint32_t op, uint64_t arg_lo,

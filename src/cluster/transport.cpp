@@ -22,6 +22,22 @@ Micros SteadyMicros() {
       .count();
 }
 
+/// Records a served handler's answer: its paired columns or its error
+/// code. The inline transport has no reply frame to encode, queue or
+/// decode, so the reply stamps all collapse onto db_end.
+void Answer(Result<OperatorResult> columns, TransportReply& out) {
+  out.reply_encoded_us = out.db_end_us;
+  out.reply_dequeued_us = out.db_end_us;
+  out.reply_decoded_us = out.db_end_us;
+  out.served = true;
+  if (columns.ok()) {
+    out.code = StatusCode::kOk;
+    out.columns = std::move(columns).value();
+  } else {
+    out.code = columns.status().code();
+  }
+}
+
 }  // namespace
 
 TransportReply Transport::ServeRead(NodeId node,
@@ -42,21 +58,12 @@ TransportReply Transport::ServeRead(NodeId node,
   out.db_start_us = now_us();
   Result<OperatorResult> columns = handlers_.read(node, request, &out.probe);
   out.db_end_us = now_us();
-  out.reply_encoded_us = out.db_end_us;  // no reply frame to encode,
-  out.reply_dequeued_us = out.db_end_us;  // queue or decode
-  out.reply_decoded_us = out.db_end_us;
-  out.served = true;
   if (read.active()) {
     read.Attr("blocks_decoded", std::to_string(out.probe.blocks_decoded));
     read.Attr("blocks_from_cache", std::to_string(out.probe.blocks_from_cache));
     read.Attr("bloom_negatives", std::to_string(out.probe.bloom_negatives));
   }
-  if (columns.ok()) {
-    out.code = StatusCode::kOk;
-    out.columns = std::move(columns).value();
-  } else {
-    out.code = columns.status().code();
-  }
+  Answer(std::move(columns), out);
   return out;
 }
 
@@ -71,13 +78,9 @@ TransportReply Transport::ServeWrite(const WriteBatch& batch,
   // No store-write span here, unlike reads: direct loads put one column
   // per call, and a span each would bury the query spans in the trace.
   out.db_start_us = now_us();
-  out.write = handlers_.write(batch.target, batch, nullptr);
+  Result<OperatorResult> ack = handlers_.write(batch.target, batch, nullptr);
   out.db_end_us = now_us();
-  out.reply_encoded_us = out.db_end_us;
-  out.reply_dequeued_us = out.db_end_us;
-  out.reply_decoded_us = out.db_end_us;
-  out.served = true;
-  out.code = static_cast<StatusCode>(out.write.status);
+  Answer(std::move(ack), out);
   return out;
 }
 

@@ -12,6 +12,10 @@
 // bit-identical in stored state to issuing the same items as sequential
 // Puts, healthy or under chaos.
 //
+// A node acks a batch in the paired columns a read answers with (the
+// refused key indices and the sync-failure tally; cluster/query_ops.hpp),
+// which the master validates with ParseWriteAck before folding.
+//
 // The fold below is the write-side twin of the gather fold: every replica
 // write attempted lands in exactly one of the acked / failed ledgers
 // (replica_acks + replica_failures == replica_writes, always), per-key
@@ -46,7 +50,7 @@ double ElapsedMicros(std::chrono::steady_clock::time_point since) {
 }
 
 /// One write batch bound for one node: the item indices it carries, in
-/// batch order (the reply's failed_keys index into this list).
+/// batch order (the ack's refused indices index into this list).
 struct WriteChunk {
   NodeId node = 0;
   std::vector<size_t> keys;
@@ -64,7 +68,7 @@ bool Contains(const std::vector<NodeId>& nodes, NodeId node) {
   return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
 }
 
-/// Rebuilds a caller-facing Status from a write reply's wire code.
+/// Rebuilds a caller-facing Status from a write answer's wire code.
 Status WriteRefusal(StatusCode code, NodeId node) {
   const std::string message =
       "node " + std::to_string(node) + " refused the write batch";
@@ -113,19 +117,19 @@ PutResult InProcessCluster::Put(const std::string& table,
   return PutBatch(table, std::move(items), PutOptions{});
 }
 
-WriteReply InProcessCluster::ServeWrite(uint32_t node,
-                                        const WriteBatch& batch,
-                                        NodeRuntime* runtime) {
-  WriteReply reply;
-  reply.status = static_cast<uint32_t>(StatusCode::kOk);
+Result<OperatorResult> InProcessCluster::ServeWrite(uint32_t node,
+                                                    const WriteBatch& batch,
+                                                    NodeRuntime* runtime) {
   std::shared_ptr<LocalStore> store = NodePtr(node);
   // Same liveness rule as the message path's dequeue check: a dead node
   // refuses the whole batch, so both transports fail the same (node, key)
   // pairs under a kill.
   if (store == nullptr || injector_->IsNodeDown(node)) {
-    reply.status = static_cast<uint32_t>(StatusCode::kUnavailable);
-    return reply;
+    return Status::Unavailable("node " + std::to_string(node) + " is down");
   }
+  // The ack: col_a the refused batch indices, col_b {sync_failures}.
+  OperatorResult ack;
+  uint64_t sync_failures = 0;
   std::vector<BatchPutItem> items;
   items.reserve(batch.keys.size());
   for (size_t i = 0; i < batch.keys.size(); ++i) {
@@ -146,7 +150,6 @@ WriteReply InProcessCluster::ServeWrite(uint32_t node,
     for (BatchPutItem& item : items) {
       dest.Put(item.partition_key, std::move(item.column));
     }
-    reply.applied = items.size();
   } else {
     // Per-key WAL fault filter. OnWalWrite hashes (seed, node, key) — no
     // batch-shape input — so a batched load refuses exactly the pairs a
@@ -160,7 +163,7 @@ WriteReply InProcessCluster::ServeWrite(uint32_t node,
         allowed.push_back(std::move(items[i]));
         allowed_index.push_back(i);
       } else {
-        reply.failed_keys.push_back(i);
+        ack.col_a.push_back(i);
       }
     }
     if (!allowed.empty()) {
@@ -168,22 +171,19 @@ WriteReply InProcessCluster::ServeWrite(uint32_t node,
       if (!batched.ok()) {
         // The store refused the whole batch (no commit log after all):
         // every key fails, not just the injector-filtered ones.
-        reply.status = static_cast<uint32_t>(batched.status().code());
-        reply.failed_keys.clear();
-        return reply;
+        return batched.status();
       }
       const BatchPutResult& applied = batched.value();
-      reply.applied = applied.applied;
-      reply.sync_failures = applied.sync_failures;
+      sync_failures = applied.sync_failures;
       for (const uint64_t failed : applied.failed_items) {
-        reply.failed_keys.push_back(allowed_index[failed]);
+        ack.col_a.push_back(allowed_index[failed]);
       }
-      // The decoder rejects non-increasing failed_keys; indices are
-      // unique, so sorting restores the strict order after the
-      // two-source merge.
-      std::sort(reply.failed_keys.begin(), reply.failed_keys.end());
+      // ParseWriteAck rejects non-increasing indices; they are unique,
+      // so sorting restores the strict order after the two-source merge.
+      std::sort(ack.col_a.begin(), ack.col_a.end());
     }
   }
+  ack.col_b.push_back(sync_failures);
   const uint64_t watermark =
       flush_watermark_bytes_.load(std::memory_order_relaxed);
   if (runtime != nullptr && watermark > 0) {
@@ -195,7 +195,7 @@ WriteReply InProcessCluster::ServeWrite(uint32_t node,
       runtime->ScheduleMaintenance(node, batch.table);
     }
   }
-  return reply;
+  return ack;
 }
 
 void InProcessCluster::RunMaintenanceStep(uint32_t node,
@@ -257,13 +257,13 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
   }
 
   // Folds one node's answer into the per-key ledgers and the counters.
-  // A non-OK `failure` refuses the whole chunk; otherwise the reply's
+  // A non-OK `failure` refuses the whole chunk; otherwise the ack's
   // per-key verdicts decide. Every key the chunk carried ends in exactly
   // one ledger; cluster.put.errors is bumped here — and only here — so
   // per-key refusals and whole-batch refusals count uniformly.
-  auto fold = [&](const WriteChunk& chunk, const WriteReply& reply,
+  auto fold = [&](const WriteChunk& chunk, const WriteAck& ack,
                   const Status& failure) {
-    result.sync_failures += reply.sync_failures;
+    result.sync_failures += ack.sync_failures;
     if (!failure.ok()) {
       for (const size_t k : chunk.keys) {
         state[k].failed.push_back(chunk.node);
@@ -276,8 +276,7 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
     size_t next_failed = 0;
     for (size_t i = 0; i < chunk.keys.size(); ++i) {
       const size_t k = chunk.keys[i];
-      if (next_failed < reply.failed_keys.size() &&
-          reply.failed_keys[next_failed] == i) {
+      if (next_failed < ack.refused.size() && ack.refused[next_failed] == i) {
         ++next_failed;
         state[k].failed.push_back(chunk.node);
         ++result.replica_failures;
@@ -393,7 +392,7 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
         // Rejecting backpressure: the batch never left, so every key it
         // carried counts as a refused replica write and the quorum
         // decides.
-        fold(chunk, WriteReply{}, sent);
+        fold(chunk, WriteAck{}, sent);
         continue;
       }
       by_sub.push_back(std::move(chunk));
@@ -404,9 +403,14 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
       --outstanding;
       KV_CHECK(r.sub_id < by_sub.size());
       const WriteChunk& chunk = by_sub[r.sub_id];
-      fold(chunk, r.write,
-           r.code == StatusCode::kOk ? Status::Ok()
-                                     : WriteRefusal(r.code, chunk.node));
+      if (r.code != StatusCode::kOk) {
+        fold(chunk, WriteAck{}, WriteRefusal(r.code, chunk.node));
+        continue;
+      }
+      // An ack the fold could not match key by key refuses the chunk.
+      const Result<WriteAck> ack =
+          ParseWriteAck(r.col_a(), r.col_b(), chunk.keys.size());
+      fold(chunk, ack.value_or(WriteAck{}), ack.status());
     }
     due.clear();
     const uint64_t epoch_now = ring_epoch();

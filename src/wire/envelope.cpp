@@ -406,21 +406,6 @@ Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
   return out;
 }
 
-Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
-                                           WireCodecKind kind,
-                                           const CompactCodec& registry,
-                                           uint64_t expected_query_id) {
-  auto decoded = DecodeReplyFrame(frame, kind, registry);
-  if (!decoded.ok()) return decoded.status();
-  if (decoded.value().reply.query_id != expected_query_id) {
-    return Status::Corruption(
-        "reply frame: demux mismatch (reply names query " +
-        std::to_string(decoded.value().reply.query_id) +
-        ", channel belongs to " + std::to_string(expected_query_id) + ")");
-  }
-  return decoded;
-}
-
 void EncodeWriteBatchFrame(const WriteBatch& batch, uint32_t attempt,
                            uint8_t trace_flags, WireCodecKind kind,
                            const CompactCodec& registry, WireBuffer& out) {
@@ -490,68 +475,6 @@ Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
   out.attempt = item.attempt;
   out.batch = std::move(decoded).value();
   return out;
-}
-
-void EncodeWriteReplyFrame(const WriteReply& reply, uint32_t attempt,
-                           uint8_t trace_flags, WireCodecKind kind,
-                           const CompactCodec& registry, WireBuffer& out) {
-  std::vector<WireBuffer> items(1);
-  EncodeWith(kind, registry, reply, items[0]);
-  const uint32_t sub_id = reply.sub_id;
-  EncodeFrame(kind, reply.query_id, trace_flags,
-              std::span<const uint32_t>(&sub_id, 1),
-              std::span<const uint32_t>(&attempt, 1), items, out);
-}
-
-Result<DecodedWriteReplyFrame> DecodeWriteReplyFrame(
-    std::span<const std::byte> frame, WireCodecKind kind,
-    const CompactCodec& registry) {
-  auto split = SplitFrame(frame, kind);
-  if (!split.ok()) return split.status();
-  if (split.value().items.size() != 1) {
-    return Status::Corruption("write reply: expected exactly one payload");
-  }
-  const FrameItem& item = split.value().items.front();
-  auto decoded = DecodeWith<WriteReply>(kind, registry, item.payload);
-  if (!decoded.ok()) return decoded.status();
-  const WriteReply& reply = decoded.value();
-  if (reply.query_id != split.value().query_id) {
-    return Status::Corruption(
-        "write reply: payload query_id " + std::to_string(reply.query_id) +
-        " disagrees with the envelope's " +
-        std::to_string(split.value().query_id));
-  }
-  if (reply.sub_id != item.sub_id) {
-    return Status::Corruption(
-        "write reply: payload sub_id " + std::to_string(reply.sub_id) +
-        " disagrees with the envelope's " + std::to_string(item.sub_id));
-  }
-  for (size_t i = 1; i < reply.failed_keys.size(); ++i) {
-    if (reply.failed_keys[i] <= reply.failed_keys[i - 1]) {
-      return Status::Corruption(
-          "write reply: failed_keys not strictly increasing at index " +
-          std::to_string(i));
-    }
-  }
-  DecodedWriteReplyFrame out;
-  out.trace_flags = split.value().trace_flags;
-  out.attempt = item.attempt;
-  out.reply = std::move(decoded).value();
-  return out;
-}
-
-Result<DecodedWriteReplyFrame> DecodeWriteReplyFrame(
-    std::span<const std::byte> frame, WireCodecKind kind,
-    const CompactCodec& registry, uint64_t expected_query_id) {
-  auto decoded = DecodeWriteReplyFrame(frame, kind, registry);
-  if (!decoded.ok()) return decoded.status();
-  if (decoded.value().reply.query_id != expected_query_id) {
-    return Status::Corruption(
-        "write reply: demux mismatch (reply names query " +
-        std::to_string(decoded.value().reply.query_id) +
-        ", channel belongs to " + std::to_string(expected_query_id) + ")");
-  }
-  return decoded;
 }
 
 }  // namespace kvscale

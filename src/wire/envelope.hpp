@@ -24,9 +24,9 @@
 // contents is kCorruption, exactly like a bad length prefix.
 //
 // A reply frame carries one SubQueryReplyBatch item: the answers to the
-// sub-queries of one request frame as parallel columns, each with its own
-// checksum, so a damaged answer fails over alone while a damaged envelope
-// fails over the whole frame.
+// sub-queries of one request frame (or the ack of one WriteBatch frame)
+// as parallel columns, each with its own checksum, so a damaged answer
+// fails over alone while a damaged envelope fails over the whole frame.
 //
 // Frame layout (version 2):
 //   [u16 magic 0xFAB1][u8 version][u8 codec][u8 trace_flags]
@@ -232,15 +232,6 @@ Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
                                            WireCodecKind kind,
                                            const CompactCodec& registry);
 
-/// Query-id-checked variant for demultiplexed reply channels: beyond
-/// frame validation, a decoded reply whose query_id differs from
-/// `expected_query_id` is kCorruption — a reply that slipped onto the
-/// wrong query's channel must never be folded into its result.
-Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
-                                           WireCodecKind kind,
-                                           const CompactCodec& registry,
-                                           uint64_t expected_query_id);
-
 /// A decoded and validated WriteBatch frame with its envelope context.
 /// One frame carries exactly one WriteBatch (the batch already coalesces
 /// many keys, unlike sub-queries which coalesce per frame).
@@ -266,31 +257,5 @@ void EncodeWriteBatchFrame(const WriteBatch& batch, uint32_t attempt,
 Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry);
-
-/// A decoded and validated single WriteReply frame.
-struct DecodedWriteReplyFrame {
-  uint8_t trace_flags = 0;
-  uint32_t attempt = 0;
-  WriteReply reply;
-};
-
-/// Encodes one WriteReply as a single-item frame (envelope mirrors the
-/// reply's query_id/sub_id, like EncodeReplyFrame).
-void EncodeWriteReplyFrame(const WriteReply& reply, uint32_t attempt,
-                           uint8_t trace_flags, WireCodecKind kind,
-                           const CompactCodec& registry, WireBuffer& out);
-
-/// Decodes a single-item WriteReply frame; kCorruption on malformed
-/// frames, envelope/payload disagreement, or a failed-key index list
-/// that is not strictly increasing (a duplicate index would double-count
-/// a key in the master's quorum accounting).
-Result<DecodedWriteReplyFrame> DecodeWriteReplyFrame(
-    std::span<const std::byte> frame, WireCodecKind kind,
-    const CompactCodec& registry);
-
-/// Query-id-checked variant for demultiplexed write-reply channels.
-Result<DecodedWriteReplyFrame> DecodeWriteReplyFrame(
-    std::span<const std::byte> frame, WireCodecKind kind,
-    const CompactCodec& registry, uint64_t expected_query_id);
 
 }  // namespace kvscale

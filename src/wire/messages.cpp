@@ -14,7 +14,6 @@ void RegisterClusterMessages(CompactCodec& codec) {
   codec.Register<MigrationBlock>();
   codec.Register<MigrationDone>();
   codec.Register<WriteBatch>();
-  codec.Register<WriteReply>();
   codec.Register<SubQueryReplyBatch>();
 }
 

@@ -296,9 +296,12 @@ struct MigrationDone {
 //
 // The write pipeline scatters one WriteBatch per (replica node, chunk of
 // keys) over the same envelope the query path uses, and the node answers
-// with one WriteReply. A batch is group-committed: the node appends every
-// surviving key to its WAL, then issues a single Sync() for the whole
-// batch — the ingest analogue of the read path's sub-query batching.
+// it like a read: with a one-item SubQueryReplyBatch whose paired columns
+// carry the refused key indices and the sync-failure tally
+// (cluster/query_ops.hpp), checksummed per item. A batch is
+// group-committed: the node appends every surviving key to its WAL, then
+// issues a single Sync() for the whole batch — the ingest analogue of the
+// read path's sub-query batching.
 
 /// Master -> replica: apply a batch of columns to one table. The five
 /// column vectors are parallel: keys[i] owns (clusterings[i],
@@ -331,37 +334,6 @@ struct WriteBatch {
     v.Field("tombstones", tombstones);
     v.Field("payloads", payloads);
     v.Field("checksum", checksum);
-  }
-};
-
-/// Replica -> master: outcome of one WriteBatch. `applied` counts keys
-/// durably appended; `failed_keys` lists the batch indices whose WAL
-/// write was refused, so the master can do per-key quorum accounting.
-/// `sync_failures` reports whether the batch's group-commit Sync()
-/// failed (the columns are still applied in memory — durability to disk
-/// is best-effort until FlushAll, matching the sequential path).
-struct WriteReply {
-  static constexpr std::string_view kTypeName = "kvscale.WriteReply";
-
-  uint64_t query_id = 0;
-  uint32_t sub_id = 0;
-  uint32_t node = 0;                 ///< replica that served (or refused)
-  uint32_t status = 0;               ///< static_cast<uint32_t>(StatusCode)
-  uint64_t applied = 0;              ///< keys applied to the store
-  std::vector<uint64_t> failed_keys; ///< batch indices refused by the WAL
-  uint64_t sync_failures = 0;        ///< group-commit Sync() failures (0/1)
-  double db_micros = 0.0;            ///< wall time inside the data store
-
-  template <typename V>
-  void Visit(V&& v) {
-    v.Field("query_id", query_id);
-    v.Field("sub_id", sub_id);
-    v.Field("node", node);
-    v.Field("status", status);
-    v.Field("applied", applied);
-    v.Field("failed_keys", failed_keys);
-    v.Field("sync_failures", sync_failures);
-    v.Field("db_micros", db_micros);
   }
 };
 

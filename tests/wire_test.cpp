@@ -3,7 +3,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
+#include "cluster/query_ops.hpp"
 #include "wire/buffer.hpp"
 #include "wire/codec.hpp"
 #include "wire/envelope.hpp"
@@ -184,7 +187,7 @@ TEST(TaggedCodecTest, RejectsTruncation) {
 TEST(CompactCodecTest, RoundTripsRegisteredTypes) {
   CompactCodec codec;
   RegisterClusterMessages(codec);
-  EXPECT_EQ(codec.registered_count(), 12u);
+  EXPECT_EQ(codec.registered_count(), 11u);
 
   WireBuffer buf;
   codec.Encode(SampleResult(), buf);
@@ -298,33 +301,58 @@ TEST(WriteMessageTest, BatchDecoderRejectsBadShapes) {
 TEST(WriteMessageTest, ReplyRoundTripsAndRejectsUnsortedFailures) {
   CompactCodec codec;
   RegisterClusterMessages(codec);
-  WriteReply reply;
-  reply.query_id = 91;
-  reply.sub_id = 4;
-  reply.node = 2;
-  reply.status = 0;
-  reply.applied = 5;
-  reply.failed_keys = {1, 3, 6};
-  reply.sync_failures = 1;
-  reply.db_micros = 42.5;
+  // A write ack travels as a one-item reply batch: col_a the refused key
+  // indices, col_b {sync_failures}, checksummed like any read answer.
+  const auto round_trip = [&](std::vector<uint64_t> refused,
+                              std::vector<uint64_t> syncs) {
+    SubQueryReplyBatch batch;
+    batch.query_id = 91;
+    batch.node = 2;
+    batch.sub_ids = {4};
+    batch.attempts = {1};
+    batch.statuses = {0};
+    batch.db_start_ns = {10};
+    batch.db_end_ns = {52};
+    batch.a_ends = {refused.size()};
+    batch.b_ends = {syncs.size()};
+    batch.col_a = std::move(refused);
+    batch.col_b = std::move(syncs);
+    batch.checksums = {ReplyItemChecksum(batch, 0)};
+    WireBuffer buf;
+    EncodeReplyBatchFrame(batch, /*trace_flags=*/0, WireCodecKind::kCompact,
+                          codec, buf);
+    const uint32_t sub_id = 4;
+    const uint32_t attempt = 1;
+    auto decoded = DecodeReplyBatchFrame(
+        buf.data(), WireCodecKind::kCompact, codec, 91,
+        std::span<const uint32_t>(&sub_id, 1),
+        std::span<const uint32_t>(&attempt, 1));
+    EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(decoded.value().intact[0]);
+    return std::move(decoded).value();
+  };
+  const DecodedReplyBatch good = round_trip({1, 3, 6}, {1});
+  const auto ack = ParseWriteAck(good.col_a(0), good.col_b(0), /*keys=*/7);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(std::vector<uint64_t>(ack.value().refused.begin(),
+                                  ack.value().refused.end()),
+            (std::vector<uint64_t>{1, 3, 6}));
+  EXPECT_EQ(ack.value().sync_failures, 1u);
 
-  WireBuffer buf;
-  EncodeWriteReplyFrame(reply, /*attempt=*/1, /*trace_flags=*/0,
-                        WireCodecKind::kCompact, codec, buf);
-  auto decoded =
-      DecodeWriteReplyFrame(buf.data(), WireCodecKind::kCompact, codec);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value().reply.applied, 5u);
-  EXPECT_EQ(decoded.value().reply.failed_keys, reply.failed_keys);
-  EXPECT_EQ(decoded.value().reply.sync_failures, 1u);
-
-  reply.failed_keys = {3, 3};  // duplicates can double-count a key
-  WireBuffer bad;
-  EncodeWriteReplyFrame(reply, 1, 0, WireCodecKind::kCompact, codec, bad);
-  auto rejected =
-      DecodeWriteReplyFrame(bad.data(), WireCodecKind::kCompact, codec);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kCorruption);
+  const auto expect_corrupt = [&](std::vector<uint64_t> refused,
+                                  std::vector<uint64_t> syncs,
+                                  const char* label) {
+    const DecodedReplyBatch bad =
+        round_trip(std::move(refused), std::move(syncs));
+    const auto rejected = ParseWriteAck(bad.col_a(0), bad.col_b(0), 7);
+    ASSERT_FALSE(rejected.ok()) << label;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kCorruption) << label;
+  };
+  expect_corrupt({3, 3}, {0}, "duplicate: would double-count a key");
+  expect_corrupt({3, 1}, {0}, "decreasing");
+  expect_corrupt({1, 7}, {0}, "out of range: would be silently acked");
+  expect_corrupt({1}, {}, "no sync tally");
+  expect_corrupt({1}, {0, 1}, "two sync tallies");
 }
 
 TEST(CompactCodecTest, RejectsTypeIdMismatch) {

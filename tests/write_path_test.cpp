@@ -2,7 +2,8 @@
 // dispatch-on-attempt load feedback, PutBatch <-> sequential-Put parity
 // (healthy and under WAL/kill chaos, both transports), per-key quorum
 // policies, group-commit sync amortization, torn-tail recovery, the
-// epoch-retry membership drill, and background flush scheduling.
+// epoch-retry membership drill, background flush scheduling, and reads
+// and writes interleaved on one shared runtime.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -528,6 +529,103 @@ TEST(WritePathTest, RejectedWriteBatchesCountAsReplicaFailures) {
     EXPECT_EQ(put.first_error.code(), StatusCode::kResourceExhausted);
     EXPECT_FALSE(put.ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Reads and writes share the node workers: one serve loop, one reply format
+
+TEST(WritePathTest, ReadsAndWritesShareNodeWorkers) {
+  const std::string wal = TempPath("shared");
+  StoreOptions store_options;
+  store_options.wal_path = wal;
+  InProcessCluster cluster(4, PlacementKind::kDhtRandom, store_options, 19,
+                           2);
+  // Table "b" is loaded up front and only read; table "a" is only written.
+  for (BatchPutItem& item : MakeItems(24, 4, "r")) {
+    ASSERT_TRUE(
+        cluster.Put("b", item.partition_key, std::move(item.column)).ok());
+  }
+  cluster.FlushAll();
+  // Then flaky WALs, so acks carry refused key indices through the shared
+  // loop; reads never consult the WAL, so they stay fault-free.
+  FaultConfig config;
+  config.seed = 23;
+  config.wal_error_rate = 0.1;
+  FaultInjector injector(config);
+  cluster.AttachFaultInjector(&injector);
+  WorkloadSpec reads = MakeWorkload(24, 4, "r");
+  reads.table = "b";
+  const GatherResult reference = cluster.CountByTypeAll(reads);
+  ASSERT_EQ(reference.partitions_missing, 0u);
+
+  GatherOptions gather;
+  gather.transport = GatherTransport::kMessage;
+  gather.batch = true;
+  gather.workers_per_node = 2;
+  PutOptions put;
+  put.transport = GatherTransport::kMessage;
+  put.workers_per_node = 2;
+  put.batch = 8;
+  put.flush_watermark_bytes = 2048;  // maintenance joins the mix
+  ASSERT_EQ(cluster.CountByTypeAll(reads, gather).totals, reference.totals);
+  ASSERT_EQ(cluster.runtime_builds(), 1u);
+
+  constexpr int kPuts = 24;
+  std::atomic<bool> writing{true};
+  std::vector<PutResult> puts;
+  std::thread writer([&] {
+    for (int i = 0; i < kPuts; ++i) {
+      const std::string prefix = "w" + std::to_string(i) + "_";
+      puts.push_back(
+          cluster.PutBatch("a", MakeItems(8, 2, prefix.c_str()), put));
+    }
+    writing.store(false, std::memory_order_release);
+  });
+  std::vector<std::vector<GatherResult>> gathered(2);
+  std::vector<std::thread> readers;
+  for (std::vector<GatherResult>& mine : gathered) {
+    readers.emplace_back([&cluster, &reads, &gather, &writing, &mine] {
+      while (writing.load(std::memory_order_acquire) || mine.size() < 3) {
+        mine.push_back(cluster.CountByTypeAll(reads, gather));
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  // One runtime served both kinds: no rebuild between reads and writes.
+  EXPECT_EQ(cluster.runtime_builds(), 1u);
+  for (const std::vector<GatherResult>& mine : gathered) {
+    for (const GatherResult& r : mine) {
+      EXPECT_EQ(r.totals, reference.totals);
+      EXPECT_EQ(r.requests_per_node, reference.requests_per_node);
+      EXPECT_EQ(r.errors_per_node, reference.errors_per_node);
+      EXPECT_EQ(r.partitions_missing, reference.partitions_missing);
+      EXPECT_EQ(r.subqueries, reference.subqueries);
+      EXPECT_EQ(r.completed, reference.completed);
+      EXPECT_EQ(r.failed, reference.failed);
+      EXPECT_EQ(r.retries, reference.retries);
+      EXPECT_DOUBLE_EQ(r.virtual_latency_us, reference.virtual_latency_us);
+    }
+  }
+  uint64_t acks = 0;
+  uint64_t failures = 0;
+  ASSERT_EQ(puts.size(), static_cast<size_t>(kPuts));
+  for (const PutResult& p : puts) {
+    EXPECT_EQ(p.replica_writes, 32u);  // 16 items x 2 replicas
+    EXPECT_EQ(p.replica_acks + p.replica_failures, p.replica_writes);
+    acks += p.replica_acks;
+    failures += p.replica_failures;
+  }
+  EXPECT_GT(failures, 0u);  // the WAL chaos really fired
+  // Every acked copy, and only those, reached a store: a dropped or
+  // misread refused index would count an unwritten copy as acked.
+  uint64_t stored = 0;
+  for (const uint64_t columns : cluster.ColumnsPerNode("a")) {
+    stored += columns;
+  }
+  EXPECT_EQ(stored, acks);
+  RemoveWals(wal, 4);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Builds the tsan CMake preset and runs the concurrency-heavy suites —
 # the bounded queues and worker pools of the node runtime, the gather and
-# write loops over both transports, and the store's concurrent readers and
-# the decoded blocks they share — under ThreadSanitizer, then drives one
-# end-to-end message-transport gather through the CLI. A clean exit means the queue/worker/clock machinery
-# is data-race-free.
+# write loops over both transports, reads and writes interleaved on one
+# shared runtime, and the store's concurrent readers and the decoded
+# blocks they share — under ThreadSanitizer, then drives end-to-end
+# message-transport gathers and puts through the CLI. A clean exit means
+# the queue/worker/clock machinery is data-race-free.
 #
 # Usage: tools/race_check.sh
 set -euo pipefail
@@ -29,6 +30,14 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
 # a segment's directory keys while other owners drop it.
 ./build-tsan/tests/store_concurrency_test \
   --gtest_filter='StoreConcurrencyTest.HeldBlockHandles*:StoreConcurrencyTest.HeldViews*:StoreConcurrencyTest.SegmentKeyViews*' \
+  --gtest_repeat=5
+
+# The mixed-kind drill, repeated: a writer streams message-transport
+# PutBatches (flush watermark armed, so maintenance joins in) while two
+# readers gather another table through the same two-worker node pools —
+# both kinds go through one worker serve loop and one reply format.
+./build-tsan/tests/write_path_test \
+  --gtest_filter='WritePathTest.ReadsAndWritesShareNodeWorkers' \
   --gtest_repeat=5
 
 # One sanitized end-to-end run over the wire: batched compact frames,
