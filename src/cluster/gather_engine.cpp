@@ -199,13 +199,11 @@ void InProcessCluster::RecordGather(uint64_t query_id, QueryKind kind,
 std::shared_ptr<NodeRuntime> InProcessCluster::EnsureRuntime(
     const TransportOptions& options) {
   MutexLock lock(runtime_mu_);
-  const RuntimeConfig wanted{options.queue_depth, options.workers_per_node,
-                             options.queue_policy};
   const bool reusable =
       runtime_ != nullptr &&
-      runtime_config_.queue_depth == wanted.queue_depth &&
-      runtime_config_.workers_per_node == wanted.workers_per_node &&
-      runtime_config_.queue_policy == wanted.queue_policy;
+      runtime_->options().queue_depth == options.queue_depth &&
+      runtime_->options().workers_per_node == options.workers_per_node &&
+      runtime_->options().queue_policy == options.queue_policy;
   if (reusable) {
     // Admission is a controller setting, not a structural one: re-arm it
     // without touching the queues or workers.
@@ -213,19 +211,12 @@ std::shared_ptr<NodeRuntime> InProcessCluster::EnsureRuntime(
                                 options.admission_policy);
     return runtime_;
   }
-  NodeRuntimeOptions rt_options;
-  rt_options.queue_depth = options.queue_depth;
-  rt_options.workers_per_node = options.workers_per_node;
-  rt_options.on_queue_full = options.queue_policy;
-  rt_options.max_inflight_queries = options.max_inflight;
-  rt_options.on_admission_full = options.admission_policy;
   runtime_ = std::make_shared<NodeRuntime>(
-      node_count(), rt_options, handlers_.read, codec_registry_, injector_,
+      node_count(), options, handlers_.read, codec_registry_, injector_,
       metrics_, spans_, handlers_.write,
       [this](uint32_t node, const std::string& table) {
         RunMaintenanceStep(node, table);
       });
-  runtime_config_ = wanted;
   ++runtime_builds_;
   return runtime_;
 }
@@ -514,7 +505,8 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
   while (outstanding > 0) {
     TransportReply r = transport->Await();
     --outstanding;
-    const size_t i = r.sub_id;
+    const size_t i = r.trace.sub_id;
+    const NodeId node = r.trace.node;
     KV_CHECK(i < total);
     // The flow's terminus: the reply span covers this reply's fold (or
     // failover decision) and closes the arrow the dispatch span opened —
@@ -522,38 +514,29 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
     SpanTracer::Scope reply_span;
     if (sampled && (r.trace_flags & kTraceSampled) != 0) {
       reply_span = spans_->StartSpan("reply", master_track());
-      reply_span.Attr("sub", std::to_string(r.sub_id));
-      reply_span.Attr("node", std::to_string(r.node));
+      reply_span.Attr("sub", std::to_string(i));
+      reply_span.Attr("node", std::to_string(node));
       reply_span.Attr("attempt", std::to_string(r.attempt));
-      reply_span.Flow(TraceFlowId(query_id, r.sub_id, r.attempt),
+      reply_span.Flow(TraceFlowId(query_id, r.trace.sub_id, r.attempt),
                       FlowPhase::kFinish);
     }
-    // The served reply's stage record; `completed` is stamped once it
-    // settled (folded, or failed over).
-    RequestTrace trace;
+    // The served reply's stage record, as the transport stamped it;
+    // `completed` is stamped once it settled (folded, or failed over).
+    RequestTrace& trace = r.trace;
     const bool traced =
         r.served && (stage_tracer_ != nullptr || !timeline.empty() ||
                      inst_.reply_fold != nullptr);
     if (traced) {
       trace.query_id = query_id;
-      trace.sub_id = r.sub_id;
-      trace.node = r.node;
       trace.keysize = static_cast<double>(plan.partitions[i].part.elements);
-      trace.issued = r.issued_us;
-      trace.received = r.received_us;
-      trace.db_start = r.db_start_us;
-      trace.db_end = r.db_end_us;
-      trace.reply_encoded = r.reply_encoded_us;
-      trace.reply_dequeued = r.reply_dequeued_us;
-      trace.reply_decoded = r.reply_decoded_us;
       // resolve() stamps the attempt count, verdict and completion.
       if (!timeline.empty()) timeline[i] = trace;
     }
     if (r.served) {
-      EnsureSlot(result.requests_per_node, r.node);
-      EnsureSlot(result.probes_per_node, r.node);
-      ++result.requests_per_node[r.node];
-      result.probes_per_node[r.node].MergeFrom(r.probe);
+      EnsureSlot(result.requests_per_node, node);
+      EnsureSlot(result.probes_per_node, node);
+      ++result.requests_per_node[node];
+      result.probes_per_node[node].MergeFrom(r.probe);
     }
     Micros completed = 0.0;
     if (r.code == StatusCode::kOk) {
@@ -569,7 +552,7 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
       // not the node's: it retries without an error tally, and the
       // deadline check inside the failover loop settles its fate.
       if (r.code != StatusCode::kResourceExhausted) {
-        subs[i].failover.RecordError(r.node);
+        subs[i].failover.RecordError(node);
       }
       if (try_dispatch(i, false)) ++outstanding;
     }

@@ -224,6 +224,7 @@ std::vector<int64_t> InProcessCluster::PlacementLoad() const {
 // quorum accounting they share.
 
 void InProcessCluster::FlushAll() {
+  MutexLock membership(membership_mu_);
   std::vector<std::shared_ptr<LocalStore>> stores;
   {
     MutexLock lock(nodes_mu_);
@@ -238,6 +239,7 @@ void InProcessCluster::KillNode(NodeId node) {
 }
 
 Result<uint64_t> InProcessCluster::ReviveNode(NodeId node) {
+  MutexLock membership(membership_mu_);
   KV_CHECK(node < node_count());
   fault_injector().ReviveNode(node);
   // A crash loses everything the old store held in memory; only the
@@ -444,10 +446,10 @@ Result<MembershipReport> InProcessCluster::AddNode() {
     return streamed;
   }
   Instruments::Add(inst_.joins);
-  // The shared runtime was sized for the old member count; rebuild so
-  // message gathers can reach the new node. In-flight gathers keep the
-  // old runtime and see kUnavailable for the new id, which retries
-  // handle like any transport error.
+  // The shared runtime has no queue for the new slot; rebuild so message
+  // queries reach the new node through it. In-flight message queries
+  // keep the old runtime and serve the new id inline (MessageTransport's
+  // stale-node route), so they never see kUnavailable for it.
   InvalidateRuntime();
   report.wall_us = ElapsedMicros(t0);
   return report;
@@ -496,7 +498,8 @@ Result<MembershipReport> InProcessCluster::DecommissionNode(NodeId node) {
   // before the flip can still drain their reads from it.
   fault_injector().KillNode(node);
   Instruments::Add(inst_.decommissions);
-  InvalidateRuntime();
+  // The slot count is unchanged, so the shared runtime stays: its
+  // workers bounce the dead node's queued requests at dequeue.
   report.wall_us = ElapsedMicros(t0);
   return report;
 }
@@ -553,7 +556,7 @@ Result<MembershipReport> InProcessCluster::FailNodePermanently(NodeId node) {
   Instruments::Add(inst_.perma_failures);
   Instruments::Add(inst_.repaired, report.partitions_repaired);
   Instruments::Add(inst_.lost, report.partitions_lost);
-  InvalidateRuntime();
+  // As in DecommissionNode: no new slot, so no runtime rebuild.
   report.wall_us = ElapsedMicros(t0);
   return report;
 }

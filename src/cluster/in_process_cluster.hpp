@@ -237,9 +237,11 @@ class InProcessCluster {
   // a move retries against the new owner — and Put / PutBatch do the
   // same on the write side, re-dispatching to the new owners through
   // bounded epoch-retry rounds (PutOptions::max_epoch_retries).
-  // Membership changes serialize against each other and must not race
-  // FlushAll / ReviveNode; concurrent *gathers* and *puts* (any
-  // transport) are the supported workloads.
+  // Membership changes, FlushAll, and ReviveNode serialize on one lock
+  // (membership_mu_, taken before nodes_mu_): a revive cannot swap a
+  // store under a migration that is planning from or streaming into it,
+  // and a flush cannot interleave with one. Concurrent *gathers* and
+  // *puts* (any transport) run alongside all of them.
 
   /// Adds a fresh empty node, streams every partition the ring now
   /// assigns it from the surviving replicas (checksummed blocks, bounded
@@ -362,7 +364,8 @@ class InProcessCluster {
   PutResult PutBatch(const std::string& table, std::vector<BatchPutItem> items,
                      const PutOptions& options = {});
 
-  /// Flushes every node's memtables (end of load phase).
+  /// Flushes every node's memtables (end of load phase). Waits for an
+  /// in-progress membership change, FlushAll, or ReviveNode.
   void FlushAll();
 
   /// Marks `node` unreachable: sub-queries against it fail over to the
@@ -373,8 +376,8 @@ class InProcessCluster {
   /// crash loses everything held in memory) and, when a WAL is
   /// configured, Recover() replays every intact logged mutation — the
   /// torn-tail semantics of CommitLog::Replay. Returns the number of
-  /// mutations recovered (0 without a WAL). Must not race with a
-  /// concurrent gather.
+  /// mutations recovered (0 without a WAL). Waits for an in-progress
+  /// membership change, FlushAll, or ReviveNode.
   Result<uint64_t> ReviveNode(NodeId node);
 
   /// Scatter/gather: executes `plan` — its per-node operator against
@@ -406,6 +409,9 @@ class InProcessCluster {
   /// How many times the shared runtime has been (re)built. A sequence of
   /// gathers with identical structural knobs holds this at 1 — the
   /// acceptance criterion for "zero per-gather thread-pool construction".
+  /// Only a structural knob change, AttachTelemetry / AttachFaultInjector,
+  /// and AddNode (a new node slot) rebuild it; decommissions and
+  /// permanent failures do not.
   uint64_t runtime_builds() const;
 
   /// Snapshot of the placement policy's per-node load feedback
@@ -521,13 +527,14 @@ class InProcessCluster {
 
   /// Returns the shared runtime, building it on first use and rebuilding
   /// only when `options` changes a structural knob (queue depth, worker
-  /// count, queue policy). A replaced runtime stays alive — via the
-  /// shared_ptr each in-flight query holds — until its last query ends.
-  /// Always re-arms the admission controller from `options`.
+  /// count, queue policy) from the live runtime's own options. A replaced
+  /// runtime stays alive — via the shared_ptr each in-flight query holds
+  /// — until its last query ends. Always re-arms the admission
+  /// controller from `options`.
   std::shared_ptr<NodeRuntime> EnsureRuntime(const TransportOptions& options);
 
   /// Drops the shared runtime so the next gather rebuilds it with fresh
-  /// captured pointers (telemetry / injector).
+  /// captured pointers (telemetry / injector) or a queue for a new node.
   void InvalidateRuntime();
 
   /// Load feedback at an actual dispatch site: a read attempt or a
@@ -596,8 +603,9 @@ class InProcessCluster {
   std::set<std::string> tables_ KV_GUARDED_BY(route_mu_);
 
   // -- Elastic membership state -------------------------------------------
-  /// Serializes membership operations end to end (including streaming);
-  /// acquired before route_mu_ / nodes_mu_, never while holding them.
+  /// Serializes membership operations end to end (including streaming),
+  /// FlushAll, and ReviveNode; acquired before route_mu_ / nodes_mu_,
+  /// never while holding them.
   Mutex membership_mu_;
   bool elastic_ KV_GUARDED_BY(route_mu_) = false;
   TokenRing ring_ KV_GUARDED_BY(route_mu_);
@@ -642,14 +650,7 @@ class InProcessCluster {
   MetricsTimeSeries* timeseries_ = nullptr;     ///< null = no trajectory
   Instruments inst_;
 
-  /// The structural knobs the current runtime_ was built with.
-  struct RuntimeConfig {
-    uint32_t queue_depth = 0;
-    uint32_t workers_per_node = 0;
-    QueueFullPolicy queue_policy = QueueFullPolicy::kBlock;
-  };
   mutable Mutex runtime_mu_;
-  RuntimeConfig runtime_config_ KV_GUARDED_BY(runtime_mu_);
   uint64_t runtime_builds_ KV_GUARDED_BY(runtime_mu_) = 0;
   /// Declared last: destroyed first, so the runtime's workers join
   /// before the stores (and everything else they reach) go away.

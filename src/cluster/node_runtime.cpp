@@ -38,7 +38,7 @@ double NanosToMicros(uint64_t nanos) {
 
 }  // namespace
 
-NodeRuntime::NodeRuntime(uint32_t nodes, NodeRuntimeOptions options,
+NodeRuntime::NodeRuntime(uint32_t nodes, TransportOptions options,
                          SubQueryHandler handler, const CompactCodec& registry,
                          FaultInjector* injector, MetricsRegistry* metrics,
                          SpanTracer* spans, WriteBatchHandler write_handler,
@@ -54,12 +54,10 @@ NodeRuntime::NodeRuntime(uint32_t nodes, NodeRuntimeOptions options,
       epoch_(std::chrono::steady_clock::now()) {
   KV_CHECK(nodes >= 1);
   KV_CHECK(handler_ != nullptr);
-  options_.queue_depth = std::max<uint32_t>(options_.queue_depth, 1);
-  options_.workers_per_node = std::max<uint32_t>(options_.workers_per_node, 1);
   {
     MutexLock lock(queries_mu_);
-    max_inflight_ = options_.max_inflight_queries;
-    admission_policy_ = options_.on_admission_full;
+    max_inflight_ = options_.max_inflight;
+    admission_policy_ = options_.admission_policy;
   }
   if (metrics != nullptr) {
     bytes_sent_counter_ = &metrics->GetCounter("wire.bytes.sent");
@@ -85,14 +83,17 @@ NodeRuntime::NodeRuntime(uint32_t nodes, NodeRuntimeOptions options,
           &metrics->GetGauge("cluster.queue.depth.node" + std::to_string(n)));
     }
   }
+  // Zero depth or workers act as one: a queue must hold a request and a
+  // node must have a worker to drain it.
+  const uint32_t depth = std::max<uint32_t>(options_.queue_depth, 1);
+  const uint32_t workers = std::max<uint32_t>(options_.workers_per_node, 1);
   queues_.reserve(nodes);
   for (uint32_t n = 0; n < nodes; ++n) {
-    queues_.push_back(std::make_unique<BoundedQueue<RequestEnvelope>>(
-        options_.queue_depth));
+    queues_.push_back(std::make_unique<BoundedQueue<RequestEnvelope>>(depth));
   }
-  workers_.reserve(static_cast<size_t>(nodes) * options_.workers_per_node);
+  workers_.reserve(static_cast<size_t>(nodes) * workers);
   for (uint32_t n = 0; n < nodes; ++n) {
-    for (uint32_t w = 0; w < options_.workers_per_node; ++w) {
+    for (uint32_t w = 0; w < workers; ++w) {
       workers_.emplace_back([this, n] { WorkerLoop(n); });
     }
   }
@@ -107,18 +108,16 @@ Micros NodeRuntime::NowMicros() const {
       .count();
 }
 
-Micros NodeRuntime::ClockMicros(const QueryState& query) {
-  return NanosToMicros(query.clock_nanos.load(std::memory_order_relaxed));
+Micros NodeRuntime::QueryState::clock_us() const {
+  return NanosToMicros(clock_nanos.load(std::memory_order_relaxed));
 }
 
-std::shared_ptr<NodeRuntime::QueryState> NodeRuntime::FindQuery(
-    uint64_t query_id) const {
-  MutexLock lock(queries_mu_);
-  auto it = queries_.find(query_id);
-  return it == queries_.end() ? nullptr : it->second;
+void NodeRuntime::QueryState::AdvanceClock(Micros us) {
+  clock_nanos.fetch_add(MicrosToNanos(us), std::memory_order_relaxed);
 }
 
-Status NodeRuntime::BeginQuery(uint64_t query_id, const QueryOptions& query) {
+Result<NodeRuntime::QueryHandle> NodeRuntime::BeginQuery(
+    uint64_t query_id, const QueryOptions& options) {
   const Micros wait_start = NowMicros();
   MutexLock lock(queries_mu_);
   // Re-read the limit each pass: SetAdmissionLimit can re-arm the
@@ -138,8 +137,8 @@ Status NodeRuntime::BeginQuery(uint64_t query_id, const QueryOptions& query) {
         "admission: " + std::to_string(queries_.size()) +
         " queries in flight (limit " + std::to_string(max_inflight_) + ")");
   }
-  auto [it, inserted] = queries_.emplace(
-      query_id, std::make_shared<QueryState>(query_id, query));
+  auto query = std::make_shared<QueryState>(query_id, options);
+  const bool inserted = queries_.emplace(query_id, query).second;
   KV_CHECK(inserted);  // query_id collision would cross-route replies
   admitted_.fetch_add(1, std::memory_order_relaxed);
   if (admitted_counter_ != nullptr) admitted_counter_->Increment();
@@ -149,26 +148,40 @@ Status NodeRuntime::BeginQuery(uint64_t query_id, const QueryOptions& query) {
   if (admission_wait_hist_ != nullptr) {
     admission_wait_hist_->Record(NowMicros() - wait_start);
   }
-  return Status::Ok();
+  return query;
 }
 
-void NodeRuntime::EndQuery(uint64_t query_id) {
-  MutexLock lock(queries_mu_);
-  auto it = queries_.find(query_id);
-  KV_CHECK(it != queries_.end());
+NodeRuntime::QueryTotals NodeRuntime::EndQuery(const QueryHandle& query) {
+  auto nanos = [](const std::atomic<uint64_t>& total) {
+    return NanosToMicros(total.load(std::memory_order_relaxed));
+  };
+  QueryTotals totals;
+  totals.wire.frames_sent = query->frames_sent.load(std::memory_order_relaxed);
+  totals.wire.frames_received =
+      query->frames_received.load(std::memory_order_relaxed);
+  totals.wire.bytes_sent = query->bytes_sent.load(std::memory_order_relaxed);
+  totals.wire.bytes_received =
+      query->bytes_received.load(std::memory_order_relaxed);
+  totals.wire.encode_us = nanos(query->encode_nanos);
+  totals.wire.decode_us = nanos(query->decode_nanos);
+  totals.queue_wait_us = nanos(query->queue_wait_nanos);
+  totals.virtual_us = query->clock_us();
   if (query_queue_wait_hist_ != nullptr) {
-    query_queue_wait_hist_->Record(NanosToMicros(
-        it->second->queue_wait_nanos.load(std::memory_order_relaxed)));
+    query_queue_wait_hist_->Record(totals.queue_wait_us);
   }
   // No replies for this query can be outstanding (the gather awaits one
   // reply per dispatch), so closing is purely defensive: a stray late
   // reply would hit a closed queue instead of leaking.
-  it->second->replies.Close();
+  query->replies.Close();
+  MutexLock lock(queries_mu_);
+  auto it = queries_.find(query->query_id);
+  KV_CHECK(it != queries_.end() && it->second == query);
   queries_.erase(it);
   if (inflight_gauge_ != nullptr) {
     inflight_gauge_->Set(static_cast<double>(queries_.size()));
   }
   admission_cv_.NotifyAll();
+  return totals;
 }
 
 uint32_t NodeRuntime::inflight_queries() const {
@@ -184,19 +197,6 @@ void NodeRuntime::SetAdmissionLimit(uint32_t max_inflight,
   admission_cv_.NotifyAll();
 }
 
-Micros NodeRuntime::clock_us(uint64_t query_id) const {
-  auto query = FindQuery(query_id);
-  KV_CHECK(query != nullptr);
-  return ClockMicros(*query);
-}
-
-void NodeRuntime::AdvanceClock(uint64_t query_id, Micros us) {
-  if (us <= 0.0) return;
-  auto query = FindQuery(query_id);
-  KV_CHECK(query != nullptr);
-  query->clock_nanos.fetch_add(MicrosToNanos(us), std::memory_order_relaxed);
-}
-
 size_t NodeRuntime::queue_depth(uint32_t node) const {
   KV_CHECK(node < queues_.size());
   return queues_[node]->size();
@@ -208,42 +208,6 @@ void NodeRuntime::SetDepthGauge(uint32_t node) {
   }
 }
 
-NodeRuntime::WireStats NodeRuntime::wire_stats() const {
-  WireStats stats;
-  stats.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-  stats.frames_received = frames_received_.load(std::memory_order_relaxed);
-  stats.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-  stats.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-  stats.encode_us =
-      NanosToMicros(encode_nanos_.load(std::memory_order_relaxed));
-  stats.decode_us =
-      NanosToMicros(decode_nanos_.load(std::memory_order_relaxed));
-  return stats;
-}
-
-NodeRuntime::WireStats NodeRuntime::query_wire_stats(uint64_t query_id) const {
-  auto query = FindQuery(query_id);
-  KV_CHECK(query != nullptr);
-  WireStats stats;
-  stats.frames_sent = query->frames_sent.load(std::memory_order_relaxed);
-  stats.frames_received =
-      query->frames_received.load(std::memory_order_relaxed);
-  stats.bytes_sent = query->bytes_sent.load(std::memory_order_relaxed);
-  stats.bytes_received =
-      query->bytes_received.load(std::memory_order_relaxed);
-  stats.encode_us =
-      NanosToMicros(query->encode_nanos.load(std::memory_order_relaxed));
-  stats.decode_us =
-      NanosToMicros(query->decode_nanos.load(std::memory_order_relaxed));
-  return stats;
-}
-
-Micros NodeRuntime::query_queue_wait_us(uint64_t query_id) const {
-  auto query = FindQuery(query_id);
-  KV_CHECK(query != nullptr);
-  return NanosToMicros(query->queue_wait_nanos.load(std::memory_order_relaxed));
-}
-
 Status NodeRuntime::Enqueue(RequestEnvelope env) {
   QueryState& query = *env.query;
   const uint32_t node = env.node;
@@ -252,16 +216,14 @@ Status NodeRuntime::Enqueue(RequestEnvelope env) {
     e.received_us = NowMicros();
   };
   const bool pushed =
-      options_.on_queue_full == QueueFullPolicy::kBlock
+      options_.queue_policy == QueueFullPolicy::kBlock
           ? queues_[node]->Push(std::move(env), stamp_received)
           : queues_[node]->TryPush(std::move(env), stamp_received);
   if (!pushed) {
     return Status::ResourceExhausted(
         "node " + std::to_string(node) + " queue full (depth " +
-        std::to_string(options_.queue_depth) + ")");
+        std::to_string(queues_[node]->capacity()) + ")");
   }
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(frame_bytes, std::memory_order_relaxed);
   query.frames_sent.fetch_add(1, std::memory_order_relaxed);
   query.bytes_sent.fetch_add(frame_bytes, std::memory_order_relaxed);
   if (frames_counter_ != nullptr) frames_counter_->Increment();
@@ -272,23 +234,14 @@ Status NodeRuntime::Enqueue(RequestEnvelope env) {
   return Status::Ok();
 }
 
-Status NodeRuntime::Dispatch(uint64_t query_id, uint32_t node,
+Status NodeRuntime::Dispatch(const QueryHandle& query, uint32_t node,
                              std::span<const SubQueryRequest> requests,
                              std::span<const uint32_t> attempts,
                              std::span<const Micros> extra_latency_us) {
-  if (node >= queues_.size()) {
-    // A query holding a runtime built before a membership change can
-    // route to a node this runtime never had a queue for. That is a
-    // transport failure, not a bug: the caller's retry machinery
-    // re-resolves against the current ring.
-    return Status::Unavailable("node " + std::to_string(node) +
-                               " is not part of this runtime");
-  }
+  KV_CHECK(node < queues_.size());  // MessageTransport routes stale nodes
   KV_CHECK(!requests.empty());
   KV_CHECK(requests.size() == attempts.size());
   KV_CHECK(requests.size() == extra_latency_us.size());
-  auto query = FindQuery(query_id);
-  KV_CHECK(query != nullptr);  // dispatch before BeginQuery / after EndQuery
 
   RequestEnvelope env;
   env.node = node;
@@ -307,18 +260,11 @@ Status NodeRuntime::Dispatch(uint64_t query_id, uint32_t node,
   return Enqueue(std::move(env));
 }
 
-Status NodeRuntime::DispatchWrite(uint64_t query_id, uint32_t node,
-                                  const WriteBatch& batch, uint32_t attempt,
-                                  Micros extra_latency_us) {
-  if (node >= queues_.size()) {
-    // Same stale-membership escape hatch as Dispatch.
-    return Status::Unavailable("node " + std::to_string(node) +
-                               " is not part of this runtime");
-  }
+Status NodeRuntime::DispatchWrite(const QueryHandle& query, uint32_t node,
+                                  const WriteBatch& batch, uint32_t attempt) {
+  KV_CHECK(node < queues_.size());  // MessageTransport routes stale nodes
   KV_CHECK(write_handler_ != nullptr);  // runtime built without a write path
   KV_CHECK(!batch.keys.empty());
-  auto query = FindQuery(query_id);
-  KV_CHECK(query != nullptr);  // dispatch before BeginQuery / after EndQuery
 
   RequestEnvelope env;
   env.kind = EnvelopeKind::kWrite;
@@ -332,7 +278,7 @@ Status NodeRuntime::DispatchWrite(uint64_t query_id, uint32_t node,
   env.frame = buf.TakeBytes();
   env.sub_ids = {batch.sub_id};
   env.attempts = {attempt};
-  env.extra_latency_us = {extra_latency_us};
+  env.extra_latency_us = {0.0};
   return Enqueue(std::move(env));
 }
 
@@ -541,18 +487,16 @@ void NodeRuntime::ServeFrame(uint32_t node, const RequestEnvelope& env,
 
 Micros NodeRuntime::RecordEncode(QueryState& query, Micros start) {
   const Micros encode_us = NowMicros() - start;
-  const uint64_t encode_nanos = MicrosToNanos(encode_us);
-  encode_nanos_.fetch_add(encode_nanos, std::memory_order_relaxed);
-  query.encode_nanos.fetch_add(encode_nanos, std::memory_order_relaxed);
+  query.encode_nanos.fetch_add(MicrosToNanos(encode_us),
+                               std::memory_order_relaxed);
   if (encode_hist_ != nullptr) encode_hist_->Record(encode_us);
   return encode_us;
 }
 
 Micros NodeRuntime::RecordDecode(QueryState& query, Micros start) {
   const Micros decode_us = NowMicros() - start;
-  const uint64_t decode_nanos = MicrosToNanos(decode_us);
-  decode_nanos_.fetch_add(decode_nanos, std::memory_order_relaxed);
-  query.decode_nanos.fetch_add(decode_nanos, std::memory_order_relaxed);
+  query.decode_nanos.fetch_add(MicrosToNanos(decode_us),
+                               std::memory_order_relaxed);
   if (decode_hist_ != nullptr) decode_hist_->Record(decode_us);
   return decode_us;
 }
@@ -568,7 +512,7 @@ StatusCode NodeRuntime::Refusal(uint32_t node, const RequestEnvelope& env,
   // The owning query's deadline expired (on its own clock) while this
   // request sat in the queue: shed it without touching the store.
   const QueryState& query = *env.query;
-  if (query.deadline_us > 0.0 && ClockMicros(query) >= query.deadline_us) {
+  if (query.deadline_us > 0.0 && query.clock_us() >= query.deadline_us) {
     return StatusCode::kResourceExhausted;
   }
   return StatusCode::kOk;
@@ -635,8 +579,7 @@ void NodeRuntime::ServeOne(uint32_t node, const DecodedRequest& request,
     // query's private clock), so the request that burned the clock past
     // a deadline still completes and only the ones behind it shed —
     // deterministic under one worker.
-    query.clock_nanos.fetch_add(MicrosToNanos(env.extra_latency_us[item]),
-                                std::memory_order_relaxed);
+    query.AdvanceClock(env.extra_latency_us[item]);
   }
   batch.sub_ids.push_back(sub_id);
   batch.attempts.push_back(attempt);
@@ -667,8 +610,6 @@ bool NodeRuntime::NextReplyFrame(QueryState& query) {
   query.next_answer = 0;
   query.dequeued_us = NowMicros();
   const ReplyEnvelope& env = query.frame;
-  frames_received_.fetch_add(1, std::memory_order_relaxed);
-  bytes_received_.fetch_add(env.frame.size(), std::memory_order_relaxed);
   query.frames_received.fetch_add(1, std::memory_order_relaxed);
   query.bytes_received.fetch_add(env.frame.size(), std::memory_order_relaxed);
   if (frames_received_counter_ != nullptr) {
@@ -695,10 +636,8 @@ bool NodeRuntime::NextReplyFrame(QueryState& query) {
   return true;
 }
 
-TransportReply NodeRuntime::Await(uint64_t query_id) {
-  auto found = FindQuery(query_id);
-  KV_CHECK(found != nullptr);
-  QueryState& query = *found;
+TransportReply NodeRuntime::Await(const QueryHandle& handle) {
+  QueryState& query = *handle;
   TransportReply out;
   if (query.next_answer >= query.frame.sub_ids.size() &&
       !NextReplyFrame(query)) {
@@ -706,19 +645,20 @@ TransportReply NodeRuntime::Await(uint64_t query_id) {
   }
   const ReplyEnvelope& env = query.frame;
   const size_t i = query.next_answer++;
-  out.node = env.node;
-  out.sub_id = env.sub_ids[i];
+  RequestTrace& trace = out.trace;
+  trace.node = env.node;
+  trace.sub_id = env.sub_ids[i];
+  trace.issued = env.issued_us;
+  trace.received = env.received_us;
+  // An answer that cannot be read keeps the request's own stamps.
+  trace.db_start = env.received_us;
+  trace.db_end = env.received_us;
+  trace.reply_encoded = env.encoded_us;
+  trace.reply_dequeued = query.dequeued_us;
+  trace.reply_decoded = query.decoded_us;
   out.attempt = env.attempts[i];
   out.served = env.served[i] != 0;
   out.probe = env.probes[i];
-  out.issued_us = env.issued_us;
-  out.received_us = env.received_us;
-  out.reply_encoded_us = env.encoded_us;
-  out.reply_dequeued_us = query.dequeued_us;
-  out.reply_decoded_us = query.decoded_us;
-  // An answer that cannot be read keeps the request's own stamps.
-  out.db_start_us = env.received_us;
-  out.db_end_us = env.received_us;
   out.code = StatusCode::kCorruption;
   if (!query.frame_status.ok()) return out;
   const DecodedReplyBatch& answers = query.answers;
@@ -729,10 +669,8 @@ TransportReply NodeRuntime::Await(uint64_t query_id) {
   }
   out.code = static_cast<StatusCode>(answers.batch.statuses[slot]);
   if (out.served) {
-    out.db_start_us =
-        static_cast<double>(answers.batch.db_start_ns[slot]) / 1000.0;
-    out.db_end_us =
-        static_cast<double>(answers.batch.db_end_ns[slot]) / 1000.0;
+    trace.db_start = NanosToMicros(answers.batch.db_start_ns[slot]);
+    trace.db_end = NanosToMicros(answers.batch.db_end_ns[slot]);
   }
   out.in_frame = true;
   out.frame_col_a = answers.col_a(slot);

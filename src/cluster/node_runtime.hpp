@@ -17,12 +17,14 @@
 // One runtime serves *many concurrent queries*. The queues and worker
 // pools are built once and shared; each query registers with BeginQuery
 // (which is also the admission-control point: in-flight queries are
-// bounded, excess ones block or are shed with kResourceExhausted),
-// dispatches and awaits replies under its own query_id, and releases its
-// slot with EndQuery. Replies demultiplex onto per-query channels keyed
-// by query_id — interleaved gathers never see each other's replies — and
-// each query owns a private virtual clock, so one query's backoff or
-// injected latency cannot push another past its deadline.
+// bounded, excess ones block or are shed with kResourceExhausted) and
+// gets back its handle — the query's own state: reply channel, virtual
+// clock, and wire totals. It dispatches, awaits, and finally EndQuery's
+// through that handle, so no call looks the query up again. Replies
+// demultiplex onto the per-query channels — interleaved gathers never
+// see each other's replies — and each query's private virtual clock
+// means one query's backoff or injected latency cannot push another past
+// its deadline.
 //
 // Because requests really sit in queues, the paper's four stages become
 // measurable wall-clock intervals instead of simulated ones:
@@ -67,6 +69,7 @@
 #include "fault/fault_injector.hpp"
 #include "store/segment.hpp"
 #include "store/table.hpp"
+#include "telemetry/request_trace.hpp"
 #include "wire/envelope.hpp"
 #include "wire/messages.hpp"
 
@@ -88,6 +91,46 @@ std::string_view QueueFullPolicyName(QueueFullPolicy policy);
 
 /// Parses "block" / "reject" (CLI flag spelling).
 Result<QueueFullPolicy> ParseQueueFullPolicy(std::string_view name);
+
+/// How the master reaches the slaves' stores.
+enum class GatherTransport : uint8_t {
+  /// Plain function calls into each node's store (InlineTransport).
+  kDirect = 0,
+  /// Real encoded messages through per-node queues and worker pools
+  /// (MessageTransport over a NodeRuntime): requests are serialized with
+  /// the selected codec, optionally batched per node, executed by worker
+  /// threads, and answered with encoded reply frames the master decodes
+  /// and folds.
+  kMessage = 1,
+};
+
+/// The transport knobs every read and write shares, and the options a
+/// NodeRuntime is built from. GatherOptions and PutOptions extend this
+/// one struct, so a knob exists exactly once.
+struct TransportOptions {
+  GatherTransport transport = GatherTransport::kDirect;
+  /// Wire codec for requests and replies (the Section V-B axis). Per
+  /// query: concurrent queries with different codecs share the runtime.
+  WireCodecKind codec = WireCodecKind::kCompact;
+  /// Request-queue capacity per node (0 acts as 1). Structural: changing
+  /// it rebuilds the shared runtime.
+  uint32_t queue_depth = 64;
+  /// Worker threads draining each node's queue (0 acts as 1). Structural:
+  /// changing it rebuilds the shared runtime.
+  uint32_t workers_per_node = 1;
+  /// Full-queue behavior: block (lossless backpressure) or reject (the
+  /// send fails and the caller treats it like any other replica error).
+  /// Structural.
+  QueueFullPolicy queue_policy = QueueFullPolicy::kBlock;
+  /// Admission bound on concurrently in-flight queries through the
+  /// shared runtime (0 = unbounded). Re-armed on every message-path query
+  /// without rebuilding the runtime.
+  uint32_t max_inflight = 0;
+  /// Full-admission behavior: block until a slot frees, or shed the whole
+  /// query with kResourceExhausted (the queue's backpressure policy, one
+  /// level up).
+  QueueFullPolicy admission_policy = QueueFullPolicy::kBlock;
+};
 
 /// Bounded multi-producer queue guarded by a mutex. The node runtime
 /// drains each instance with one or more workers, so consumers may also
@@ -166,21 +209,6 @@ class BoundedQueue {
   bool closed_ KV_GUARDED_BY(mu_) = false;
 };
 
-/// Structural knobs of one NodeRuntime instance — the parts that size the
-/// shared queues, worker pools, and admission controller. Per-query knobs
-/// (codec, deadline) travel with NodeRuntime::QueryOptions instead.
-struct NodeRuntimeOptions {
-  uint32_t queue_depth = 64;       ///< request-queue capacity per node
-  uint32_t workers_per_node = 1;   ///< threads draining each node's queue
-  QueueFullPolicy on_queue_full = QueueFullPolicy::kBlock;
-  /// In-flight query bound enforced by BeginQuery (0 = unbounded).
-  uint32_t max_inflight_queries = 0;
-  /// Full-admission behavior: block until a slot frees, or shed the new
-  /// query with kResourceExhausted (mirrors the queue's backpressure
-  /// policy, one level up).
-  QueueFullPolicy on_admission_full = QueueFullPolicy::kBlock;
-};
-
 /// Executes one decoded sub-query's operator against `node`'s store,
 /// returning the paired result columns the reply frame carries
 /// (cluster/query_ops.hpp defines the per-operator pairing).
@@ -219,8 +247,15 @@ inline constexpr size_t kReplyFrameBytes = 64 * kKiB;
 /// One decoded answer from a node: the paired result columns of a read
 /// or of a write's ack, plus the transport metadata echoed with it.
 struct TransportReply {
-  uint32_t node = 0;     ///< replica that served (or refused)
-  uint32_t sub_id = 0;
+  /// The answer's stage record: the replica that served (or refused) it,
+  /// its sub_id, and its stage boundaries on the serving clock
+  /// (NodeRuntime::now_us, or the inline transport's steady clock). The
+  /// inline transport has no reply path and stamps reply_encoded /
+  /// reply_dequeued / reply_decoded at db_end. The master fills in the
+  /// rest (query_id, keysize, attempts, answered, completed).
+  RequestTrace trace;
+  /// This attempt's ordinal, echoed from the request (trace.attempts is
+  /// the master's count of attempts, filled once the sub-query settles).
   uint32_t attempt = 0;
   /// The node's handler ran. False for liveness bounces and deadline
   /// sheds, which never reached the store.
@@ -236,19 +271,6 @@ struct TransportReply {
   OperatorResult columns;
   /// Trace flags the node echoed back (what the wire actually carried).
   uint8_t trace_flags = 0;
-  // Stage boundaries on the serving clock (NodeRuntime::now_us, or the
-  // inline transport's steady clock).
-  Micros issued_us = 0.0;
-  Micros received_us = 0.0;
-  Micros db_start_us = 0.0;
-  Micros db_end_us = 0.0;
-  // The reply path (slave-to-master), split: the node finished encoding
-  // the frame holding this answer, the master took that frame off the
-  // query's channel, and the master finished decoding it. The inline
-  // transport has none of these steps and stamps all three at db_end.
-  Micros reply_encoded_us = 0.0;
-  Micros reply_dequeued_us = 0.0;
-  Micros reply_decoded_us = 0.0;
 
   /// The paired result columns. On the message transport they view the
   /// decoded reply frame and stay valid until the next Await of the same
@@ -269,6 +291,11 @@ struct TransportReply {
 /// with per-query reply channels demultiplexed on query_id.
 class NodeRuntime {
  public:
+  /// One admitted query's state (defined below the class). BeginQuery
+  /// hands it out as the query's handle; every per-query call takes it.
+  struct QueryState;
+  using QueryHandle = std::shared_ptr<QueryState>;
+
   /// Per-query knobs, fixed for the query's lifetime at BeginQuery.
   struct QueryOptions {
     /// Wire codec for this query's requests and replies (the Section V-B
@@ -299,9 +326,19 @@ class NodeRuntime {
     Micros decode_us = 0.0;       ///< total decode time, both directions
   };
 
+  /// What one query cost, returned by EndQuery in one read.
+  struct QueryTotals {
+    WireStats wire;               ///< zero under the inline transport
+    Micros queue_wait_us = 0.0;   ///< request-queue residency
+    Micros virtual_us = 0.0;      ///< the query's virtual clock
+  };
+
   /// Spawns `nodes * options.workers_per_node` workers — once, for the
   /// runtime's whole life; queries come and go without touching a
-  /// thread. `handler` serves decoded sub-queries (and must be safe to
+  /// thread. Each node's queue holds `options.queue_depth` requests and
+  /// fills per `options.queue_policy`; admission starts from
+  /// `options.max_inflight` / `options.admission_policy`. The transport
+  /// and codec fields are per query and unused here. `handler` serves decoded sub-queries (and must be safe to
   /// call from many workers at once); `registry` must have
   /// RegisterClusterMessages applied and outlive the runtime, as must
   /// the optional `injector`, `metrics`, and `spans`. The optional
@@ -310,7 +347,7 @@ class NodeRuntime {
   /// background flush/compaction steps (required before any
   /// ScheduleMaintenance); both are fixed at construction so workers
   /// never race a handler swap.
-  NodeRuntime(uint32_t nodes, NodeRuntimeOptions options,
+  NodeRuntime(uint32_t nodes, TransportOptions options,
               SubQueryHandler handler, const CompactCodec& registry,
               FaultInjector* injector, MetricsRegistry* metrics,
               SpanTracer* spans, WriteBatchHandler write_handler = nullptr,
@@ -324,17 +361,25 @@ class NodeRuntime {
     return static_cast<uint32_t>(queues_.size());
   }
 
+  /// The options this runtime was built from, as given. Its structural
+  /// fields (queue_depth, workers_per_node, queue_policy) are fixed for
+  /// life; the admission fields were only the initial setting
+  /// SetAdmissionLimit re-arms.
+  const TransportOptions& options() const { return options_; }
+
   /// Admission control: registers `query_id` (which must be unique among
   /// live queries) and claims an in-flight slot. When the bound is
   /// reached, kBlock waits for a slot (the wait lands in the
   /// master.admission.wait_us histogram) and kReject sheds with
   /// kResourceExhausted. kUnavailable after Shutdown. On OK the caller
-  /// owns the slot until EndQuery.
-  Status BeginQuery(uint64_t query_id, const QueryOptions& query);
+  /// holds the query's handle, and its slot, until EndQuery.
+  Result<QueryHandle> BeginQuery(uint64_t query_id,
+                                 const QueryOptions& options);
 
-  /// Releases `query_id`'s slot and reply channel (all dispatched
-  /// requests must have been awaited) and wakes blocked admissions.
-  void EndQuery(uint64_t query_id);
+  /// Releases `query`'s slot and reply channel (all dispatched requests
+  /// must have been awaited), wakes blocked admissions, and returns what
+  /// the query cost.
+  QueryTotals EndQuery(const QueryHandle& query);
 
   /// Queries currently admitted and not yet ended.
   uint32_t inflight_queries() const;
@@ -343,40 +388,39 @@ class NodeRuntime {
   /// subsequent BeginQuery calls; blocked admitters re-evaluate.
   void SetAdmissionLimit(uint32_t max_inflight, QueueFullPolicy policy);
 
-  std::atomic<uint64_t>* admitted_total() { return &admitted_; }
   uint64_t admitted() const {
     return admitted_.load(std::memory_order_relaxed);
   }
   uint64_t shed() const { return shed_.load(std::memory_order_relaxed); }
 
   /// Encodes `requests` (with per-item attempt numbers and injected
-  /// latency charges) into one frame with `query_id`'s codec and
-  /// enqueues it on `node`. Blocks under kBlock when the queue is full;
-  /// fails with kResourceExhausted under kReject. One reply per request
-  /// eventually reaches Await(query_id). The query must be live (between
-  /// BeginQuery and EndQuery).
-  Status Dispatch(uint64_t query_id, uint32_t node,
+  /// latency charges) into one frame with `query`'s codec and enqueues
+  /// it on `node`, which must be one of this runtime's nodes. Blocks
+  /// under kBlock when the queue is full; fails with kResourceExhausted
+  /// under kReject. One reply per request eventually reaches
+  /// Await(query). The query must be live (between BeginQuery and
+  /// EndQuery).
+  Status Dispatch(const QueryHandle& query, uint32_t node,
                   std::span<const SubQueryRequest> requests,
                   std::span<const uint32_t> attempts,
                   std::span<const Micros> extra_latency_us);
 
-  /// Encodes `batch` into a WriteBatch frame with `query_id`'s codec and
+  /// Encodes `batch` into a WriteBatch frame with `query`'s codec and
   /// enqueues it on `node`, where a worker group-commits it through the
   /// write handler. Same queue semantics as Dispatch; one answer per
-  /// dispatched batch eventually reaches Await(query_id). The runtime
-  /// must have been built with a write handler.
-  Status DispatchWrite(uint64_t query_id, uint32_t node,
-                       const WriteBatch& batch, uint32_t attempt,
-                       Micros extra_latency_us = 0.0);
+  /// dispatched batch eventually reaches Await(query). The runtime must
+  /// have been built with a write handler.
+  Status DispatchWrite(const QueryHandle& query, uint32_t node,
+                       const WriteBatch& batch, uint32_t attempt);
 
-  /// The next answer to one of `query_id`'s requests. Reply frames are
+  /// The next answer to one of `query`'s requests. Reply frames are
   /// decoded once, when the first of their answers is due: this blocks
   /// for the next frame only when the last one is used up (the in-flight
   /// corruption injection point lives between the node's encode and this
   /// decode; a frame naming a different query_id is a demux corruption,
   /// reported as kCorruption for every answer in it). Call exactly once
   /// per dispatched sub-query / write batch, from one thread per query.
-  TransportReply Await(uint64_t query_id);
+  TransportReply Await(const QueryHandle& query);
 
   /// Enqueues one background-maintenance step (flush/compaction check
   /// for `table`) on `node`'s own request queue, competing with reads
@@ -395,14 +439,6 @@ class NodeRuntime {
     return maintenance_dropped_.load(std::memory_order_relaxed);
   }
 
-  /// `query_id`'s private virtual clock, in microseconds: workers add
-  /// each served request's injected latency, the master adds failover
-  /// backoff. Stored as integer nanoseconds so concurrent additions
-  /// commute exactly, and per-query so one query's charges never move
-  /// another's deadline.
-  Micros clock_us(uint64_t query_id) const;
-  void AdvanceClock(uint64_t query_id, Micros us);
-
   /// Wall-clock microseconds since this runtime started — the epoch all
   /// envelope timestamps (issued/received/db_start/db_end) share, so the
   /// master can stamp `completed` on the same scale.
@@ -410,16 +446,6 @@ class NodeRuntime {
 
   /// Current depth of `node`'s request queue.
   size_t queue_depth(uint32_t node) const;
-
-  /// Lifetime totals across every query this runtime served.
-  WireStats wire_stats() const;
-
-  /// This query's own wire totals (read before EndQuery).
-  WireStats query_wire_stats(uint64_t query_id) const;
-
-  /// Total request-queue residency charged to this query's envelopes so
-  /// far, in microseconds (read before EndQuery).
-  Micros query_queue_wait_us(uint64_t query_id) const;
 
   /// Closes every queue and joins the workers (idempotent; the
   /// destructor calls it). Live queries' Await calls drain and then
@@ -443,44 +469,6 @@ class NodeRuntime {
     Micros encoded_us = 0.0;   ///< the node finished encoding this frame
   };
 
-  /// Everything private to one admitted query: the reply channel the
-  /// demultiplexer routes into, the virtual clock, and wire totals.
-  struct QueryState {
-    QueryState(uint64_t id, const QueryOptions& options)
-        : query_id(id),
-          codec(options.codec),
-          deadline_us(options.deadline_us),
-          trace_flags(options.trace_flags),
-          replies(static_cast<size_t>(-1)) {}
-
-    const uint64_t query_id;
-    const WireCodecKind codec;
-    const Micros deadline_us;
-    const uint8_t trace_flags;
-    /// Unbounded for the same reason the old global reply queue was: a
-    /// worker must never block on a reply while the master blocks
-    /// pushing into a full request queue, or the two would deadlock.
-    BoundedQueue<ReplyEnvelope> replies;
-    std::atomic<uint64_t> clock_nanos{0};
-    std::atomic<uint64_t> frames_sent{0};
-    std::atomic<uint64_t> frames_received{0};
-    std::atomic<uint64_t> bytes_sent{0};
-    std::atomic<uint64_t> bytes_received{0};
-    std::atomic<uint64_t> encode_nanos{0};
-    std::atomic<uint64_t> decode_nanos{0};
-    std::atomic<uint64_t> queue_wait_nanos{0};
-
-    // The reply frame Await is handing out, answer by answer. Only the
-    // query's collecting thread touches these.
-    ReplyEnvelope frame;
-    size_t next_answer = 0;
-    Status frame_status;      ///< the frame decoded and validated
-    uint8_t reply_flags = 0;  ///< trace flags the frame carried
-    DecodedReplyBatch answers;
-    Micros dequeued_us = 0.0;
-    Micros decoded_us = 0.0;
-  };
-
   /// What a queued envelope carries: a read sub-query batch, a write
   /// batch, or a background-maintenance step. Reads and writes have their
   /// own request frame types (maintenance has no frame at all) but share
@@ -494,7 +482,7 @@ class NodeRuntime {
     /// consult its codec, clock, and deadline. The shared_ptr keeps the
     /// state alive even if the runtime shuts down mid-flight. Null for
     /// maintenance envelopes, which no query owns.
-    std::shared_ptr<QueryState> query;
+    QueryHandle query;
     std::vector<std::byte> frame;  ///< encoded SubQueryBatch / WriteBatch
     // Transport metadata riding outside the encoded bytes: per-item
     // bookkeeping the master needs echoed back verbatim and the worker
@@ -547,11 +535,7 @@ class NodeRuntime {
   bool NextReplyFrame(QueryState& query);
   Micros NowMicros() const;
   void SetDepthGauge(uint32_t node);
-  /// The live state registered for `query_id`, or null.
-  std::shared_ptr<QueryState> FindQuery(uint64_t query_id) const;
-  static Micros ClockMicros(const QueryState& query);
-
-  NodeRuntimeOptions options_;
+  const TransportOptions options_;
   SubQueryHandler handler_;
   WriteBatchHandler write_handler_;            ///< may be null (read-only)
   MaintenanceHandler maintenance_handler_;     ///< may be null
@@ -565,11 +549,13 @@ class NodeRuntime {
   /// an explicit call.
   std::atomic<bool> shut_down_{false};
 
-  // -- Admission controller + query demultiplexer -------------------------
+  // -- Admission controller ------------------------------------------------
+  // The live queries, by id: only admission counting, id uniqueness, and
+  // Shutdown's wake-up read this map. Per-query calls go through the
+  // handle instead.
   mutable Mutex queries_mu_;
   CondVar admission_cv_;
-  std::map<uint64_t, std::shared_ptr<QueryState>> queries_
-      KV_GUARDED_BY(queries_mu_);
+  std::map<uint64_t, QueryHandle> queries_ KV_GUARDED_BY(queries_mu_);
   uint32_t max_inflight_ KV_GUARDED_BY(queries_mu_) = 0;
   QueueFullPolicy admission_policy_ KV_GUARDED_BY(queries_mu_) =
       QueueFullPolicy::kBlock;
@@ -585,15 +571,6 @@ class NodeRuntime {
   // the whole point (the simulators never see this class).
   // kvscale-lint: allow(sim-wallclock) real data path epoch
   std::chrono::steady_clock::time_point epoch_;
-
-  // Lifetime wire totals (kept independently of the registry so callers
-  // can read them even without telemetry attached).
-  std::atomic<uint64_t> frames_sent_{0};
-  std::atomic<uint64_t> frames_received_{0};
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> bytes_received_{0};
-  std::atomic<uint64_t> encode_nanos_{0};
-  std::atomic<uint64_t> decode_nanos_{0};
 
   // Registry instruments (null without telemetry).
   Counter* bytes_sent_counter_ = nullptr;      ///< wire.bytes.sent
@@ -617,6 +594,55 @@ class NodeRuntime {
   /// dropped because the node's queue was already full.
   Counter* maintenance_runs_counter_ = nullptr;
   Counter* maintenance_dropped_counter_ = nullptr;
+};
+
+/// Everything private to one admitted query: the reply channel the
+/// demultiplexer routes into, the virtual clock, and wire totals. The
+/// master holds it as the query's handle from BeginQuery to EndQuery,
+/// and each request envelope holds it until a worker replied, so no call
+/// ever looks a query up by id.
+struct NodeRuntime::QueryState {
+  QueryState(uint64_t id, const QueryOptions& options)
+      : query_id(id),
+        codec(options.codec),
+        deadline_us(options.deadline_us),
+        trace_flags(options.trace_flags),
+        replies(static_cast<size_t>(-1)) {}
+
+  /// The query's private virtual clock, in microseconds: workers add
+  /// each served request's injected latency, the master adds failover
+  /// backoff. Stored as integer nanoseconds so concurrent additions
+  /// commute exactly, and per query so one query's charges never move
+  /// another's deadline.
+  Micros clock_us() const;
+  void AdvanceClock(Micros us);
+
+  const uint64_t query_id;
+  const WireCodecKind codec;
+  const Micros deadline_us;
+  const uint8_t trace_flags;
+  /// Unbounded for the same reason the old global reply queue was: a
+  /// worker must never block on a reply while the master blocks
+  /// pushing into a full request queue, or the two would deadlock.
+  BoundedQueue<ReplyEnvelope> replies;
+  std::atomic<uint64_t> clock_nanos{0};
+  std::atomic<uint64_t> frames_sent{0};
+  std::atomic<uint64_t> frames_received{0};
+  std::atomic<uint64_t> bytes_sent{0};
+  std::atomic<uint64_t> bytes_received{0};
+  std::atomic<uint64_t> encode_nanos{0};
+  std::atomic<uint64_t> decode_nanos{0};
+  std::atomic<uint64_t> queue_wait_nanos{0};
+
+  // The reply frame Await is handing out, answer by answer. Only the
+  // query's collecting thread touches these.
+  ReplyEnvelope frame;
+  size_t next_answer = 0;
+  Status frame_status;      ///< the frame decoded and validated
+  uint8_t reply_flags = 0;  ///< trace flags the frame carried
+  DecodedReplyBatch answers;
+  Micros dequeued_us = 0.0;
+  Micros decoded_us = 0.0;
 };
 
 }  // namespace kvscale

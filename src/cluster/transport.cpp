@@ -26,9 +26,9 @@ Micros SteadyMicros() {
 /// code. The inline transport has no reply frame to encode, queue or
 /// decode, so the reply stamps all collapse onto db_end.
 void Answer(Result<OperatorResult> columns, TransportReply& out) {
-  out.reply_encoded_us = out.db_end_us;
-  out.reply_dequeued_us = out.db_end_us;
-  out.reply_decoded_us = out.db_end_us;
+  out.trace.reply_encoded = out.trace.db_end;
+  out.trace.reply_dequeued = out.trace.db_end;
+  out.trace.reply_decoded = out.trace.db_end;
   out.served = true;
   if (columns.ok()) {
     out.code = StatusCode::kOk;
@@ -44,20 +44,20 @@ TransportReply Transport::ServeRead(NodeId node,
                                     const SubQueryRequest& request,
                                     uint32_t attempt) {
   TransportReply out;
-  out.node = node;
-  out.sub_id = request.sub_id;
+  out.trace.node = node;
+  out.trace.sub_id = request.sub_id;
   out.attempt = attempt;
-  out.issued_us = now_us();
-  out.received_us = out.issued_us;  // no queue to sit in
+  out.trace.issued = now_us();
+  out.trace.received = out.trace.issued;  // no queue to sit in
   SpanTracer::Scope read;
   if (spans_ != nullptr) {
     read = spans_->StartSpan("store-read", node);
     read.Attr("partition", request.partition_key);
     read.Attr("attempt", std::to_string(attempt));
   }
-  out.db_start_us = now_us();
+  out.trace.db_start = now_us();
   Result<OperatorResult> columns = handlers_.read(node, request, &out.probe);
-  out.db_end_us = now_us();
+  out.trace.db_end = now_us();
   if (read.active()) {
     read.Attr("blocks_decoded", std::to_string(out.probe.blocks_decoded));
     read.Attr("blocks_from_cache", std::to_string(out.probe.blocks_from_cache));
@@ -70,16 +70,16 @@ TransportReply Transport::ServeRead(NodeId node,
 TransportReply Transport::ServeWrite(const WriteBatch& batch,
                                      uint32_t attempt) {
   TransportReply out;
-  out.node = batch.target;
-  out.sub_id = batch.sub_id;
+  out.trace.node = batch.target;
+  out.trace.sub_id = batch.sub_id;
   out.attempt = attempt;
-  out.issued_us = now_us();
-  out.received_us = out.issued_us;
+  out.trace.issued = now_us();
+  out.trace.received = out.trace.issued;
   // No store-write span here, unlike reads: direct loads put one column
   // per call, and a span each would bury the query spans in the trace.
-  out.db_start_us = now_us();
+  out.trace.db_start = now_us();
   Result<OperatorResult> ack = handlers_.write(batch.target, batch, nullptr);
-  out.db_end_us = now_us();
+  out.trace.db_end = now_us();
   Answer(std::move(ack), out);
   return out;
 }
@@ -120,13 +120,14 @@ Micros InlineTransport::now_us() const { return SteadyMicros(); }
 // -- MessageTransport --------------------------------------------------------
 
 MessageTransport::~MessageTransport() {
-  if (begun_) runtime_->EndQuery(query_id_);
+  if (query_ != nullptr) runtime_->EndQuery(query_);
 }
 
 Status MessageTransport::Begin() {
-  const Status admitted = runtime_->BeginQuery(query_id_, query_);
-  begun_ = admitted.ok();
-  return admitted;
+  auto admitted = runtime_->BeginQuery(query_id_, options_);
+  if (!admitted.ok()) return admitted.status();
+  query_ = std::move(admitted).value();
+  return Status::Ok();
 }
 
 Status MessageTransport::SendReads(NodeId node,
@@ -134,7 +135,7 @@ Status MessageTransport::SendReads(NodeId node,
                                    std::span<const uint32_t> attempts,
                                    std::span<const Micros> extra_latency_us) {
   if (!Stale(node)) {
-    return runtime_->Dispatch(query_id_, node, requests, attempts,
+    return runtime_->Dispatch(query_, node, requests, attempts,
                               extra_latency_us);
   }
   // Read it directly — a fresh connection outside the stale pool — rather
@@ -148,26 +149,22 @@ Status MessageTransport::SendReads(NodeId node,
 
 Status MessageTransport::SendWrite(const WriteBatch& batch, uint32_t attempt) {
   if (!Stale(batch.target)) {
-    return runtime_->DispatchWrite(query_id_, batch.target, batch, attempt);
+    return runtime_->DispatchWrite(query_, batch.target, batch, attempt);
   }
   direct_.push_back(ServeWrite(batch, attempt));
   return Status::Ok();
 }
 
 TransportReply MessageTransport::Await() {
-  if (direct_.empty()) return runtime_->Await(query_id_);
+  if (direct_.empty()) return runtime_->Await(query_);
   TransportReply out = std::move(direct_.front());
   direct_.pop_front();
   return out;
 }
 
 Transport::Totals MessageTransport::End() {
-  Totals totals;
-  totals.wire = runtime_->query_wire_stats(query_id_);
-  totals.queue_wait_us = runtime_->query_queue_wait_us(query_id_);
-  totals.virtual_us = runtime_->clock_us(query_id_);
-  runtime_->EndQuery(query_id_);
-  begun_ = false;
+  const Totals totals = runtime_->EndQuery(query_);
+  query_.reset();
   return totals;
 }
 

@@ -35,43 +35,8 @@ namespace kvscale {
 
 class SpanTracer;  // telemetry/span_tracer.hpp
 
-/// How the master reaches the slaves' stores.
-enum class GatherTransport : uint8_t {
-  /// Plain function calls into each node's store (InlineTransport).
-  kDirect = 0,
-  /// Real encoded messages through per-node queues and worker pools
-  /// (MessageTransport over node_runtime.hpp): requests are serialized
-  /// with the selected codec, optionally batched per node, executed by
-  /// worker threads, and answered with encoded reply frames the master
-  /// decodes and folds.
-  kMessage = 1,
-};
-
-/// The transport knobs every read and write shares. GatherOptions and
-/// PutOptions extend this one struct, so a knob exists exactly once.
-struct TransportOptions {
-  GatherTransport transport = GatherTransport::kDirect;
-  /// Wire codec for requests and replies (the Section V-B axis). Per
-  /// query: concurrent queries with different codecs share the runtime.
-  WireCodecKind codec = WireCodecKind::kCompact;
-  /// Request-queue capacity per node. Structural: changing it rebuilds
-  /// the shared runtime.
-  uint32_t queue_depth = 64;
-  /// Worker threads draining each node's queue. Structural: changing it
-  /// rebuilds the shared runtime.
-  uint32_t workers_per_node = 1;
-  /// Full-queue behavior: block (lossless backpressure) or reject (the
-  /// send fails and the caller treats it like any other replica error).
-  /// Structural.
-  QueueFullPolicy queue_policy = QueueFullPolicy::kBlock;
-  /// Admission bound on concurrently in-flight queries through the
-  /// shared runtime (0 = unbounded). Re-armed on every message-path query
-  /// without rebuilding the runtime.
-  uint32_t max_inflight = 0;
-  /// Full-admission behavior: block until a slot frees, or shed the whole
-  /// query with kResourceExhausted.
-  QueueFullPolicy admission_policy = QueueFullPolicy::kBlock;
-};
+// GatherTransport and TransportOptions live in node_runtime.hpp: the
+// runtime is built from the same options struct.
 
 /// What a node does with one request — the node side of the cluster.
 /// Both transports call these same handlers; the write handler receives
@@ -85,11 +50,7 @@ struct NodeHandlers {
 class Transport {
  public:
   /// What the query cost on the wire, read at End().
-  struct Totals {
-    NodeRuntime::WireStats wire;  ///< zero under the inline transport
-    Micros queue_wait_us = 0.0;   ///< request-queue residency
-    Micros virtual_us = 0.0;      ///< the query's virtual clock
-  };
+  using Totals = NodeRuntime::QueryTotals;
 
   virtual ~Transport() = default;
   Transport(const Transport&) = delete;
@@ -177,12 +138,12 @@ class MessageTransport final : public Transport {
   /// `runtime` stays alive for the session even if the cluster replaces
   /// it mid-query.
   MessageTransport(std::shared_ptr<NodeRuntime> runtime, uint64_t query_id,
-                   NodeRuntime::QueryOptions query,
+                   NodeRuntime::QueryOptions options,
                    const NodeHandlers& handlers, SpanTracer* spans)
       : Transport(handlers, spans),
         runtime_(std::move(runtime)),
         query_id_(query_id),
-        query_(query) {}
+        options_(options) {}
   ~MessageTransport() override;
 
   std::string_view name() const override { return "message"; }
@@ -193,13 +154,11 @@ class MessageTransport final : public Transport {
   Status SendWrite(const WriteBatch& batch, uint32_t attempt) override;
   TransportReply Await() override;
   Totals End() override;
-  Micros clock_us() const override { return runtime_->clock_us(query_id_); }
-  void AdvanceClock(Micros us) override {
-    runtime_->AdvanceClock(query_id_, us);
-  }
+  Micros clock_us() const override { return query_->clock_us(); }
+  void AdvanceClock(Micros us) override { query_->AdvanceClock(us); }
   Micros now_us() const override { return runtime_->now_us(); }
   bool sampled() const override {
-    return (query_.trace_flags & kTraceSampled) != 0;
+    return (options_.trace_flags & kTraceSampled) != 0;
   }
 
  private:
@@ -210,8 +169,10 @@ class MessageTransport final : public Transport {
 
   std::shared_ptr<NodeRuntime> runtime_;
   const uint64_t query_id_;
-  const NodeRuntime::QueryOptions query_;
-  bool begun_ = false;
+  const NodeRuntime::QueryOptions options_;
+  /// The admitted query's runtime state: null before Begin admits it and
+  /// after End releases it.
+  NodeRuntime::QueryHandle query_;
   /// Answers served directly for stale nodes, handed out before the
   /// runtime's channel is consulted.
   std::deque<TransportReply> direct_;

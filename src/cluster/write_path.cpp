@@ -401,8 +401,8 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
     while (outstanding > 0) {
       const TransportReply r = transport->Await();
       --outstanding;
-      KV_CHECK(r.sub_id < by_sub.size());
-      const WriteChunk& chunk = by_sub[r.sub_id];
+      KV_CHECK(r.trace.sub_id < by_sub.size());
+      const WriteChunk& chunk = by_sub[r.trace.sub_id];
       if (r.code != StatusCode::kOk) {
         fold(chunk, WriteAck{}, WriteRefusal(r.code, chunk.node));
         continue;

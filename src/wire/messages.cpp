@@ -5,10 +5,6 @@ namespace kvscale {
 void RegisterClusterMessages(CompactCodec& codec) {
   codec.Register<SubQueryRequest>();
   codec.Register<PartialResult>();
-  codec.Register<QueryAnnounce>();
-  codec.Register<QueryComplete>();
-  codec.Register<Heartbeat>();
-  // Appended last so the ids of the original message set stay stable.
   codec.Register<SubQueryReply>();
   codec.Register<MigrationBegin>();
   codec.Register<MigrationBlock>();

@@ -3,7 +3,8 @@
 // These are the messages exchanged in the paper's four stages:
 //   master --SubQueryRequest--> slave        (master-to-slaves)
 //   slave  --PartialResult----> master       (slaves-to-master)
-// plus control-plane messages used by the cluster runner.
+// plus the write batches and partition-migration frames of the in-process
+// cluster.
 #pragma once
 
 #include <cstdint>
@@ -154,56 +155,6 @@ struct SubQueryReplyBatch {
     v.Field("col_a", col_a);
     v.Field("col_b", col_b);
     v.Field("checksums", checksums);
-  }
-};
-
-/// Master -> all slaves: a query is starting.
-struct QueryAnnounce {
-  static constexpr std::string_view kTypeName = "kvscale.QueryAnnounce";
-
-  uint64_t query_id = 0;
-  std::string table;
-  uint32_t total_subqueries = 0;
-
-  template <typename V>
-  void Visit(V&& v) {
-    v.Field("query_id", query_id);
-    v.Field("table", table);
-    v.Field("total_subqueries", total_subqueries);
-  }
-};
-
-/// Master -> client: final aggregated answer.
-struct QueryComplete {
-  static constexpr std::string_view kTypeName = "kvscale.QueryComplete";
-
-  uint64_t query_id = 0;
-  std::vector<std::string> types;
-  std::vector<uint64_t> counts;
-  double elapsed_micros = 0.0;
-
-  template <typename V>
-  void Visit(V&& v) {
-    v.Field("query_id", query_id);
-    v.Field("types", types);
-    v.Field("counts", counts);
-    v.Field("elapsed_micros", elapsed_micros);
-  }
-};
-
-/// Liveness ping used by the control plane.
-struct Heartbeat {
-  static constexpr std::string_view kTypeName = "kvscale.Heartbeat";
-
-  uint32_t node = 0;
-  uint64_t sequence = 0;
-  int64_t queue_depth = 0;  ///< advertised load (least-loaded placement)
-
-  template <typename V>
-  void Visit(V&& v) {
-    v.Field("node", node);
-    v.Field("sequence", sequence);
-    v.Field("queue_depth", queue_depth);
   }
 };
 

@@ -93,9 +93,9 @@ TEST(SharedRuntimeTest, ReusedAcrossGathersAndRebuiltOnStructuralChange) {
 TEST(AdmissionControlTest, RejectPolicyShedsAtTheLimitAndRearms) {
   CompactCodec registry;
   RegisterClusterMessages(registry);
-  NodeRuntimeOptions options;
-  options.max_inflight_queries = 1;
-  options.on_admission_full = QueueFullPolicy::kReject;
+  TransportOptions options;
+  options.max_inflight = 1;
+  options.admission_policy = QueueFullPolicy::kReject;
   NodeRuntime runtime(
       1, options,
       [](uint32_t, const SubQueryRequest&, ReadProbe*) -> Result<OperatorResult> {
@@ -103,31 +103,34 @@ TEST(AdmissionControlTest, RejectPolicyShedsAtTheLimitAndRearms) {
       },
       registry, nullptr, nullptr, nullptr);
 
-  ASSERT_TRUE(runtime.BeginQuery(1, NodeRuntime::QueryOptions{}).ok());
+  auto first = runtime.BeginQuery(1, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(first.ok());
   EXPECT_EQ(runtime.inflight_queries(), 1u);
-  const Status second = runtime.BeginQuery(2, NodeRuntime::QueryOptions{});
+  const auto second = runtime.BeginQuery(2, NodeRuntime::QueryOptions{});
   ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(runtime.admitted(), 1u);
   EXPECT_EQ(runtime.shed(), 1u);
 
-  runtime.EndQuery(1);  // the slot frees up...
-  EXPECT_TRUE(runtime.BeginQuery(2, NodeRuntime::QueryOptions{}).ok());
+  runtime.EndQuery(first.value());  // the slot frees up...
+  auto retried = runtime.BeginQuery(2, NodeRuntime::QueryOptions{});
+  EXPECT_TRUE(retried.ok());
 
   // ...and raising the limit admits a second concurrent query.
   runtime.SetAdmissionLimit(2, QueueFullPolicy::kReject);
-  EXPECT_TRUE(runtime.BeginQuery(3, NodeRuntime::QueryOptions{}).ok());
+  auto third = runtime.BeginQuery(3, NodeRuntime::QueryOptions{});
+  EXPECT_TRUE(third.ok());
   EXPECT_EQ(runtime.inflight_queries(), 2u);
-  runtime.EndQuery(2);
-  runtime.EndQuery(3);
+  if (retried.ok()) runtime.EndQuery(retried.value());
+  if (third.ok()) runtime.EndQuery(third.value());
 }
 
 TEST(AdmissionControlTest, BlockPolicyWaitsForASlot) {
   CompactCodec registry;
   RegisterClusterMessages(registry);
-  NodeRuntimeOptions options;
-  options.max_inflight_queries = 1;
-  options.on_admission_full = QueueFullPolicy::kBlock;
+  TransportOptions options;
+  options.max_inflight = 1;
+  options.admission_policy = QueueFullPolicy::kBlock;
   NodeRuntime runtime(
       1, options,
       [](uint32_t, const SubQueryRequest&, ReadProbe*) -> Result<OperatorResult> {
@@ -135,13 +138,15 @@ TEST(AdmissionControlTest, BlockPolicyWaitsForASlot) {
       },
       registry, nullptr, nullptr, nullptr);
 
-  ASSERT_TRUE(runtime.BeginQuery(1, NodeRuntime::QueryOptions{}).ok());
+  auto first = runtime.BeginQuery(1, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(first.ok());
   std::thread waiter([&] {
     // Must block until query 1 releases its slot, then be admitted.
-    EXPECT_TRUE(runtime.BeginQuery(2, NodeRuntime::QueryOptions{}).ok());
-    runtime.EndQuery(2);
+    auto second = runtime.BeginQuery(2, NodeRuntime::QueryOptions{});
+    EXPECT_TRUE(second.ok());
+    if (second.ok()) runtime.EndQuery(second.value());
   });
-  runtime.EndQuery(1);
+  runtime.EndQuery(first.value());
   waiter.join();
   EXPECT_EQ(runtime.admitted(), 2u);
   EXPECT_EQ(runtime.shed(), 0u);
@@ -151,21 +156,23 @@ TEST(AdmissionControlTest, BlockPolicyWaitsForASlot) {
 TEST(AdmissionControlTest, PerQueryClocksAreIsolated) {
   CompactCodec registry;
   RegisterClusterMessages(registry);
-  NodeRuntimeOptions options;
+  TransportOptions options;
   NodeRuntime runtime(
       1, options,
       [](uint32_t, const SubQueryRequest&, ReadProbe*) -> Result<OperatorResult> {
         return OperatorResult{};
       },
       registry, nullptr, nullptr, nullptr);
-  ASSERT_TRUE(runtime.BeginQuery(1, NodeRuntime::QueryOptions{}).ok());
-  ASSERT_TRUE(runtime.BeginQuery(2, NodeRuntime::QueryOptions{}).ok());
-  runtime.AdvanceClock(1, 750.0);
+  auto first = runtime.BeginQuery(1, NodeRuntime::QueryOptions{});
+  auto second = runtime.BeginQuery(2, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  first.value()->AdvanceClock(750.0);
   // One query's backoff charge never moves another query's deadline.
-  EXPECT_DOUBLE_EQ(runtime.clock_us(1), 750.0);
-  EXPECT_DOUBLE_EQ(runtime.clock_us(2), 0.0);
-  runtime.EndQuery(1);
-  runtime.EndQuery(2);
+  EXPECT_DOUBLE_EQ(first.value()->clock_us(), 750.0);
+  EXPECT_DOUBLE_EQ(second.value()->clock_us(), 0.0);
+  runtime.EndQuery(first.value());
+  runtime.EndQuery(second.value());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 // Tests for elastic membership: live partition migration, replica
-// re-protection after permanent node loss, and gathers racing a
-// membership change (the chaos drill).
+// re-protection after permanent node loss, the shared runtime surviving
+// membership changes that add no node slot, gathers racing a membership
+// change (the chaos drill), and FlushAll / ReviveNode serialized against
+// membership churn.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
@@ -166,6 +171,37 @@ TEST(MembershipSmoke, PermanentFailureReprotectsEveryPartition) {
   EXPECT_EQ(result.completed, result.subqueries);
   EXPECT_EQ(result.failed, 0u);
   EXPECT_EQ(result.totals, truth);
+}
+
+TEST(MembershipSmoke, DecommissionAndLossKeepTheSharedRuntime) {
+  // Only a new node slot needs a new runtime. A decommission or a
+  // permanent loss keeps the slot count, so message gathers keep the
+  // runtime they had: its workers bounce the dead node's requests.
+  InProcessCluster cluster(5, PlacementKind::kDhtRandom, StoreOptions{}, 47,
+                           2);
+  TypeCounts truth;
+  const WorkloadSpec workload = LoadCluster(cluster, 40, 6, truth);
+  GatherOptions message;
+  message.transport = GatherTransport::kMessage;
+  message.batch = true;
+  message.max_attempts = 4;
+  auto expect_exact = [&](const std::string& label) {
+    const GatherResult result = cluster.CountByTypeAll(workload, message);
+    EXPECT_EQ(result.totals, truth) << label;
+    EXPECT_EQ(result.completed, result.subqueries) << label;
+    EXPECT_EQ(result.failed, 0u) << label;
+    EXPECT_EQ(cluster.runtime_builds(), 1u) << label;
+  };
+  expect_exact("before");
+
+  auto drained = cluster.DecommissionNode(1);
+  ASSERT_TRUE(drained.ok()) << drained.status().message();
+  expect_exact("after decommission");
+
+  auto lost = cluster.FailNodePermanently(3);
+  ASSERT_TRUE(lost.ok()) << lost.status().message();
+  EXPECT_EQ(lost.value().partitions_lost, 0u);
+  expect_exact("after permanent loss");
 }
 
 TEST(MembershipSmoke, UnreplicatedLossIsReportedNotLaundered) {
@@ -420,6 +456,112 @@ TEST(MembershipChaosTest, RepeatedChurnKeepsEveryCopyReal) {
       EXPECT_TRUE(table.value()->HasPartition(part.key))
           << part.key << " missing on node " << r;
     }
+  }
+}
+
+TEST(MembershipChaosTest, FlushAndReviveSerializeWithChurn) {
+  // One thread joins and decommissions nodes while another flushes every
+  // store and crash-restarts WAL-backed node 0, which the churn never
+  // removes; a writer and a reader use the message transport throughout.
+  // FlushAll and ReviveNode wait for a running membership change, so a
+  // revive never swaps a store under a migration that plans from or
+  // streams into it.
+  const std::string wal =
+      "/tmp/kvscale_membership_revive_" + std::to_string(::getpid());
+  constexpr int kRounds = 3;
+  StoreOptions store_options;
+  store_options.wal_path = wal;
+  {
+    InProcessCluster cluster(3, PlacementKind::kDhtRandom, store_options, 53,
+                             2);
+    TypeCounts truth;
+    const WorkloadSpec workload = LoadCluster(cluster, 24, 6, truth);
+    GatherOptions message;
+    message.transport = GatherTransport::kMessage;
+    message.max_attempts = 4;
+    PutOptions put;
+    put.transport = GatherTransport::kMessage;
+
+    std::atomic<bool> churning{true};
+    std::vector<Status> churn;
+    std::thread churner([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        auto joined = cluster.AddNode();
+        churn.push_back(joined.status());
+        if (!joined.ok()) break;
+        churn.push_back(cluster.DecommissionNode(joined.value().node).status());
+      }
+      churning.store(false, std::memory_order_release);
+    });
+    int revives = 0;
+    std::thread restarter([&] {
+      while (churning.load(std::memory_order_acquire) || revives == 0) {
+        cluster.FlushAll();
+        cluster.KillNode(0);
+        EXPECT_TRUE(cluster.ReviveNode(0).ok());
+        ++revives;
+      }
+    });
+    std::vector<PutResult> puts;
+    std::thread writer([&] {
+      for (int i = 0; churning.load(std::memory_order_acquire) || i < 2;
+           ++i) {
+        std::vector<BatchPutItem> items;
+        for (int k = 0; k < 4; ++k) {
+          BatchPutItem item;
+          item.partition_key = "w" + std::to_string(i) + "_" +
+                               std::to_string(k);
+          item.column.clustering = 0;
+          item.column.type_id = k % 3;
+          item.column.payload = {std::byte{0xcd}};
+          items.push_back(std::move(item));
+        }
+        puts.push_back(cluster.PutBatch("w", std::move(items), put));
+      }
+    });
+    std::vector<GatherResult> gathered;
+    std::thread reader([&] {
+      while (churning.load(std::memory_order_acquire) || gathered.empty()) {
+        gathered.push_back(cluster.CountByTypeAll(workload, message));
+      }
+    });
+    churner.join();
+    restarter.join();
+    writer.join();
+    reader.join();
+
+    ASSERT_EQ(churn.size(), static_cast<size_t>(2 * kRounds));
+    for (const Status& status : churn) {
+      EXPECT_TRUE(status.ok()) << status.message();
+    }
+    // Adoption, then one flip per join and per decommission.
+    EXPECT_EQ(cluster.ring_epoch(), static_cast<uint64_t>(1 + 2 * kRounds));
+    EXPECT_EQ(cluster.Members(), (std::vector<NodeId>{0u, 1u, 2u}));
+    EXPECT_GT(revives, 0);
+    for (const GatherResult& r : gathered) {
+      EXPECT_EQ(r.completed + r.failed, r.subqueries);
+    }
+    for (const PutResult& p : puts) {
+      EXPECT_EQ(p.replica_acks + p.replica_failures, p.replica_writes);
+    }
+
+    // Quiet again: the message path answers field by field as the direct
+    // path does on the same stores.
+    const GatherResult direct = cluster.CountByTypeAll(workload);
+    const GatherResult after = cluster.CountByTypeAll(workload, message);
+    EXPECT_EQ(after.totals, direct.totals);
+    EXPECT_EQ(after.requests_per_node, direct.requests_per_node);
+    EXPECT_EQ(after.errors_per_node, direct.errors_per_node);
+    EXPECT_EQ(after.partitions_missing, direct.partitions_missing);
+    EXPECT_EQ(after.subqueries, direct.subqueries);
+    EXPECT_EQ(after.completed, direct.completed);
+    EXPECT_EQ(after.failed, direct.failed);
+    EXPECT_EQ(after.retries, direct.retries);
+    EXPECT_EQ(after.lost_partitions, direct.lost_partitions);
+    EXPECT_EQ(direct.completed, direct.subqueries);
+  }
+  for (int n = 0; n < 3 + kRounds; ++n) {
+    std::remove((wal + ".node" + std::to_string(n)).c_str());
   }
 }
 

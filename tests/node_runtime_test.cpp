@@ -121,7 +121,8 @@ TEST(BoundedQueueTest, OnEnqueueHookRunsBeforeInsertion) {
 TEST(NodeRuntimeTest, DispatchRoundTripsOneSubQuery) {
   CompactCodec registry;
   RegisterClusterMessages(registry);
-  NodeRuntimeOptions options;
+  MetricsRegistry metrics;
+  TransportOptions options;
   NodeRuntime runtime(
       2, options,
       [](uint32_t, const SubQueryRequest& req, ReadProbe* probe)
@@ -129,8 +130,9 @@ TEST(NodeRuntimeTest, DispatchRoundTripsOneSubQuery) {
         probe->columns_returned = req.expected_elements;
         return OperatorResult{{3}, {req.expected_elements}};
       },
-      registry, nullptr, nullptr, nullptr);
-  ASSERT_TRUE(runtime.BeginQuery(42, NodeRuntime::QueryOptions{}).ok());
+      registry, nullptr, &metrics, nullptr);
+  auto query = runtime.BeginQuery(42, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(query.ok());
 
   SubQueryRequest req;
   req.query_id = 42;
@@ -141,14 +143,15 @@ TEST(NodeRuntimeTest, DispatchRoundTripsOneSubQuery) {
   const uint32_t attempt = 0;
   const Micros extra = 0.0;
   ASSERT_TRUE(runtime
-                  .Dispatch(42, 1, std::span<const SubQueryRequest>(&req, 1),
+                  .Dispatch(query.value(), 1,
+                            std::span<const SubQueryRequest>(&req, 1),
                             std::span<const uint32_t>(&attempt, 1),
                             std::span<const Micros>(&extra, 1))
                   .ok());
 
-  const TransportReply reply = runtime.Await(42);
-  EXPECT_EQ(reply.node, 1u);
-  EXPECT_EQ(reply.sub_id, 7u);
+  const TransportReply reply = runtime.Await(query.value());
+  EXPECT_EQ(reply.trace.node, 1u);
+  EXPECT_EQ(reply.trace.sub_id, 7u);
   EXPECT_TRUE(reply.served);
   EXPECT_EQ(reply.code, StatusCode::kOk);
   ASSERT_EQ(reply.col_a().size(), 1u);
@@ -156,34 +159,38 @@ TEST(NodeRuntimeTest, DispatchRoundTripsOneSubQuery) {
   EXPECT_EQ(reply.col_b()[0], 11u);
   EXPECT_EQ(reply.probe.columns_returned, 11u);
   // The five timestamps delimit the paper's four stages in order.
-  EXPECT_LE(reply.issued_us, reply.received_us);
-  EXPECT_LE(reply.received_us, reply.db_start_us);
-  EXPECT_LE(reply.db_start_us, reply.db_end_us);
+  EXPECT_LE(reply.trace.issued, reply.trace.received);
+  EXPECT_LE(reply.trace.received, reply.trace.db_start);
+  EXPECT_LE(reply.trace.db_start, reply.trace.db_end);
   // The reply path's stamps continue the order.
-  EXPECT_LE(reply.db_end_us, reply.reply_encoded_us);
-  EXPECT_LE(reply.reply_encoded_us, reply.reply_dequeued_us);
-  EXPECT_LE(reply.reply_dequeued_us, reply.reply_decoded_us);
+  EXPECT_LE(reply.trace.db_end, reply.trace.reply_encoded);
+  EXPECT_LE(reply.trace.reply_encoded, reply.trace.reply_dequeued);
+  EXPECT_LE(reply.trace.reply_dequeued, reply.trace.reply_decoded);
 
-  const NodeRuntime::WireStats wire = runtime.wire_stats();
-  EXPECT_EQ(wire.frames_sent, 1u);
-  EXPECT_EQ(wire.frames_received, 1u);
-  EXPECT_GT(wire.bytes_sent, 0u);
-  EXPECT_GT(wire.bytes_received, 0u);
+  // The runtime's lifetime traffic, as the registry counts it.
+  const uint64_t frames_sent = metrics.GetCounter("wire.frames.sent").Value();
+  const uint64_t bytes_sent = metrics.GetCounter("wire.bytes.sent").Value();
+  const uint64_t bytes_received =
+      metrics.GetCounter("wire.bytes.received").Value();
+  EXPECT_EQ(frames_sent, 1u);
+  EXPECT_EQ(metrics.GetCounter("wire.frames.received").Value(), 1u);
+  EXPECT_GT(bytes_sent, 0u);
+  EXPECT_GT(bytes_received, 0u);
   // The query's private accounting matches: it was the only traffic.
-  const NodeRuntime::WireStats own = runtime.query_wire_stats(42);
-  EXPECT_EQ(own.frames_sent, wire.frames_sent);
-  EXPECT_EQ(own.bytes_sent, wire.bytes_sent);
-  EXPECT_EQ(own.bytes_received, wire.bytes_received);
-  runtime.EndQuery(42);
+  const NodeRuntime::QueryTotals own = runtime.EndQuery(query.value());
+  EXPECT_EQ(own.wire.frames_sent, frames_sent);
+  EXPECT_EQ(own.wire.bytes_sent, bytes_sent);
+  EXPECT_EQ(own.wire.bytes_received, bytes_received);
   EXPECT_EQ(runtime.inflight_queries(), 0u);
 }
 
 /// Sends `count` sub-queries (keys "p0".."p<count-1>", attempt 0) to
-/// node 0 of `runtime` as one request frame under query `query_id`.
-void DispatchOneFrame(NodeRuntime& runtime, uint64_t query_id, size_t count) {
+/// node 0 of `runtime` as one request frame under `query`.
+void DispatchOneFrame(NodeRuntime& runtime,
+                      const NodeRuntime::QueryHandle& query, size_t count) {
   std::vector<SubQueryRequest> requests(count);
   for (size_t i = 0; i < count; ++i) {
-    requests[i].query_id = query_id;
+    requests[i].query_id = query->query_id;
     requests[i].sub_id = static_cast<uint32_t>(i);
     requests[i].table = "t";
     requests[i].partition_key = "p" + std::to_string(i);
@@ -191,7 +198,7 @@ void DispatchOneFrame(NodeRuntime& runtime, uint64_t query_id, size_t count) {
   }
   const std::vector<uint32_t> attempts(count, 0);
   const std::vector<Micros> extras(count, 0.0);
-  ASSERT_TRUE(runtime.Dispatch(query_id, 0, requests, attempts, extras).ok());
+  ASSERT_TRUE(runtime.Dispatch(query, 0, requests, attempts, extras).ok());
 }
 
 /// Answers sub-query i with `width` rows (i, i + k).
@@ -210,22 +217,22 @@ SubQueryHandler WideHandler(size_t width) {
 TEST(NodeRuntimeTest, OneRequestFrameIsAnsweredByOneReplyFrame) {
   CompactCodec registry;
   RegisterClusterMessages(registry);
-  NodeRuntime runtime(1, NodeRuntimeOptions{}, WideHandler(2), registry,
+  NodeRuntime runtime(1, TransportOptions{}, WideHandler(2), registry,
                       nullptr, nullptr, nullptr);
-  ASSERT_TRUE(runtime.BeginQuery(5, NodeRuntime::QueryOptions{}).ok());
-  DispatchOneFrame(runtime, 5, 50);
+  auto query = runtime.BeginQuery(5, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(query.ok());
+  DispatchOneFrame(runtime, query.value(), 50);
   std::vector<bool> seen(50, false);
   for (size_t i = 0; i < 50; ++i) {
-    const TransportReply reply = runtime.Await(5);
+    const TransportReply reply = runtime.Await(query.value());
     ASSERT_EQ(reply.code, StatusCode::kOk);
-    ASSERT_LT(reply.sub_id, 50u);
-    seen[reply.sub_id] = true;
+    ASSERT_LT(reply.trace.sub_id, 50u);
+    seen[reply.trace.sub_id] = true;
     ASSERT_EQ(reply.col_b().size(), 2u);
-    EXPECT_EQ(reply.col_b()[1], reply.sub_id + 1u);
+    EXPECT_EQ(reply.col_b()[1], reply.trace.sub_id + 1u);
   }
   EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 50);
-  EXPECT_EQ(runtime.query_wire_stats(5).frames_received, 1u);
-  runtime.EndQuery(5);
+  EXPECT_EQ(runtime.EndQuery(query.value()).wire.frames_received, 1u);
 }
 
 TEST(NodeRuntimeTest, LargeAnswersSplitAtTheReplyByteBound) {
@@ -234,21 +241,22 @@ TEST(NodeRuntimeTest, LargeAnswersSplitAtTheReplyByteBound) {
   // Each answer is estimated at 8 bytes per value: 16 answers of this
   // width need four frames or more.
   const size_t width = kReplyFrameBytes / 8 / 2 / 4;
-  NodeRuntime runtime(1, NodeRuntimeOptions{}, WideHandler(width), registry,
+  NodeRuntime runtime(1, TransportOptions{}, WideHandler(width), registry,
                       nullptr, nullptr, nullptr);
-  ASSERT_TRUE(runtime.BeginQuery(6, NodeRuntime::QueryOptions{}).ok());
-  DispatchOneFrame(runtime, 6, 16);
+  auto query = runtime.BeginQuery(6, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(query.ok());
+  DispatchOneFrame(runtime, query.value(), 16);
   for (size_t i = 0; i < 16; ++i) {
-    const TransportReply reply = runtime.Await(6);
+    const TransportReply reply = runtime.Await(query.value());
     ASSERT_EQ(reply.code, StatusCode::kOk);
     ASSERT_EQ(reply.col_a().size(), width);
-    EXPECT_EQ(reply.col_a()[width - 1], reply.sub_id);
-    EXPECT_EQ(reply.col_b()[width - 1], reply.sub_id + width - 1);
+    EXPECT_EQ(reply.col_a()[width - 1], reply.trace.sub_id);
+    EXPECT_EQ(reply.col_b()[width - 1], reply.trace.sub_id + width - 1);
   }
-  const uint64_t frames = runtime.query_wire_stats(6).frames_received;
+  const uint64_t frames =
+      runtime.EndQuery(query.value()).wire.frames_received;
   EXPECT_GE(frames, 4u);
   EXPECT_LE(frames, 16u);
-  runtime.EndQuery(6);
 }
 
 TEST(NodeRuntimeTest, ACorruptedAnswerFailsAloneWhileItsSiblingsArrive) {
@@ -260,28 +268,28 @@ TEST(NodeRuntimeTest, ACorruptedAnswerFailsAloneWhileItsSiblingsArrive) {
   FaultInjector injector(config);
   // The same seed predicts the injector's per-answer verdicts.
   const FaultInjector oracle(config);
-  NodeRuntime runtime(1, NodeRuntimeOptions{}, WideHandler(3), registry,
+  NodeRuntime runtime(1, TransportOptions{}, WideHandler(3), registry,
                       &injector, nullptr, nullptr);
-  ASSERT_TRUE(runtime.BeginQuery(7, NodeRuntime::QueryOptions{}).ok());
-  DispatchOneFrame(runtime, 7, 40);
+  auto query = runtime.BeginQuery(7, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(query.ok());
+  DispatchOneFrame(runtime, query.value(), 40);
   size_t corrupted = 0;
   for (size_t i = 0; i < 40; ++i) {
-    const TransportReply reply = runtime.Await(7);
+    const TransportReply reply = runtime.Await(query.value());
     const bool damaged = oracle.ShouldCorruptReply(
-        0, "p" + std::to_string(reply.sub_id), 0);
+        0, "p" + std::to_string(reply.trace.sub_id), 0);
     if (damaged) {
       ++corrupted;
-      EXPECT_EQ(reply.code, StatusCode::kCorruption) << reply.sub_id;
+      EXPECT_EQ(reply.code, StatusCode::kCorruption) << reply.trace.sub_id;
     } else {
-      ASSERT_EQ(reply.code, StatusCode::kOk) << reply.sub_id;
+      ASSERT_EQ(reply.code, StatusCode::kOk) << reply.trace.sub_id;
       EXPECT_EQ(reply.col_b().size(), 3u);
     }
   }
   EXPECT_GT(corrupted, 0u);
   EXPECT_LT(corrupted, 40u);
   EXPECT_EQ(injector.corrupted_replies(), corrupted);
-  EXPECT_EQ(runtime.query_wire_stats(7).frames_received, 1u);
-  runtime.EndQuery(7);
+  EXPECT_EQ(runtime.EndQuery(query.value()).wire.frames_received, 1u);
 }
 
 TEST(NodeRuntimeTest, ACorruptedEnvelopeFailsEveryAnswerInTheFrame) {
@@ -290,21 +298,22 @@ TEST(NodeRuntimeTest, ACorruptedEnvelopeFailsEveryAnswerInTheFrame) {
   FaultConfig config;
   config.reply_frame_corrupt_rate = 1.0;
   FaultInjector injector(config);
-  NodeRuntime runtime(1, NodeRuntimeOptions{}, WideHandler(1), registry,
+  NodeRuntime runtime(1, TransportOptions{}, WideHandler(1), registry,
                       &injector, nullptr, nullptr);
-  ASSERT_TRUE(runtime.BeginQuery(8, NodeRuntime::QueryOptions{}).ok());
-  DispatchOneFrame(runtime, 8, 12);
+  auto query = runtime.BeginQuery(8, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(query.ok());
+  DispatchOneFrame(runtime, query.value(), 12);
   std::vector<bool> seen(12, false);
   for (size_t i = 0; i < 12; ++i) {
-    const TransportReply reply = runtime.Await(8);
+    const TransportReply reply = runtime.Await(query.value());
     EXPECT_EQ(reply.code, StatusCode::kCorruption);
     EXPECT_TRUE(reply.served);  // the store did the work; the wire lost it
-    ASSERT_LT(reply.sub_id, 12u);
-    seen[reply.sub_id] = true;
+    ASSERT_LT(reply.trace.sub_id, 12u);
+    seen[reply.trace.sub_id] = true;
   }
   EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 12);
   EXPECT_EQ(injector.corrupted_reply_frames(), 1u);
-  runtime.EndQuery(8);
+  runtime.EndQuery(query.value());
 }
 
 TEST(NodeRuntimeTest, RejectPolicyShedsWhenQueueAndWorkerAreBusy) {
@@ -312,10 +321,10 @@ TEST(NodeRuntimeTest, RejectPolicyShedsWhenQueueAndWorkerAreBusy) {
   RegisterClusterMessages(registry);
   std::latch worker_started(1);
   std::latch release_worker(1);
-  NodeRuntimeOptions options;
+  TransportOptions options;
   options.queue_depth = 1;
   options.workers_per_node = 1;
-  options.on_queue_full = QueueFullPolicy::kReject;
+  options.queue_policy = QueueFullPolicy::kReject;
   NodeRuntime runtime(
       1, options,
       [&](uint32_t, const SubQueryRequest& req, ReadProbe*)
@@ -327,7 +336,8 @@ TEST(NodeRuntimeTest, RejectPolicyShedsWhenQueueAndWorkerAreBusy) {
         return OperatorResult{};
       },
       registry, nullptr, nullptr, nullptr);
-  ASSERT_TRUE(runtime.BeginQuery(9, NodeRuntime::QueryOptions{}).ok());
+  auto query = runtime.BeginQuery(9, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(query.ok());
 
   auto dispatch_one = [&](uint32_t sub_id) {
     SubQueryRequest req;
@@ -337,7 +347,8 @@ TEST(NodeRuntimeTest, RejectPolicyShedsWhenQueueAndWorkerAreBusy) {
     req.partition_key = "p" + std::to_string(sub_id);
     const uint32_t attempt = 0;
     const Micros extra = 0.0;
-    return runtime.Dispatch(9, 0, std::span<const SubQueryRequest>(&req, 1),
+    return runtime.Dispatch(query.value(), 0,
+                            std::span<const SubQueryRequest>(&req, 1),
                             std::span<const uint32_t>(&attempt, 1),
                             std::span<const Micros>(&extra, 1));
   };
@@ -350,10 +361,10 @@ TEST(NodeRuntimeTest, RejectPolicyShedsWhenQueueAndWorkerAreBusy) {
   EXPECT_EQ(rejected.code(), StatusCode::kResourceExhausted);
 
   release_worker.count_down();
-  EXPECT_EQ(runtime.Await(9).code, StatusCode::kOk);
-  EXPECT_EQ(runtime.Await(9).code, StatusCode::kOk);
-  EXPECT_EQ(runtime.wire_stats().frames_sent, 2u);  // the reject sent nothing
-  runtime.EndQuery(9);
+  EXPECT_EQ(runtime.Await(query.value()).code, StatusCode::kOk);
+  EXPECT_EQ(runtime.Await(query.value()).code, StatusCode::kOk);
+  // The reject sent nothing.
+  EXPECT_EQ(runtime.EndQuery(query.value()).wire.frames_sent, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "cluster/query_ops.hpp"
@@ -134,6 +135,24 @@ PartialResult SampleResult() {
   return res;
 }
 
+/// A test-local visited message with a signed field: no registered
+/// message carries an int64, so this is what round-trips a negative one
+/// through the codec's zigzag path.
+struct SignedSample {
+  static constexpr std::string_view kTypeName = "kvscale.test.SignedSample";
+
+  uint32_t node = 0;
+  uint64_t sequence = 0;
+  int64_t delta = 0;
+
+  template <typename V>
+  void Visit(V&& v) {
+    v.Field("node", node);
+    v.Field("sequence", sequence);
+    v.Field("delta", delta);
+  }
+};
+
 TEST(TaggedCodecTest, RoundTripsAllMessageTypes) {
   {
     WireBuffer buf;
@@ -153,15 +172,15 @@ TEST(TaggedCodecTest, RoundTripsAllMessageTypes) {
     EXPECT_DOUBLE_EQ(decoded.value().db_micros, 1234.5);
   }
   {
-    Heartbeat hb;
-    hb.node = 9;
-    hb.sequence = 1000;
-    hb.queue_depth = -1;  // exercises zigzag
+    SignedSample sample;
+    sample.node = 9;
+    sample.sequence = 1000;
+    sample.delta = -1;  // exercises zigzag
     WireBuffer buf;
-    TaggedCodec::Encode(hb, buf);
-    auto decoded = TaggedCodec::Decode<Heartbeat>(buf.data());
+    TaggedCodec::Encode(sample, buf);
+    auto decoded = TaggedCodec::Decode<SignedSample>(buf.data());
     ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value().queue_depth, -1);
+    EXPECT_EQ(decoded.value().delta, -1);
   }
 }
 
@@ -187,7 +206,7 @@ TEST(TaggedCodecTest, RejectsTruncation) {
 TEST(CompactCodecTest, RoundTripsRegisteredTypes) {
   CompactCodec codec;
   RegisterClusterMessages(codec);
-  EXPECT_EQ(codec.registered_count(), 11u);
+  EXPECT_EQ(codec.registered_count(), 8u);
 
   WireBuffer buf;
   codec.Encode(SampleResult(), buf);

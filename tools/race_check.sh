@@ -2,10 +2,12 @@
 # Builds the tsan CMake preset and runs the concurrency-heavy suites —
 # the bounded queues and worker pools of the node runtime, the gather and
 # write loops over both transports, reads and writes interleaved on one
-# shared runtime, and the store's concurrent readers and the decoded
-# blocks they share — under ThreadSanitizer, then drives end-to-end
-# message-transport gathers and puts through the CLI. A clean exit means
-# the queue/worker/clock machinery is data-race-free.
+# shared runtime, concurrent queries each holding its own runtime query
+# handle, FlushAll / ReviveNode racing membership churn, and the store's
+# concurrent readers and the decoded blocks they share — under
+# ThreadSanitizer, then drives end-to-end message-transport gathers and
+# puts through the CLI. A clean exit means the queue/worker/clock
+# machinery is data-race-free.
 #
 # Usage: tools/race_check.sh
 set -euo pipefail
@@ -38,6 +40,18 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
 # both kinds go through one worker serve loop and one reply format.
 ./build-tsan/tests/write_path_test \
   --gtest_filter='WritePathTest.ReadsAndWritesShareNodeWorkers' \
+  --gtest_repeat=5
+
+# The query-handle drills, repeated: admission, per-query clocks read off
+# each query's handle, and eight clients gathering concurrently through
+# one runtime, each bit-identical to a sequential gather.
+./build-tsan/tests/concurrent_gather_test --gtest_repeat=3
+
+# The membership serialization drill, repeated: joins and decommissions
+# churn while another thread loops FlushAll and KillNode + ReviveNode on
+# a WAL-backed member, with a message-path writer and reader running.
+./build-tsan/tests/membership_test \
+  --gtest_filter='MembershipChaosTest.FlushAndReviveSerializeWithChurn' \
   --gtest_repeat=5
 
 # One sanitized end-to-end run over the wire: batched compact frames,
