@@ -407,6 +407,7 @@ Status InProcessCluster::ExecutePlan(RingPlan plan, MembershipReport& report) {
 
 Result<MembershipReport> InProcessCluster::AddNode() {
   MutexLock membership(membership_mu_);
+  const TransitionBracket bracket(*this);
   const auto t0 = std::chrono::steady_clock::now();
   MembershipReport report;
   KV_RETURN_IF_ERROR(EnsureElastic(report));
@@ -457,6 +458,7 @@ Result<MembershipReport> InProcessCluster::AddNode() {
 
 Result<MembershipReport> InProcessCluster::DecommissionNode(NodeId node) {
   MutexLock membership(membership_mu_);
+  const TransitionBracket bracket(*this);
   const auto t0 = std::chrono::steady_clock::now();
   MembershipReport report;
   report.node = node;
@@ -506,6 +508,7 @@ Result<MembershipReport> InProcessCluster::DecommissionNode(NodeId node) {
 
 Result<MembershipReport> InProcessCluster::FailNodePermanently(NodeId node) {
   MutexLock membership(membership_mu_);
+  const TransitionBracket bracket(*this);
   const auto t0 = std::chrono::steady_clock::now();
   MembershipReport report;
   report.node = node;

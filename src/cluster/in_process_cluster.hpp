@@ -197,7 +197,7 @@ struct MembershipReport {
   uint64_t partitions_moved = 0;   ///< partition copies streamed + applied
   uint64_t columns_moved = 0;      ///< columns those copies carried
   uint64_t blocks_streamed = 0;    ///< checksum-verified migration blocks
-  uint64_t bytes_streamed = 0;     ///< frame bytes on the migration wire
+  uint64_t bytes_streamed = 0;     ///< MigrationBlock frame bytes streamed
   uint64_t block_retries = 0;      ///< blocks re-sent after corruption
   uint64_t source_failovers = 0;   ///< streams that survived a source kill
   uint64_t partitions_repaired = 0;  ///< under-replicated copies re-protected
@@ -234,9 +234,12 @@ class InProcessCluster {
   // directory flips after, and the ring epoch advances). From then on,
   // gathers racing a membership change re-resolve their replica sets when
   // they notice an epoch bump between retries, so a sub-query that raced
-  // a move retries against the new owner — and Put / PutBatch do the
-  // same on the write side, re-dispatching to the new owners through
-  // bounded epoch-retry rounds (PutOptions::max_epoch_retries).
+  // a move retries against the new owner. Put / PutBatch do the same on
+  // the write side: a write round that overlapped an unfinished
+  // membership operation waits for it to finish, re-resolves, and
+  // re-dispatches to the new owners through bounded epoch-retry rounds
+  // (PutOptions::max_epoch_retries); quorum is judged against the final
+  // owners only.
   // Membership changes, FlushAll, and ReviveNode serialize on one lock
   // (membership_mu_, taken before nodes_mu_): a revive cannot swap a
   // store under a migration that is planning from or streaming into it,
@@ -513,6 +516,23 @@ class InProcessCluster {
   /// untouched when streaming fails.
   Status ExecutePlan(RingPlan plan, MembershipReport& report);
 
+  /// Marks one membership operation as an unfinished transition for its
+  /// whole scope, failed and rolled-back ones included. Constructed
+  /// right after membership_mu_ is taken, so the bracket covers every
+  /// plan, stream, flip and epoch bump of the operation.
+  class TransitionBracket {
+   public:
+    explicit TransitionBracket(InProcessCluster& cluster) : cluster_(cluster) {
+      cluster_.transitions_started_.fetch_add(1);
+    }
+    ~TransitionBracket() { cluster_.transitions_finished_.fetch_add(1); }
+    TransitionBracket(const TransitionBracket&) = delete;
+    TransitionBracket& operator=(const TransitionBracket&) = delete;
+
+   private:
+    InProcessCluster& cluster_;
+  };
+
   /// A fresh query id when anything will see it — every message-path
   /// query (the wire needs one), and direct ones only while a flight
   /// recorder or stage tracer is attached, so the message path's id
@@ -611,6 +631,13 @@ class InProcessCluster {
   TokenRing ring_ KV_GUARDED_BY(route_mu_);
   std::set<NodeId> members_ KV_GUARDED_BY(route_mu_);
   std::atomic<uint64_t> ring_epoch_{0};
+  /// Membership transitions begun / ended (TransitionBracket). A put
+  /// round that overlapped an unfinished transition may have written to
+  /// an old owner after the migration planned or streamed the key, and
+  /// checked the epoch before the flip: it waits the transition out,
+  /// then re-resolves and re-sends to the owners it left.
+  std::atomic<uint64_t> transitions_started_{0};
+  std::atomic<uint64_t> transitions_finished_{0};
 
   /// Guards the node slots themselves: gathers read them constantly while
   /// AddNode appends, so every access snapshots the shared_ptr under this

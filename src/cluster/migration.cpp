@@ -26,36 +26,6 @@ std::span<const std::byte> PayloadBytes(const std::string& payload) {
   return {reinterpret_cast<const std::byte*>(payload.data()), payload.size()};
 }
 
-/// Ships one control message (MigrationBegin / MigrationDone) through the
-/// same encode -> frame -> split -> decode pipeline as the data blocks.
-/// Control frames are not fault-injected — the drill targets the data.
-template <typename M>
-Status RoundTripControlFrame(WireCodecKind codec, const CompactCodec& registry,
-                             uint64_t migration_id, const M& msg,
-                             uint64_t& bytes) {
-  WireBuffer payload;
-  EncodeWith(codec, registry, msg, payload);
-  WireBuffer frame;
-  const uint32_t zero = 0;
-  EncodeFrame(codec, migration_id, /*trace_flags=*/0,
-              std::span<const uint32_t>(&zero, 1),
-              std::span<const uint32_t>(&zero, 1),
-              std::span<const WireBuffer>(&payload, 1), frame);
-  const std::vector<std::byte> data = frame.TakeBytes();
-  bytes += data.size();
-  auto parts = SplitFrame(data, codec);
-  if (!parts.ok()) return parts.status();
-  if (parts.value().items.size() != 1) {
-    return Status::Corruption("migration control frame item count");
-  }
-  auto decoded = DecodeWith<M>(codec, registry, parts.value().items[0].payload);
-  if (!decoded.ok()) return decoded.status();
-  if (decoded.value().migration_id != migration_id) {
-    return Status::Corruption("migration control frame id mismatch");
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 void MigrationStreamStats::MergeFrom(const MigrationStreamStats& other) {
@@ -110,17 +80,11 @@ Status MigrationEngine::ShipBlock(uint64_t migration_id, uint32_t seq,
   for (uint32_t attempt = 0; attempt < options_.max_block_attempts;
        ++attempt) {
     if (attempt > 0) ++stats.block_retries;
-    // Sender side: encode the message, then frame it exactly like the
-    // query path frames its sub-queries (seq rides in the envelope's
-    // sub_id slot, the re-send ordinal in its attempt slot).
-    WireBuffer payload_buf;
-    EncodeWith(options_.codec, registry_, block, payload_buf);
+    // Sender side: one block per frame, framed exactly like the query
+    // path's messages, with the migration id in the header.
     WireBuffer frame_buf;
-    const uint32_t wire_seq = seq;
-    EncodeFrame(options_.codec, migration_id, /*trace_flags=*/0,
-                std::span<const uint32_t>(&wire_seq, 1),
-                std::span<const uint32_t>(&attempt, 1),
-                std::span<const WireBuffer>(&payload_buf, 1), frame_buf);
+    EncodeMessageFrame(block, migration_id, /*trace_flags=*/0, options_.codec,
+                       registry_, frame_buf);
     std::vector<std::byte> frame = frame_buf.TakeBytes();
     stats.bytes += frame.size();
 
@@ -135,13 +99,12 @@ Status MigrationEngine::ShipBlock(uint64_t migration_id, uint32_t seq,
 
     // Receiver side: split the frame, decode the block, verify the
     // checksum before a single column lands.
-    auto parts = SplitFrame(frame, options_.codec);
-    if (!parts.ok() || parts.value().items.size() != 1) continue;
-    auto decoded = DecodeWith<MigrationBlock>(options_.codec, registry_,
-                                              parts.value().items[0].payload);
+    auto decoded = DecodeMessageFrame<MigrationBlock>(frame, options_.codec,
+                                                      registry_);
     if (!decoded.ok()) continue;
-    const MigrationBlock& received = decoded.value();
-    if (received.migration_id != migration_id ||
+    const MigrationBlock& received = decoded.value().msg;
+    if (decoded.value().query_id != migration_id ||
+        received.migration_id != migration_id ||
         received.keys.size() != received.payloads.size() ||
         received.checksum != MigrationBlockChecksum(received.payloads)) {
       continue;
@@ -191,22 +154,9 @@ Result<MigrationStreamStats> MigrationEngine::Run(
     std::vector<std::string> keys;
     std::vector<std::string> payloads;
     NodeId block_source = 0;
-    bool begun = false;
-    const MigrationStreamStats before = stats;
     auto flush_block = [&]() -> Status {
       if (keys.empty()) return Status::Ok();
       const NodeId source = block_source;
-      if (!begun) {
-        MigrationBegin begin;
-        begin.migration_id = migration_id;
-        begin.source = source;
-        begin.target = target;
-        begin.table = table;
-        begin.partitions = stream_moves.size();
-        KV_RETURN_IF_ERROR(RoundTripControlFrame(
-            options_.codec, registry_, migration_id, begin, stats.bytes));
-        begun = true;
-      }
       KV_RETURN_IF_ERROR(ShipBlock(migration_id, seq++, source, target,
                                    table, std::move(keys),
                                    std::move(payloads), stats));
@@ -250,16 +200,6 @@ Result<MigrationStreamStats> MigrationEngine::Run(
       }
     }
     KV_RETURN_IF_ERROR(flush_block());
-    if (begun) {
-      MigrationDone done;
-      done.migration_id = migration_id;
-      done.target = target;
-      done.blocks = stats.blocks - before.blocks;
-      done.partitions = stats.partitions - before.partitions;
-      done.columns = stats.columns - before.columns;
-      KV_RETURN_IF_ERROR(RoundTripControlFrame(
-          options_.codec, registry_, migration_id, done, stats.bytes));
-    }
   }
   std::sort(stats.skipped_keys.begin(), stats.skipped_keys.end());
   stats.skipped_keys.erase(

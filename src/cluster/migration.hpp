@@ -55,7 +55,7 @@ struct MigrationStreamStats {
   uint64_t blocks = 0;             ///< checksum-verified blocks applied
   uint64_t partitions = 0;         ///< (table, key) pairs applied
   uint64_t columns = 0;            ///< columns written to targets
-  uint64_t bytes = 0;              ///< encoded frame bytes (re-sends included)
+  uint64_t bytes = 0;              ///< block frame bytes (re-sends included)
   uint64_t block_retries = 0;      ///< blocks re-sent after checksum failure
   uint64_t source_failovers = 0;   ///< streams restarted off a dying source
   uint64_t partitions_skipped = 0; ///< no live replica held the partition

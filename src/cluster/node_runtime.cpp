@@ -261,7 +261,7 @@ Status NodeRuntime::Dispatch(const QueryHandle& query, uint32_t node,
 }
 
 Status NodeRuntime::DispatchWrite(const QueryHandle& query, uint32_t node,
-                                  const WriteBatch& batch, uint32_t attempt) {
+                                  const WriteBatch& batch) {
   KV_CHECK(node < queues_.size());  // MessageTransport routes stale nodes
   KV_CHECK(write_handler_ != nullptr);  // runtime built without a write path
   KV_CHECK(!batch.keys.empty());
@@ -272,12 +272,12 @@ Status NodeRuntime::DispatchWrite(const QueryHandle& query, uint32_t node,
   env.query = query;
   env.issued_us = NowMicros();
   WireBuffer buf;
-  EncodeWriteBatchFrame(batch, attempt, query->trace_flags, query->codec,
-                        registry_, buf);
+  EncodeWriteBatchFrame(batch, query->trace_flags, query->codec, registry_,
+                        buf);
   RecordEncode(*query, env.issued_us);
   env.frame = buf.TakeBytes();
   env.sub_ids = {batch.sub_id};
-  env.attempts = {attempt};
+  env.attempts = {batch.attempt};
   env.extra_latency_us = {0.0};
   return Enqueue(std::move(env));
 }
@@ -369,7 +369,7 @@ NodeRuntime::DecodedRequest NodeRuntime::DecodeRequest(
   out.trace_flags = out.write.trace_flags;
   out.query_id = out.write.batch.query_id;
   if (out.write.batch.sub_id != env.sub_ids.front() ||
-      out.write.attempt != env.attempts.front()) {
+      out.write.batch.attempt != env.attempts.front()) {
     out.transport =
         Status::Corruption("write batch does not match its transport metadata");
   } else if (out.write.batch.target != node) {

@@ -6,13 +6,13 @@
 // master *encodes* every sub-query through a selectable wire codec
 // (Tagged vs Compact — the Java-vs-Kryo axis of Section V-B), optionally
 // coalescing the sub-queries bound for one node into a single framed
-// SubQueryBatch, and enqueues the frame on the target node. Write
-// batches travel the same queues as one-item WriteBatch frames. Workers
-// dequeue, decode, execute against the local store, and answer every
-// request frame — reads or a write — the same way: with encoded
-// SubQueryReplyBatch frames (cut early at kReplyFrameBytes) carrying a
-// checksum per answer, which the master decodes once and hands out
-// answer by answer.
+// SubQueryBatch (one plan per frame), and enqueues the frame on the
+// target node. Write batches travel the same queues as WriteBatch
+// frames. Workers dequeue, decode, execute against the local store, and
+// answer every request frame — reads or a write — the same way: with
+// encoded SubQueryReplyBatch frames (cut early at kReplyFrameBytes)
+// carrying a checksum per answer, which the master decodes once and
+// hands out answer by answer.
 //
 // One runtime serves *many concurrent queries*. The queues and worker
 // pools are built once and shared; each query registers with BeginQuery
@@ -393,13 +393,13 @@ class NodeRuntime {
   }
   uint64_t shed() const { return shed_.load(std::memory_order_relaxed); }
 
-  /// Encodes `requests` (with per-item attempt numbers and injected
-  /// latency charges) into one frame with `query`'s codec and enqueues
-  /// it on `node`, which must be one of this runtime's nodes. Blocks
-  /// under kBlock when the queue is full; fails with kResourceExhausted
-  /// under kReject. One reply per request eventually reaches
-  /// Await(query). The query must be live (between BeginQuery and
-  /// EndQuery).
+  /// Encodes `requests` — one plan's sub-queries, with per-item attempt
+  /// numbers and injected latency charges — into one SubQueryBatch frame
+  /// with `query`'s codec and enqueues it on `node`, which must be one of
+  /// this runtime's nodes. Blocks under kBlock when the queue is full;
+  /// fails with kResourceExhausted under kReject. One reply per request
+  /// eventually reaches Await(query). The query must be live (between
+  /// BeginQuery and EndQuery).
   Status Dispatch(const QueryHandle& query, uint32_t node,
                   std::span<const SubQueryRequest> requests,
                   std::span<const uint32_t> attempts,
@@ -411,7 +411,7 @@ class NodeRuntime {
   /// dispatched batch eventually reaches Await(query). The runtime must
   /// have been built with a write handler.
   Status DispatchWrite(const QueryHandle& query, uint32_t node,
-                       const WriteBatch& batch, uint32_t attempt);
+                       const WriteBatch& batch);
 
   /// The next answer to one of `query`'s requests. Reply frames are
   /// decoded once, when the first of their answers is due: this blocks

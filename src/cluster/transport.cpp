@@ -67,12 +67,11 @@ TransportReply Transport::ServeRead(NodeId node,
   return out;
 }
 
-TransportReply Transport::ServeWrite(const WriteBatch& batch,
-                                     uint32_t attempt) {
+TransportReply Transport::ServeWrite(const WriteBatch& batch) {
   TransportReply out;
   out.trace.node = batch.target;
   out.trace.sub_id = batch.sub_id;
-  out.attempt = attempt;
+  out.attempt = batch.attempt;
   out.trace.issued = now_us();
   out.trace.received = out.trace.issued;
   // No store-write span here, unlike reads: direct loads put one column
@@ -97,8 +96,8 @@ Status InlineTransport::SendReads(NodeId node,
   return Status::Ok();
 }
 
-Status InlineTransport::SendWrite(const WriteBatch& batch, uint32_t attempt) {
-  replies_.push_back(ServeWrite(batch, attempt));
+Status InlineTransport::SendWrite(const WriteBatch& batch) {
+  replies_.push_back(ServeWrite(batch));
   return Status::Ok();
 }
 
@@ -147,11 +146,11 @@ Status MessageTransport::SendReads(NodeId node,
   return Status::Ok();
 }
 
-Status MessageTransport::SendWrite(const WriteBatch& batch, uint32_t attempt) {
+Status MessageTransport::SendWrite(const WriteBatch& batch) {
   if (!Stale(batch.target)) {
-    return runtime_->DispatchWrite(query_, batch.target, batch, attempt);
+    return runtime_->DispatchWrite(query_, batch.target, batch);
   }
-  direct_.push_back(ServeWrite(batch, attempt));
+  direct_.push_back(ServeWrite(batch));
   return Status::Ok();
 }
 

@@ -72,7 +72,7 @@ class Transport {
                            std::span<const Micros> extra_latency_us) = 0;
 
   /// Sends one write batch to `batch.target`.
-  virtual Status SendWrite(const WriteBatch& batch, uint32_t attempt) = 0;
+  virtual Status SendWrite(const WriteBatch& batch) = 0;
 
   /// The next answer to this query: exactly one per request sent.
   virtual TransportReply Await() = 0;
@@ -102,7 +102,7 @@ class Transport {
   /// node its (older) runtime has no queue for.
   TransportReply ServeRead(NodeId node, const SubQueryRequest& request,
                            uint32_t attempt);
-  TransportReply ServeWrite(const WriteBatch& batch, uint32_t attempt);
+  TransportReply ServeWrite(const WriteBatch& batch);
 
   const NodeHandlers& handlers_;
   SpanTracer* spans_;  ///< may be null
@@ -119,7 +119,7 @@ class InlineTransport final : public Transport {
   Status SendReads(NodeId node, std::span<const SubQueryRequest> requests,
                    std::span<const uint32_t> attempts,
                    std::span<const Micros> extra_latency_us) override;
-  Status SendWrite(const WriteBatch& batch, uint32_t attempt) override;
+  Status SendWrite(const WriteBatch& batch) override;
   TransportReply Await() override;
   Totals End() override;
   Micros clock_us() const override { return clock_us_; }
@@ -151,7 +151,7 @@ class MessageTransport final : public Transport {
   Status SendReads(NodeId node, std::span<const SubQueryRequest> requests,
                    std::span<const uint32_t> attempts,
                    std::span<const Micros> extra_latency_us) override;
-  Status SendWrite(const WriteBatch& batch, uint32_t attempt) override;
+  Status SendWrite(const WriteBatch& batch) override;
   TransportReply Await() override;
   Totals End() override;
   Micros clock_us() const override { return query_->clock_us(); }

@@ -246,10 +246,13 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
     tables_.insert(table);
   }
 
-  // Resolve every key's replica set, reading the epoch *before* the
-  // resolutions so a flip that lands mid-loop is caught by the re-check
-  // after the first round rather than silently splitting the batch
-  // across epochs.
+  // Resolve every key's replica set, reading the finished-transition
+  // count and the epoch *before* the resolutions: a membership operation
+  // unfinished at any moment of a round — one that planned or streamed
+  // before the round's writes landed and flips after — is caught by the
+  // check after the round rather than silently losing the copy its new
+  // owner never received.
+  uint64_t settled = transitions_finished_.load();
   uint64_t resolved_epoch = ring_epoch();
   std::vector<KeyWriteState> state(items.size());
   for (size_t k = 0; k < items.size(); ++k) {
@@ -314,10 +317,11 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
   };
 
   auto make_wire_batch = [&](const WriteChunk& chunk, uint64_t query_id,
-                             uint32_t sub_id) {
+                             uint32_t sub_id, uint32_t attempt) {
     WriteBatch batch;
     batch.query_id = query_id;
     batch.sub_id = sub_id;
+    batch.attempt = attempt;
     batch.target = chunk.node;
     batch.table = table;
     batch.keys.reserve(chunk.keys.size());
@@ -386,8 +390,8 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
       RecordDispatch(chunk.node, chunk.keys.size());
       result.replica_writes += chunk.keys.size();
       ++result.batches_sent;
-      const Status sent =
-          transport->SendWrite(make_wire_batch(chunk, query_id, sub_id), round);
+      const Status sent = transport->SendWrite(
+          make_wire_batch(chunk, query_id, sub_id, round));
       if (!sent.ok()) {
         // Rejecting backpressure: the batch never left, so every key it
         // carried counts as a refused replica write and the quorum
@@ -413,16 +417,26 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
       fold(chunk, ack.value_or(WriteAck{}), ack.status());
     }
     due.clear();
-    const uint64_t epoch_now = ring_epoch();
-    if (epoch_now == resolved_epoch || round >= options.max_epoch_retries) {
-      break;
+    const uint64_t begun = transitions_started_.load();
+    if (begun == settled && ring_epoch() == resolved_epoch) break;
+    // The round overlapped a transition: wait it out and re-resolve, so
+    // the verdict below is judged against the owners it left even when
+    // no retry round is left to re-send. A transition holds
+    // membership_mu_ from its bracket's start to its end, so taking the
+    // lock once waits out the one in flight.
+    if (transitions_finished_.load() < begun) {
+      MutexLock wait(membership_mu_);
     }
-    resolved_epoch = epoch_now;
+    settled = transitions_finished_.load();
+    resolved_epoch = ring_epoch();
+    for (size_t k = 0; k < items.size(); ++k) {
+      state[k].replicas = ReplicasOf(items[k].partition_key);
+    }
+    if (round >= options.max_epoch_retries) break;
     ++round;
     ++result.epoch_retries;
     Instruments::Add(inst_.put_epoch_retries);
     for (size_t k = 0; k < items.size(); ++k) {
-      state[k].replicas = ReplicasOf(items[k].partition_key);
       for (const NodeId node : state[k].replicas) {
         if (!Contains(state[k].acked, node) &&
             !Contains(state[k].failed, node)) {
@@ -433,13 +447,17 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
   }
 
   // Quorum verdicts, judged against each key's *final* replica set — a
-  // 2-of-3 degraded write still satisfies kMajority.
+  // 2-of-3 degraded write still satisfies kMajority, and an ack from an
+  // owner the key has since left counts for nothing.
   for (const KeyWriteState& key : state) {
     const size_t fanout = std::max<size_t>(key.replicas.size(), 1);
     size_t needed = fanout;
     if (options.quorum == PutQuorum::kMajority) needed = fanout / 2 + 1;
     if (options.quorum == PutQuorum::kOne) needed = 1;
-    if (key.acked.size() >= needed) {
+    const auto acks = std::count_if(
+        key.acked.begin(), key.acked.end(),
+        [&key](NodeId node) { return Contains(key.replicas, node); });
+    if (static_cast<size_t>(acks) >= needed) {
       ++result.keys_quorum_met;
     } else {
       ++result.keys_quorum_failed;

@@ -25,38 +25,15 @@ Result<WireCodecKind> ParseWireCodec(std::string_view name) {
                                  "' (expected tagged|compact)");
 }
 
-namespace {
-
-void WriteFrameHeader(WireCodecKind codec, uint64_t query_id,
-                      uint8_t trace_flags, size_t count, WireBuffer& out) {
+void EncodeFrame(WireCodecKind codec, uint64_t query_id, uint8_t trace_flags,
+                 std::span<const std::byte> payload, WireBuffer& out) {
   out.WriteU16(kFrameMagic);
   out.WriteU8(kFrameVersion);
   out.WriteU8(static_cast<uint8_t>(codec));
   out.WriteU8(trace_flags);
   out.WriteVarint(query_id);
-  out.WriteVarint(count);
-}
-
-void WriteFrameItem(uint32_t sub_id, uint32_t attempt,
-                    std::span<const std::byte> payload, WireBuffer& out) {
-  out.WriteVarint(sub_id);
-  out.WriteVarint(attempt);
   // WriteBytes emits the varint length prefix itself.
   out.WriteBytes(payload);
-}
-
-}  // namespace
-
-void EncodeFrame(WireCodecKind codec, uint64_t query_id, uint8_t trace_flags,
-                 std::span<const uint32_t> sub_ids,
-                 std::span<const uint32_t> attempts,
-                 std::span<const WireBuffer> items, WireBuffer& out) {
-  WriteFrameHeader(codec, query_id, trace_flags, items.size(), out);
-  for (size_t i = 0; i < items.size(); ++i) {
-    WriteFrameItem(i < sub_ids.size() ? sub_ids[i] : 0,
-                   i < attempts.size() ? attempts[i] : 0, items[i].data(),
-                   out);
-  }
 }
 
 Result<FrameParts> SplitFrame(std::span<const std::byte> frame,
@@ -89,48 +66,18 @@ Result<FrameParts> SplitFrame(std::span<const std::byte> frame,
     return Status::Corruption("frame: unknown trace flag bits " +
                               std::to_string(trace_flags & ~kTraceFlagsMask));
   }
-  const uint64_t query_id = r.ReadVarint();
-  if (!r.ok()) return Status::Corruption("frame: bad query id");
-  const uint64_t count = r.ReadVarint();
-  if (!r.ok()) return Status::Corruption("frame: bad item count");
-  // Each item needs at least three bytes (sub_id, attempt, and length
-  // varints), so a count larger than a third of the remaining bytes is a
-  // lie — reject before reserving anything.
-  if (count > r.remaining() / 3) {
-    return Status::Corruption("frame: item count " + std::to_string(count) +
-                              " exceeds the bytes present");
-  }
   FrameParts parts;
-  parts.query_id = query_id;
+  parts.query_id = r.ReadVarint();
+  if (!r.ok()) return Status::Corruption("frame: bad query id");
   parts.trace_flags = trace_flags;
-  parts.items.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t sub_id = r.ReadVarint();
-    if (!r.ok() || sub_id > std::numeric_limits<uint32_t>::max()) {
-      return Status::Corruption("frame: bad item sub_id");
-    }
-    const uint64_t attempt = r.ReadVarint();
-    if (!r.ok() || attempt > std::numeric_limits<uint32_t>::max()) {
-      return Status::Corruption("frame: bad item attempt");
-    }
-    const uint64_t length = r.ReadVarint();
-    if (!r.ok()) return Status::Corruption("frame: bad length prefix");
-    const size_t offset = frame.size() - r.remaining();
-    if (length > r.remaining()) {
-      return Status::Corruption("frame: length prefix " +
-                                std::to_string(length) +
-                                " overruns the frame");
-    }
-    FrameItem item;
-    item.sub_id = static_cast<uint32_t>(sub_id);
-    item.attempt = static_cast<uint32_t>(attempt);
-    item.payload = frame.subspan(offset, static_cast<size_t>(length));
-    parts.items.push_back(item);
-    // Skip over the payload without copying it: the reader continues on
-    // the rest of the frame.
-    r = WireReader(frame.subspan(offset + static_cast<size_t>(length)));
+  const uint64_t length = r.ReadVarint();
+  if (!r.ok()) return Status::Corruption("frame: bad length prefix");
+  if (length > r.remaining()) {
+    return Status::Corruption("frame: length prefix " + std::to_string(length) +
+                              " overruns the frame");
   }
-  if (!r.AtEnd()) return Status::Corruption("frame: trailing bytes");
+  if (length < r.remaining()) return Status::Corruption("frame: trailing bytes");
+  parts.payload = frame.subspan(frame.size() - r.remaining());
   return parts;
 }
 
@@ -138,96 +85,105 @@ void EncodeSubQueryBatch(std::span<const SubQueryRequest> requests,
                          std::span<const uint32_t> attempts,
                          uint8_t trace_flags, WireCodecKind kind,
                          const CompactCodec& registry, WireBuffer& out) {
-  const uint64_t query_id = requests.empty() ? 0 : requests[0].query_id;
-  WriteFrameHeader(kind, query_id, trace_flags, requests.size(), out);
-  WireBuffer item;  // one request's encoding, reused across the batch
-  for (size_t i = 0; i < requests.size(); ++i) {
-    item.clear();
-    EncodeWith(kind, registry, requests[i], item);
-    WriteFrameItem(requests[i].sub_id, i < attempts.size() ? attempts[i] : 0,
-                   item.data(), out);
+  KV_CHECK(attempts.size() == requests.size());
+  SubQueryBatch batch;
+  if (!requests.empty()) {
+    const SubQueryRequest& plan = requests.front();
+    batch.query_id = plan.query_id;
+    batch.table = plan.table;
+    batch.op = plan.op;
+    batch.arg_lo = plan.arg_lo;
+    batch.arg_hi = plan.arg_hi;
+    batch.arg_limit = plan.arg_limit;
   }
+  batch.sub_ids.reserve(requests.size());
+  batch.attempts.assign(attempts.begin(), attempts.end());
+  batch.keys.reserve(requests.size());
+  batch.expected_elements.reserve(requests.size());
+  for (const SubQueryRequest& req : requests) {
+    // One plan per frame: only the per-item columns may differ.
+    KV_CHECK(req.query_id == batch.query_id && req.table == batch.table &&
+             req.op == batch.op && req.arg_lo == batch.arg_lo &&
+             req.arg_hi == batch.arg_hi && req.arg_limit == batch.arg_limit);
+    batch.sub_ids.push_back(req.sub_id);
+    batch.keys.push_back(req.partition_key);
+    batch.expected_elements.push_back(req.expected_elements);
+  }
+  EncodeMessageFrame(batch, batch.query_id, trace_flags, kind, registry, out);
 }
 
 Result<DecodedSubQueryBatch> DecodeSubQueryBatch(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry) {
-  auto split = SplitFrame(frame, kind);
-  if (!split.ok()) return split.status();
-  if (split.value().items.empty()) {
-    return Status::Corruption("batch: empty frame");
+  auto decoded = DecodeMessageFrame<SubQueryBatch>(frame, kind, registry);
+  if (!decoded.ok()) return decoded.status();
+  SubQueryBatch& batch = decoded.value().msg;
+  if (batch.query_id != decoded.value().query_id) {
+    return Status::Corruption("batch: payload query_id " +
+                              std::to_string(batch.query_id) +
+                              " disagrees with the header's " +
+                              std::to_string(decoded.value().query_id));
   }
-  DecodedSubQueryBatch batch;
-  batch.query_id = split.value().query_id;
-  batch.trace_flags = split.value().trace_flags;
-  batch.requests.reserve(split.value().items.size());
-  batch.attempts.reserve(split.value().items.size());
-  std::unordered_set<uint32_t> seen_sub_ids;
-  seen_sub_ids.reserve(split.value().items.size());
-  for (const FrameItem& item : split.value().items) {
-    auto decoded = DecodeWith<SubQueryRequest>(kind, registry, item.payload);
-    if (!decoded.ok()) return decoded.status();
-    if (decoded.value().query_id != batch.query_id) {
-      return Status::Corruption(
-          "batch: payload query_id " +
-          std::to_string(decoded.value().query_id) +
-          " disagrees with the envelope's " + std::to_string(batch.query_id));
-    }
-    if (decoded.value().sub_id != item.sub_id) {
-      return Status::Corruption(
-          "batch: payload sub_id " + std::to_string(decoded.value().sub_id) +
-          " disagrees with the envelope's " + std::to_string(item.sub_id));
-    }
-    if (!seen_sub_ids.insert(decoded.value().sub_id).second) {
-      return Status::Corruption(
-          "batch: duplicate sub_id " + std::to_string(decoded.value().sub_id));
-    }
-    if (!IsKnownQueryOp(decoded.value().op)) {
-      return Status::Corruption("batch: unknown operator id " +
-                                std::to_string(decoded.value().op));
-    }
-    batch.requests.push_back(std::move(decoded).value());
-    batch.attempts.push_back(item.attempt);
+  const size_t n = batch.sub_ids.size();
+  if (n == 0) return Status::Corruption("batch: empty frame");
+  if (batch.attempts.size() != n || batch.keys.size() != n ||
+      batch.expected_elements.size() != n) {
+    return Status::Corruption("batch: item columns disagree on length");
   }
-  return batch;
+  if (!IsKnownQueryOp(batch.op)) {
+    return Status::Corruption("batch: unknown operator id " +
+                              std::to_string(batch.op));
+  }
+  constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  std::unordered_set<uint64_t> seen_sub_ids;
+  seen_sub_ids.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (batch.sub_ids[i] > kMaxU32 || batch.attempts[i] > kMaxU32 ||
+        batch.expected_elements[i] > kMaxU32) {
+      return Status::Corruption("batch: item value out of range");
+    }
+    if (!seen_sub_ids.insert(batch.sub_ids[i]).second) {
+      return Status::Corruption("batch: duplicate sub_id " +
+                                std::to_string(batch.sub_ids[i]));
+    }
+  }
+  DecodedSubQueryBatch out;
+  out.query_id = batch.query_id;
+  out.trace_flags = decoded.value().trace_flags;
+  out.requests.resize(n);
+  out.attempts.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    SubQueryRequest& req = out.requests[i];
+    req.query_id = batch.query_id;
+    req.sub_id = static_cast<uint32_t>(batch.sub_ids[i]);
+    req.table = batch.table;
+    req.partition_key = std::move(batch.keys[i]);
+    req.expected_elements = static_cast<uint32_t>(batch.expected_elements[i]);
+    req.op = static_cast<uint32_t>(batch.op);
+    req.arg_lo = batch.arg_lo;
+    req.arg_hi = batch.arg_hi;
+    req.arg_limit = batch.arg_limit;
+    out.attempts.push_back(static_cast<uint32_t>(batch.attempts[i]));
+  }
+  return out;
 }
 
 namespace {
 
-/// The one payload of a single-item frame, with its envelope context.
-struct SingleItem {
-  uint64_t query_id = 0;
-  uint8_t trace_flags = 0;
-  FrameItem item;
-};
-
-Result<SingleItem> SplitSingleItem(std::span<const std::byte> frame,
-                                   WireCodecKind kind, std::string_view what) {
-  auto split = SplitFrame(frame, kind);
-  if (!split.ok()) return split.status();
-  if (split.value().items.size() != 1) {
-    return Status::Corruption(std::string(what) +
-                              ": expected exactly one payload");
-  }
-  return SingleItem{split.value().query_id, split.value().trace_flags,
-                    split.value().items.front()};
-}
-
-/// Decodes a reply frame's batch and checks everything that does not
-/// depend on the request it answers: envelope/payload agreement, at
-/// least one item, parallel columns, result offsets.
-Result<SubQueryReplyBatch> DecodeReplyBatchPayload(
-    const SingleItem& single, WireCodecKind kind,
+/// Decodes a reply frame and checks everything that does not depend on
+/// the request it answers: header/payload agreement, at least one item,
+/// parallel columns, result offsets.
+Result<DecodedFrame<SubQueryReplyBatch>> DecodeReplyBatchPayload(
+    std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry) {
-  auto decoded =
-      DecodeWith<SubQueryReplyBatch>(kind, registry, single.item.payload);
+  auto decoded = DecodeMessageFrame<SubQueryReplyBatch>(frame, kind, registry);
   if (!decoded.ok()) return decoded.status();
-  const SubQueryReplyBatch& batch = decoded.value();
-  if (batch.query_id != single.query_id) {
+  const SubQueryReplyBatch& batch = decoded.value().msg;
+  if (batch.query_id != decoded.value().query_id) {
     return Status::Corruption("reply frame: payload query_id " +
                               std::to_string(batch.query_id) +
-                              " disagrees with the envelope's " +
-                              std::to_string(single.query_id));
+                              " disagrees with the header's " +
+                              std::to_string(decoded.value().query_id));
   }
   const size_t n = batch.sub_ids.size();
   if (n == 0) return Status::Corruption("reply frame: no items");
@@ -236,15 +192,6 @@ Result<SubQueryReplyBatch> DecodeReplyBatchPayload(
       batch.a_ends.size() != n || batch.b_ends.size() != n ||
       batch.checksums.size() != n) {
     return Status::Corruption("reply frame: item columns disagree on length");
-  }
-  if (batch.sub_ids[0] != single.item.sub_id ||
-      batch.attempts[0] != single.item.attempt) {
-    return Status::Corruption(
-        "reply frame: payload sub_id/attempt " +
-        std::to_string(batch.sub_ids[0]) + "/" +
-        std::to_string(batch.attempts[0]) + " disagree with the envelope's " +
-        std::to_string(single.item.sub_id) + "/" +
-        std::to_string(single.item.attempt));
   }
   for (size_t i = 0; i < n; ++i) {
     const uint64_t a_begin = i == 0 ? 0 : batch.a_ends[i - 1];
@@ -284,13 +231,7 @@ std::span<const uint64_t> DecodedReplyBatch::col_b(size_t item) const {
 void EncodeReplyBatchFrame(const SubQueryReplyBatch& batch,
                            uint8_t trace_flags, WireCodecKind kind,
                            const CompactCodec& registry, WireBuffer& out) {
-  KV_CHECK(!batch.sub_ids.empty() && !batch.attempts.empty());
-  WireBuffer payload;
-  EncodeWith(kind, registry, batch, payload);
-  WriteFrameHeader(kind, batch.query_id, trace_flags, 1, out);
-  WriteFrameItem(static_cast<uint32_t>(batch.sub_ids[0]),
-                 static_cast<uint32_t>(batch.attempts[0]), payload.data(),
-                 out);
+  EncodeMessageFrame(batch, batch.query_id, trace_flags, kind, registry, out);
 }
 
 Result<DecodedReplyBatch> DecodeReplyBatchFrame(
@@ -298,13 +239,11 @@ Result<DecodedReplyBatch> DecodeReplyBatchFrame(
     const CompactCodec& registry, uint64_t expected_query_id,
     std::span<const uint32_t> sub_ids, std::span<const uint32_t> attempts) {
   KV_CHECK(sub_ids.size() == attempts.size());
-  auto single = SplitSingleItem(frame, kind, "reply frame");
-  if (!single.ok()) return single.status();
-  auto decoded = DecodeReplyBatchPayload(single.value(), kind, registry);
+  auto decoded = DecodeReplyBatchPayload(frame, kind, registry);
   if (!decoded.ok()) return decoded.status();
   DecodedReplyBatch out;
-  out.trace_flags = single.value().trace_flags;
-  out.batch = std::move(decoded).value();
+  out.trace_flags = decoded.value().trace_flags;
+  out.batch = std::move(decoded.value().msg);
   const SubQueryReplyBatch& batch = out.batch;
   if (batch.query_id != expected_query_id) {
     return Status::Corruption(
@@ -381,11 +320,9 @@ void EncodeReplyFrame(const SubQueryReply& reply, uint32_t attempt,
 Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
                                            WireCodecKind kind,
                                            const CompactCodec& registry) {
-  auto single = SplitSingleItem(frame, kind, "reply frame");
-  if (!single.ok()) return single.status();
-  auto decoded = DecodeReplyBatchPayload(single.value(), kind, registry);
+  auto decoded = DecodeReplyBatchPayload(frame, kind, registry);
   if (!decoded.ok()) return decoded.status();
-  SubQueryReplyBatch& batch = decoded.value();
+  SubQueryReplyBatch& batch = decoded.value().msg;
   if (batch.sub_ids.size() != 1) {
     return Status::Corruption("reply frame: expected exactly one reply");
   }
@@ -393,7 +330,7 @@ Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
     return Status::Corruption("reply frame: item checksum mismatch");
   }
   DecodedReplyFrame out;
-  out.trace_flags = single.value().trace_flags;
+  out.trace_flags = decoded.value().trace_flags;
   out.attempt = static_cast<uint32_t>(batch.attempts[0]);
   out.reply.query_id = batch.query_id;
   out.reply.sub_id = static_cast<uint32_t>(batch.sub_ids[0]);
@@ -406,39 +343,23 @@ Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
   return out;
 }
 
-void EncodeWriteBatchFrame(const WriteBatch& batch, uint32_t attempt,
-                           uint8_t trace_flags, WireCodecKind kind,
-                           const CompactCodec& registry, WireBuffer& out) {
-  std::vector<WireBuffer> items(1);
-  EncodeWith(kind, registry, batch, items[0]);
-  const uint32_t sub_id = batch.sub_id;
-  EncodeFrame(kind, batch.query_id, trace_flags,
-              std::span<const uint32_t>(&sub_id, 1),
-              std::span<const uint32_t>(&attempt, 1), items, out);
+void EncodeWriteBatchFrame(const WriteBatch& batch, uint8_t trace_flags,
+                           WireCodecKind kind, const CompactCodec& registry,
+                           WireBuffer& out) {
+  EncodeMessageFrame(batch, batch.query_id, trace_flags, kind, registry, out);
 }
 
 Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry) {
-  auto split = SplitFrame(frame, kind);
-  if (!split.ok()) return split.status();
-  if (split.value().items.size() != 1) {
-    return Status::Corruption("write batch: expected exactly one payload");
-  }
-  const FrameItem& item = split.value().items.front();
-  auto decoded = DecodeWith<WriteBatch>(kind, registry, item.payload);
+  auto decoded = DecodeMessageFrame<WriteBatch>(frame, kind, registry);
   if (!decoded.ok()) return decoded.status();
-  const WriteBatch& batch = decoded.value();
-  if (batch.query_id != split.value().query_id) {
+  const WriteBatch& batch = decoded.value().msg;
+  if (batch.query_id != decoded.value().query_id) {
     return Status::Corruption(
         "write batch: payload query_id " + std::to_string(batch.query_id) +
-        " disagrees with the envelope's " +
-        std::to_string(split.value().query_id));
-  }
-  if (batch.sub_id != item.sub_id) {
-    return Status::Corruption(
-        "write batch: payload sub_id " + std::to_string(batch.sub_id) +
-        " disagrees with the envelope's " + std::to_string(item.sub_id));
+        " disagrees with the header's " +
+        std::to_string(decoded.value().query_id));
   }
   if (batch.keys.empty()) {
     return Status::Corruption("write batch: no keys");
@@ -471,9 +392,8 @@ Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
     return Status::Corruption("write batch: payload checksum mismatch");
   }
   DecodedWriteBatchFrame out;
-  out.trace_flags = split.value().trace_flags;
-  out.attempt = item.attempt;
-  out.batch = std::move(decoded).value();
+  out.trace_flags = decoded.value().trace_flags;
+  out.batch = std::move(decoded.value().msg);
   return out;
 }
 

@@ -1,37 +1,38 @@
 // Framed message envelopes for the node runtime's real message path.
 //
 // The codecs (codec.hpp) encode a single message; the runtime ships
-// *frames*: a fixed header naming the codec that produced the payload,
-// followed by length-prefixed message payloads. Framing buys three things
-// the paper's prototype relied on its RPC stack for:
+// *frames*: a fixed header naming the codec that produced the payload and
+// the query it belongs to, followed by exactly one length-prefixed
+// message. Framing buys three things the paper's prototype relied on its
+// RPC stack for:
 //
-//   * batching — one frame coalesces every sub-query bound for a node
-//     (the natural next optimization after the paper's Kryo switch, see
-//     ClusterConfig::send_batch_size for the modelled version);
 //   * codec negotiation — a frame self-identifies as Tagged or Compact,
 //     so feeding bytes to the wrong decoder is a clean Status error, not
 //     silent garbage (the Java-vs-Kryo axis must never cross-decode);
-//   * robustness — every length prefix is validated against the bytes
-//     actually present before any allocation, so truncated or hostile
-//     frames fail with kCorruption instead of crashing or OOMing.
+//   * trace context — the header names the owning query and carries the
+//     trace flags, so node-side worker spans link to the query that
+//     issued them; every decoder checks the header's query_id against the
+//     payload's, and a frame whose header disagrees with its contents is
+//     kCorruption, exactly like a bad length prefix;
+//   * robustness — the length prefix is validated against the bytes
+//     actually present before any allocation, and trailing bytes are
+//     refused, so truncated or hostile frames fail with kCorruption
+//     instead of crashing or OOMing.
 //
-// Version 2 adds trace context to the envelope so node-side worker spans
-// can be causally linked to the query that issued them without trusting
-// the payloads: the frame names its owning query and flags, and every
-// item carries its sub-query id and attempt ordinal alongside the
-// payload. The decoder cross-checks the envelope context against the
-// decoded payloads — a frame whose wire metadata disagrees with its
-// contents is kCorruption, exactly like a bad length prefix.
+// Batching lives inside the messages, not in the envelope. Every frame
+// kind coalesces its items as parallel columns of one message:
+// SubQueryBatch (the sub-queries of one plan bound for one node: the
+// table, operator and arguments once, then sub_id / attempt / key /
+// expected_elements per item), SubQueryReplyBatch (their answers, each
+// with its own checksum, so a damaged answer fails over alone while a
+// damaged header fails over the whole frame), WriteBatch and
+// MigrationBlock. One message per frame means one place for each id and
+// one set of checks per kind; the per-item ids an envelope item list
+// used to repeat beside each payload are gone.
 //
-// A reply frame carries one SubQueryReplyBatch item: the answers to the
-// sub-queries of one request frame (or the ack of one WriteBatch frame)
-// as parallel columns, each with its own checksum, so a damaged answer
-// fails over alone while a damaged envelope fails over the whole frame.
-//
-// Frame layout (version 2):
+// Frame layout (version 3):
 //   [u16 magic 0xFAB1][u8 version][u8 codec][u8 trace_flags]
-//   [varint query_id][varint count]
-//   count x { [varint sub_id][varint attempt][varint length][payload] }
+//   [varint query_id][varint length][payload]
 #pragma once
 
 #include <cstdint>
@@ -60,7 +61,7 @@ std::string_view WireCodecName(WireCodecKind kind);
 Result<WireCodecKind> ParseWireCodec(std::string_view name);
 
 inline constexpr uint16_t kFrameMagic = 0xFAB1;
-inline constexpr uint8_t kFrameVersion = 2;
+inline constexpr uint8_t kFrameVersion = 3;
 
 /// Trace flag bits carried in the envelope header. Any bit outside
 /// kTraceFlagsMask is kCorruption at decode time, like every other
@@ -85,37 +86,24 @@ inline constexpr uint64_t TraceFlowId(uint64_t query_id, uint32_t sub_id,
   return x | 1;  // never zero: 0 means "no flow" in Span
 }
 
-/// One decoded frame item: the wire-level trace coordinates plus a view
-/// into the frame's payload bytes.
-struct FrameItem {
-  uint32_t sub_id = 0;
-  uint32_t attempt = 0;
-  std::span<const std::byte> payload;
-};
-
-/// A split frame: the envelope's trace context plus its items (payload
-/// spans view into the original frame buffer).
+/// A split frame: the header's trace context plus a view of its one
+/// payload (into the original frame buffer).
 struct FrameParts {
   uint64_t query_id = 0;
   uint8_t trace_flags = 0;
-  std::vector<FrameItem> items;
+  std::span<const std::byte> payload;
 };
 
-/// Appends a frame holding `items` (each an already-encoded message) to
-/// `out`. `sub_ids` and `attempts` must parallel `items` — they are the
-/// wire-level trace coordinates of each payload.
+/// Appends a frame carrying `payload` (one already-encoded message) to
+/// `out`.
 void EncodeFrame(WireCodecKind codec, uint64_t query_id, uint8_t trace_flags,
-                 std::span<const uint32_t> sub_ids,
-                 std::span<const uint32_t> attempts,
-                 std::span<const WireBuffer> items, WireBuffer& out);
+                 std::span<const std::byte> payload, WireBuffer& out);
 
-/// Splits a frame into its trace context and payload spans (views into
-/// `frame`). Fails with kCorruption on a bad header, unknown trace-flag
-/// bits, a count / length / id prefix that does not fit the bytes
-/// present, or trailing garbage; fails with kCorruption ("codec
-/// mismatch") when the frame was produced by a codec other than
-/// `expected`. Never allocates proportionally to a claimed length, only
-/// to bytes actually present.
+/// Splits a frame into its trace context and payload view. Fails with
+/// kCorruption on a bad header, unknown trace-flag bits, a length prefix
+/// that does not fit the bytes present, or trailing garbage; fails with
+/// kCorruption ("codec mismatch") when the frame was produced by a codec
+/// other than `expected`. Never allocates.
 Result<FrameParts> SplitFrame(std::span<const std::byte> frame,
                               WireCodecKind expected);
 
@@ -141,8 +129,42 @@ Result<M> DecodeWith(WireCodecKind kind, const CompactCodec& registry,
   return registry.Decode<M>(data);
 }
 
-/// A decoded and validated SubQueryBatch frame: the envelope trace
-/// context plus the requests with their wire attempt ordinals.
+/// Encodes `msg` with `kind` and frames it under `query_id`.
+template <typename M>
+void EncodeMessageFrame(const M& msg, uint64_t query_id, uint8_t trace_flags,
+                        WireCodecKind kind, const CompactCodec& registry,
+                        WireBuffer& out) {
+  WireBuffer payload;
+  EncodeWith(kind, registry, msg, payload);
+  EncodeFrame(kind, query_id, trace_flags, payload.data(), out);
+}
+
+/// A split and decoded frame: its trace context and its one message.
+template <typename M>
+struct DecodedFrame {
+  uint64_t query_id = 0;
+  uint8_t trace_flags = 0;
+  M msg;
+};
+
+/// Splits `frame` and decodes its payload as an M; either failing is
+/// kCorruption. Checking the header's query_id against the message is
+/// the caller's, since each message names its owner in its own field.
+template <typename M>
+Result<DecodedFrame<M>> DecodeMessageFrame(std::span<const std::byte> frame,
+                                           WireCodecKind kind,
+                                           const CompactCodec& registry) {
+  auto split = SplitFrame(frame, kind);
+  if (!split.ok()) return split.status();
+  auto decoded = DecodeWith<M>(kind, registry, split.value().payload);
+  if (!decoded.ok()) return decoded.status();
+  return DecodedFrame<M>{split.value().query_id, split.value().trace_flags,
+                         std::move(decoded).value()};
+}
+
+/// A decoded and validated SubQueryBatch frame: the header's trace
+/// context plus the requests the batch's columns describe, with their
+/// attempt ordinals.
 struct DecodedSubQueryBatch {
   uint64_t query_id = 0;
   uint8_t trace_flags = 0;
@@ -150,28 +172,30 @@ struct DecodedSubQueryBatch {
   std::vector<uint32_t> attempts;  ///< parallel to `requests`
 };
 
-/// Encodes a SubQueryBatch frame: every request encoded with `kind`, then
-/// framed with the envelope trace context (query_id from the requests,
-/// sub_ids from each request, attempt ordinals from `attempts`). A batch
-/// of one is how single sub-queries travel too.
+/// Encodes `requests` as one SubQueryBatch frame: the plan-level fields
+/// (query_id, table, op, arguments) once, the per-item sub_id, attempt
+/// (from `attempts`), key and expected_elements as columns. Every request
+/// must share the plan-level fields and `attempts` must parallel
+/// `requests` (both checked). A batch of one is how single sub-queries
+/// travel too.
 void EncodeSubQueryBatch(std::span<const SubQueryRequest> requests,
                          std::span<const uint32_t> attempts,
                          uint8_t trace_flags, WireCodecKind kind,
                          const CompactCodec& registry, WireBuffer& out);
 
-/// Decodes and validates a SubQueryBatch frame. Beyond per-message
-/// decoding it enforces batch-level invariants: at least one request, no
+/// Decodes and validates a SubQueryBatch frame. Beyond message decoding
+/// it enforces batch-level invariants: the payload's query_id matches the
+/// header's, at least one item, item columns of equal length, no
 /// duplicate sub_ids (a duplicate would double-fold a partial result on
-/// the master), and envelope/payload agreement — every payload's
-/// query_id must match the frame's and every payload's sub_id must match
-/// its wire item's. Any violation is kCorruption.
+/// the master), a known operator, and sub_id / attempt /
+/// expected_elements values that fit uint32. Any violation is
+/// kCorruption.
 Result<DecodedSubQueryBatch> DecodeSubQueryBatch(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry);
 
-/// Encodes a SubQueryReplyBatch as a reply frame: one envelope item
-/// carrying the whole batch, named by the batch's first sub-query id and
-/// attempt (the envelope/payload agreement the decoders check).
+/// Encodes a SubQueryReplyBatch as a reply frame under the batch's
+/// query_id.
 void EncodeReplyBatchFrame(const SubQueryReplyBatch& batch,
                            uint8_t trace_flags, WireCodecKind kind,
                            const CompactCodec& registry, WireBuffer& out);
@@ -198,7 +222,7 @@ struct DecodedReplyBatch {
 
 /// Decodes a reply frame and validates it against the request frame it
 /// answers: `sub_ids` / `attempts` are that request's items. Beyond the
-/// envelope and payload checks (query_id agreement with the envelope and
+/// header and payload checks (query_id agreement with the header and
 /// with `expected_query_id`, parallel columns of equal length, result
 /// offsets that fit the columns), the frame must hold at least one and
 /// at most sub_ids.size() items, each a sub-query of the request with
@@ -210,7 +234,7 @@ Result<DecodedReplyBatch> DecodeReplyBatchFrame(
     const CompactCodec& registry, uint64_t expected_query_id,
     std::span<const uint32_t> sub_ids, std::span<const uint32_t> attempts);
 
-/// A decoded and validated single-reply frame with its envelope context.
+/// A decoded and validated single-reply frame with its header context.
 struct DecodedReplyFrame {
   uint8_t trace_flags = 0;
   uint32_t attempt = 0;
@@ -225,34 +249,29 @@ void EncodeReplyFrame(const SubQueryReply& reply, uint32_t attempt,
                       const CompactCodec& registry, WireBuffer& out);
 
 /// Decodes a reply frame holding exactly one reply (kCorruption on
-/// anything malformed, on a frame of more than one item, on a failed
-/// item checksum, or on an envelope whose query_id/sub_id disagree with
-/// the decoded reply's).
+/// anything malformed, on a batch of more than one item, on a failed
+/// item checksum, or on a header whose query_id disagrees with the
+/// decoded reply's).
 Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
                                            WireCodecKind kind,
                                            const CompactCodec& registry);
 
-/// A decoded and validated WriteBatch frame with its envelope context.
-/// One frame carries exactly one WriteBatch (the batch already coalesces
-/// many keys, unlike sub-queries which coalesce per frame).
+/// A decoded and validated WriteBatch frame with its header context.
 struct DecodedWriteBatchFrame {
   uint8_t trace_flags = 0;
-  uint32_t attempt = 0;
   WriteBatch batch;
 };
 
-/// Encodes one WriteBatch as a single-item frame; the envelope echoes
-/// the batch's query_id/sub_id plus the attempt ordinal and trace flags.
-void EncodeWriteBatchFrame(const WriteBatch& batch, uint32_t attempt,
-                           uint8_t trace_flags, WireCodecKind kind,
-                           const CompactCodec& registry, WireBuffer& out);
+/// Encodes one WriteBatch as a frame under the batch's query_id.
+void EncodeWriteBatchFrame(const WriteBatch& batch, uint8_t trace_flags,
+                           WireCodecKind kind, const CompactCodec& registry,
+                           WireBuffer& out);
 
-/// Decodes and validates a WriteBatch frame. Beyond per-message decoding
-/// it enforces batch invariants: exactly one payload, envelope/payload
-/// query_id and sub_id agreement, at least one key, all five column
-/// vectors the same length, type ids that fit uint32, tombstone flags
-/// that are 0/1, and a payload checksum matching the MigrationBlock
-/// recipe. Any violation is kCorruption — a damaged batch must fail
+/// Decodes and validates a WriteBatch frame. Beyond message decoding it
+/// enforces batch invariants: header/payload query_id agreement, at
+/// least one key, all five column vectors the same length, type ids that
+/// fit uint32, tombstone flags that are 0/1, and a payload checksum
+/// matching the MigrationBlock recipe. Any violation is kCorruption — a damaged batch must fail
 /// before any column touches a store.
 Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
     std::span<const std::byte> frame, WireCodecKind kind,

@@ -6,11 +6,10 @@ void RegisterClusterMessages(CompactCodec& codec) {
   codec.Register<SubQueryRequest>();
   codec.Register<PartialResult>();
   codec.Register<SubQueryReply>();
-  codec.Register<MigrationBegin>();
   codec.Register<MigrationBlock>();
-  codec.Register<MigrationDone>();
   codec.Register<WriteBatch>();
   codec.Register<SubQueryReplyBatch>();
+  codec.Register<SubQueryBatch>();
 }
 
 uint64_t MigrationBlockChecksum(const std::vector<std::string>& payloads) {

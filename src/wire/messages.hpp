@@ -3,8 +3,9 @@
 // These are the messages exchanged in the paper's four stages:
 //   master --SubQueryRequest--> slave        (master-to-slaves)
 //   slave  --PartialResult----> master       (slaves-to-master)
-// plus the write batches and partition-migration frames of the in-process
-// cluster.
+// plus the batched request/reply frames, write batches and
+// partition-migration blocks of the in-process cluster. Each frame
+// (envelope.hpp) carries exactly one of these messages.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,10 @@ inline constexpr uint32_t kQueryOpCount = 3;
 inline bool IsKnownQueryOp(uint64_t op) { return op < kQueryOpCount; }
 
 /// Asks one slave to run one operator over a single partition (one
-/// D8tree cube).
+/// D8tree cube). The simulators size the paper's one-message-per-key
+/// requests with it; on the real path the master builds one per
+/// sub-query and a node's read handler serves one, but they travel
+/// coalesced per node as a SubQueryBatch.
 struct SubQueryRequest {
   static constexpr std::string_view kTypeName = "kvscale.SubQueryRequest";
 
@@ -61,6 +65,41 @@ struct SubQueryRequest {
     v.Field("arg_lo", arg_lo);
     v.Field("arg_hi", arg_hi);
     v.Field("arg_limit", arg_limit);
+  }
+};
+
+/// Master -> slave: the sub-queries of one plan bound for one node, as
+/// one message. The plan-level fields travel once; item i is
+/// (sub_ids[i], attempts[i], keys[i], expected_elements[i]), and each
+/// item column value fits uint32 (the decoder checks it). `op` is u64 on
+/// the wire so an out-of-range id reaches the IsKnownQueryOp gate instead
+/// of being truncated into a known one.
+struct SubQueryBatch {
+  static constexpr std::string_view kTypeName = "kvscale.SubQueryBatch";
+
+  uint64_t query_id = 0;
+  std::string table;
+  uint64_t op = kOpCountByType;
+  uint64_t arg_lo = 0;
+  uint64_t arg_hi = 0;
+  uint32_t arg_limit = 0;
+  std::vector<uint64_t> sub_ids;
+  std::vector<uint64_t> attempts;
+  std::vector<std::string> keys;             ///< partition key per item
+  std::vector<uint64_t> expected_elements;
+
+  template <typename V>
+  void Visit(V&& v) {
+    v.Field("query_id", query_id);
+    v.Field("table", table);
+    v.Field("op", op);
+    v.Field("arg_lo", arg_lo);
+    v.Field("arg_hi", arg_hi);
+    v.Field("arg_limit", arg_limit);
+    v.Field("sub_ids", sub_ids);
+    v.Field("attempts", attempts);
+    v.Field("keys", keys);
+    v.Field("expected_elements", expected_elements);
   }
 };
 
@@ -162,35 +201,9 @@ struct SubQueryReplyBatch {
 //
 // When the cluster grows or shrinks, the partitions whose ownership moves
 // are streamed from a surviving replica to their new owner as a sequence
-// of MigrationBlock frames over the same envelope the query path uses:
-//
-//   MigrationBegin  -> target     (stream header: what is coming)
-//   MigrationBlock* -> target     (batched keys + encoded columns,
-//                                  per-block checksum)
-//   MigrationDone   -> target     (trailer: totals the target can audit)
-//
-// A block whose checksum fails on arrival is re-sent; a source that dies
+// of MigrationBlock frames over the same envelope the query path uses. A
+// block whose checksum fails on arrival is re-sent; a source that dies
 // mid-stream is replaced by another replica holding the same data.
-
-/// Stream header: announces one ownership transfer to `target`.
-struct MigrationBegin {
-  static constexpr std::string_view kTypeName = "kvscale.MigrationBegin";
-
-  uint64_t migration_id = 0;  ///< one per membership operation
-  uint32_t source = 0;        ///< replica the data is read from
-  uint32_t target = 0;        ///< node gaining ownership
-  std::string table;
-  uint64_t partitions = 0;    ///< partitions this stream will carry
-
-  template <typename V>
-  void Visit(V&& v) {
-    v.Field("migration_id", migration_id);
-    v.Field("source", source);
-    v.Field("target", target);
-    v.Field("table", table);
-    v.Field("partitions", partitions);
-  }
-};
 
 /// One batched block of partitions: keys[i] pairs with payloads[i], the
 /// EncodeColumns bytes of that partition. `checksum` is FNV-1a over every
@@ -221,28 +234,6 @@ struct MigrationBlock {
   }
 };
 
-/// Stream trailer: totals the target audits against what it applied.
-struct MigrationDone {
-  static constexpr std::string_view kTypeName = "kvscale.MigrationDone";
-
-  uint64_t migration_id = 0;
-  uint32_t source = 0;
-  uint32_t target = 0;
-  uint64_t blocks = 0;
-  uint64_t partitions = 0;
-  uint64_t columns = 0;
-
-  template <typename V>
-  void Visit(V&& v) {
-    v.Field("migration_id", migration_id);
-    v.Field("source", source);
-    v.Field("target", target);
-    v.Field("blocks", blocks);
-    v.Field("partitions", partitions);
-    v.Field("columns", columns);
-  }
-};
-
 // -- Write-path frames (batched replicated ingest) --------------------------
 //
 // The write pipeline scatters one WriteBatch per (replica node, chunk of
@@ -264,6 +255,7 @@ struct WriteBatch {
 
   uint64_t query_id = 0;
   uint32_t sub_id = 0;     ///< batch ordinal within the put query
+  uint32_t attempt = 0;    ///< the put's re-resolution round
   uint32_t target = 0;     ///< replica node this batch is bound for
   std::string table;
   std::vector<std::string> keys;        ///< partition key per column
@@ -277,6 +269,7 @@ struct WriteBatch {
   void Visit(V&& v) {
     v.Field("query_id", query_id);
     v.Field("sub_id", sub_id);
+    v.Field("attempt", attempt);
     v.Field("target", target);
     v.Field("table", table);
     v.Field("keys", keys);

@@ -3,6 +3,7 @@
 // byte soup (must never crash or accept garbage silently as structure).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -39,6 +40,25 @@ SubQueryRequest RandomRequest(Rng& rng) {
   msg.arg_hi = rng.Next();
   msg.arg_limit = static_cast<uint32_t>(rng.Next());
   return msg;
+}
+
+/// `n` requests of one random plan (one frame's worth): shared query_id,
+/// table, operator and arguments; distinct sub_ids; random keys and
+/// element counts.
+std::vector<SubQueryRequest> RandomPlanBatch(Rng& rng, size_t n) {
+  const SubQueryRequest plan = RandomRequest(rng);
+  std::vector<SubQueryRequest> batch;
+  batch.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    SubQueryRequest req = plan;
+    // Distinct by construction: the low bits are the item index.
+    req.sub_id = static_cast<uint32_t>(rng.Below(1u << 20)) * 256 +
+                 static_cast<uint32_t>(i);
+    req.partition_key = RandomString(rng, 128);
+    req.expected_elements = static_cast<uint32_t>(rng.Next());
+    batch.push_back(std::move(req));
+  }
+  return batch;
 }
 
 PartialResult RandomResult(Rng& rng) {
@@ -142,17 +162,14 @@ TEST_P(WireFuzzTest, BatchFrameRoundTripsBothCodecs) {
   RegisterClusterMessages(codec);
   for (int round = 0; round < 50; ++round) {
     const size_t n = 1 + rng.Below(12);
-    const uint64_t query_id = rng.Next();
     const uint8_t trace_flags = round % 2 == 0 ? kTraceSampled : 0;
-    std::vector<SubQueryRequest> batch;
+    // One frame, one plan: the requests share query_id, table, operator
+    // and arguments, as Gather sends them.
+    const std::vector<SubQueryRequest> batch = RandomPlanBatch(rng, n);
+    const uint64_t query_id = batch.front().query_id;
     std::vector<uint32_t> attempts;
-    batch.reserve(n);
     attempts.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      SubQueryRequest msg = RandomRequest(rng);
-      msg.query_id = query_id;  // one frame, one owning query
-      msg.sub_id = static_cast<uint32_t>(i);  // keep sub_ids unique
-      batch.push_back(std::move(msg));
       attempts.push_back(static_cast<uint32_t>(rng.Below(4)));
     }
     for (const WireCodecKind kind :
@@ -176,16 +193,8 @@ TEST_P(WireFuzzTest, BatchFrameTruncationsAlwaysFail) {
   Rng rng(GetParam() ^ 0x7c7c);
   CompactCodec codec;
   RegisterClusterMessages(codec);
-  std::vector<SubQueryRequest> batch;
-  std::vector<uint32_t> attempts;
-  const uint64_t query_id = rng.Next();
-  for (uint32_t i = 0; i < 4; ++i) {
-    SubQueryRequest msg = RandomRequest(rng);
-    msg.query_id = query_id;
-    msg.sub_id = i;
-    batch.push_back(std::move(msg));
-    attempts.push_back(i % 3);
-  }
+  const std::vector<SubQueryRequest> batch = RandomPlanBatch(rng, 4);
+  const std::vector<uint32_t> attempts = {0, 1, 2, 0};
   for (const WireCodecKind kind :
        {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
     WireBuffer frame;
@@ -205,10 +214,12 @@ TEST_P(WireFuzzTest, DuplicateSubIdsInABatchAreRejected) {
   Rng rng(GetParam() ^ 0xd0d0);
   CompactCodec codec;
   RegisterClusterMessages(codec);
-  SubQueryRequest a = RandomRequest(rng);
-  SubQueryRequest b = RandomRequest(rng);
-  b.query_id = a.query_id;
-  b.sub_id = a.sub_id;  // transport metadata can no longer tell them apart
+  const SubQueryRequest a = RandomRequest(rng);
+  SubQueryRequest b = a;  // same plan, another partition...
+  b.partition_key = a.partition_key + "'";
+  b.expected_elements = a.expected_elements + 1;
+  // ...but the same sub_id: transport metadata can no longer tell them
+  // apart.
   const std::vector<SubQueryRequest> batch = {a, b};
   const std::vector<uint32_t> attempts = {0, 0};
   for (const WireCodecKind kind :
@@ -224,8 +235,8 @@ TEST_P(WireFuzzTest, DuplicateSubIdsInABatchAreRejected) {
 TEST(FrameEnvelopeTest, LengthPrefixOverflowIsRejectedBeforeAllocation) {
   CompactCodec codec;
   RegisterClusterMessages(codec);
-  // A hand-crafted frame whose single item claims to be far larger than
-  // the bytes that follow — the decoder must reject the lie instead of
+  // A hand-crafted frame whose payload claims to be far larger than the
+  // bytes that follow — the decoder must reject the lie instead of
   // reserving memory for it or reading out of bounds.
   WireBuffer frame;
   frame.WriteU16(kFrameMagic);
@@ -233,24 +244,28 @@ TEST(FrameEnvelopeTest, LengthPrefixOverflowIsRejectedBeforeAllocation) {
   frame.WriteU8(static_cast<uint8_t>(WireCodecKind::kCompact));
   frame.WriteU8(0);                          // trace flags
   frame.WriteVarint(7);                      // query id
-  frame.WriteVarint(1);                      // one item...
-  frame.WriteVarint(0);                      // sub_id
-  frame.WriteVarint(0);                      // attempt
-  frame.WriteVarint(0xFFFFFFFFFFFFULL);      // ...of 256 TiB, allegedly
+  frame.WriteVarint(0xFFFFFFFFFFFFULL);      // a payload of 256 TiB, allegedly
   frame.WriteU8(0);
   auto decoded =
       DecodeSubQueryBatch(frame.data(), WireCodecKind::kCompact, codec);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 
-  // Same for an absurd item count with no items behind it.
+  // Same for an absurd item count with no items behind it: a batch whose
+  // sub_id column claims 2^32 entries.
+  WireBuffer empty_batch;
+  codec.Encode(SubQueryBatch{}, empty_batch);
+  WireBuffer payload;
+  payload.WriteU8(static_cast<uint8_t>(empty_batch.data()[0]));  // type id
+  payload.WriteVarint(7);    // query_id
+  payload.WriteString("t");  // table
+  payload.WriteVarint(0);    // op
+  payload.WriteVarint(0);    // arg_lo
+  payload.WriteVarint(0);    // arg_hi
+  payload.WriteVarint(0);    // arg_limit
+  payload.WriteVarint(0xFFFFFFFFULL);  // sub_ids, with nothing behind them
   WireBuffer counted;
-  counted.WriteU16(kFrameMagic);
-  counted.WriteU8(kFrameVersion);
-  counted.WriteU8(static_cast<uint8_t>(WireCodecKind::kCompact));
-  counted.WriteU8(0);
-  counted.WriteVarint(7);
-  counted.WriteVarint(0xFFFFFFFFULL);
+  EncodeFrame(WireCodecKind::kCompact, 7, 0, payload.data(), counted);
   auto overcounted =
       DecodeSubQueryBatch(counted.data(), WireCodecKind::kCompact, codec);
   ASSERT_FALSE(overcounted.ok());
@@ -296,10 +311,24 @@ TEST(FrameEnvelopeTest, EmptyBatchAndMultiPayloadRepliesAreRejected) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 
-  // A reply frame must carry exactly one payload.
+  // A request frame is not a reply frame.
   auto reply = DecodeReplyFrame(empty.data(), WireCodecKind::kCompact, codec);
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kCorruption);
+
+  // A frame carries exactly one message: a second length-prefixed
+  // payload behind a valid reply is trailing garbage.
+  SubQueryReply one;
+  one.query_id = 4;
+  WireBuffer two;
+  EncodeReplyFrame(one, 0, 0, WireCodecKind::kCompact, codec, two);
+  ASSERT_TRUE(DecodeReplyFrame(two.data(), WireCodecKind::kCompact, codec).ok());
+  WireBuffer second;
+  codec.Encode(one, second);
+  two.WriteBytes(second.data());
+  auto doubled = DecodeReplyFrame(two.data(), WireCodecKind::kCompact, codec);
+  ASSERT_FALSE(doubled.ok());
+  EXPECT_EQ(doubled.status().code(), StatusCode::kCorruption);
 }
 
 // The demultiplexed reply channels are per-query: a structurally valid
@@ -419,63 +448,46 @@ TEST_P(WireFuzzTest, UnknownTraceFlagBitsAreRejected) {
   }
 }
 
-// The wire trace coordinates are validated like every other header
-// field: a sub_id or attempt that disagrees with the decoded payload, or
-// that does not fit in 32 bits, is kCorruption — never a crash, never a
-// silently mislinked span.
+// The wire trace coordinates are validated like every other field: a
+// header query_id that disagrees with the decoded payload, or an attempt
+// ordinal that does not fit in 32 bits, is kCorruption — never a crash,
+// never a silently mislinked span.
 TEST_P(WireFuzzTest, CorruptedTraceCoordinatesAreRejected) {
   Rng rng(GetParam() ^ 0x3c3c);
   CompactCodec codec;
   RegisterClusterMessages(codec);
-  SubQueryRequest msg = RandomRequest(rng);
-  msg.query_id = 77;
-  msg.sub_id = 5;
+  const SubQueryRequest msg = RandomRequest(rng);
+  SubQueryBatch batch;
+  batch.query_id = 77;
+  batch.table = msg.table;
+  batch.op = msg.op;
+  batch.sub_ids = {5};
+  batch.attempts = {0};
+  batch.keys = {msg.partition_key};
+  batch.expected_elements = {msg.expected_elements};
   for (const WireCodecKind kind :
        {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
-    // Re-frame the encoded payload with envelope coordinates that lie.
-    WireBuffer payload;
-    EncodeWith(kind, codec, msg, payload);
-    const std::vector<WireBuffer> items = [&] {
-      std::vector<WireBuffer> v;
-      v.push_back(std::move(payload));
-      return v;
-    }();
+    WireBuffer honest;
+    EncodeMessageFrame(batch, 77, 0, kind, codec, honest);
+    ASSERT_TRUE(DecodeSubQueryBatch(honest.data(), kind, codec).ok());
 
-    WireBuffer wrong_sub;
-    const uint32_t lying_sub = 6;  // payload says 5
-    const uint32_t attempt = 0;
-    EncodeFrame(kind, 77, 0, std::span<const uint32_t>(&lying_sub, 1),
-                std::span<const uint32_t>(&attempt, 1), items, wrong_sub);
-    auto sub_mismatch = DecodeSubQueryBatch(wrong_sub.data(), kind, codec);
-    ASSERT_FALSE(sub_mismatch.ok());
-    EXPECT_EQ(sub_mismatch.status().code(), StatusCode::kCorruption);
-
+    // Re-frame the same payload under a header query_id that lies.
     WireBuffer wrong_query;
-    const uint32_t honest_sub = 5;
-    EncodeFrame(kind, 78, 0, std::span<const uint32_t>(&honest_sub, 1),
-                std::span<const uint32_t>(&attempt, 1), items, wrong_query);
+    EncodeMessageFrame(batch, 78, 0, kind, codec, wrong_query);
     auto query_mismatch = DecodeSubQueryBatch(wrong_query.data(), kind, codec);
     ASSERT_FALSE(query_mismatch.ok());
     EXPECT_EQ(query_mismatch.status().code(), StatusCode::kCorruption);
-  }
 
-  // An attempt varint too large for uint32 is rejected before decoding
-  // any payload.
-  WireBuffer oversized;
-  oversized.WriteU16(kFrameMagic);
-  oversized.WriteU8(kFrameVersion);
-  oversized.WriteU8(static_cast<uint8_t>(WireCodecKind::kCompact));
-  oversized.WriteU8(0);
-  oversized.WriteVarint(77);              // query id
-  oversized.WriteVarint(1);               // one item
-  oversized.WriteVarint(5);               // sub_id
-  oversized.WriteVarint(uint64_t{1} << 40);  // attempt: does not fit u32
-  oversized.WriteVarint(1);
-  oversized.WriteU8(0);
-  auto decoded =
-      DecodeSubQueryBatch(oversized.data(), WireCodecKind::kCompact, codec);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    // An attempt too large for uint32 is rejected before any request is
+    // built.
+    SubQueryBatch oversized = batch;
+    oversized.attempts = {uint64_t{1} << 40};
+    WireBuffer frame;
+    EncodeMessageFrame(oversized, 77, 0, kind, codec, frame);
+    auto decoded = DecodeSubQueryBatch(frame.data(), kind, codec);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  }
 }
 
 // The operator id is validated at the batch decoder, not left for a
@@ -521,6 +533,139 @@ TEST_P(WireFuzzTest, UnknownOperatorIdsAndTruncatedOperatorFramesAreRejected) {
   }
 }
 
+/// The SubQueryBatch message of a one-plan request list, as the encoder
+/// builds it (attempts all zero).
+SubQueryBatch BatchMessageOf(const std::vector<SubQueryRequest>& requests) {
+  SubQueryBatch batch;
+  batch.query_id = requests.front().query_id;
+  batch.table = requests.front().table;
+  batch.op = requests.front().op;
+  batch.arg_lo = requests.front().arg_lo;
+  batch.arg_hi = requests.front().arg_hi;
+  batch.arg_limit = requests.front().arg_limit;
+  for (const SubQueryRequest& req : requests) {
+    batch.sub_ids.push_back(req.sub_id);
+    batch.attempts.push_back(0);
+    batch.keys.push_back(req.partition_key);
+    batch.expected_elements.push_back(req.expected_elements);
+  }
+  return batch;
+}
+
+// A request frame is one SubQueryBatch: the plan once, the items as
+// columns. Random one-plan batches — up to 200 items, every operator,
+// column values at the uint32 edge — survive both codecs, and the frame
+// holds exactly that one message.
+TEST_P(WireFuzzTest, OnePlanBatchesRoundTripThroughBothCodecs) {
+  Rng rng(GetParam() ^ 0x0e1a);
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
+  for (int round = 0; round < 30; ++round) {
+    const size_t n = 1 + rng.Below(200);
+    std::vector<SubQueryRequest> requests = RandomPlanBatch(rng, n);
+    std::vector<uint32_t> attempts(n);
+    for (size_t i = 0; i < n; ++i) {
+      attempts[i] =
+          rng.Chance(0.1) ? kMax : static_cast<uint32_t>(rng.Below(8));
+    }
+    if (round % 3 == 0) {
+      requests.front().sub_id = kMax;  // low byte 255: still distinct
+      requests.back().expected_elements = kMax;
+      requests.back().partition_key.clear();
+    }
+    const uint8_t trace_flags = round % 2 == 0 ? kTraceSampled : 0;
+    for (const WireCodecKind kind :
+         {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+      WireBuffer frame;
+      EncodeSubQueryBatch(requests, attempts, trace_flags, kind, codec, frame);
+
+      auto split = SplitFrame(frame.data(), kind);
+      ASSERT_TRUE(split.ok()) << split.status().ToString();
+      EXPECT_EQ(split.value().query_id, requests.front().query_id);
+      EXPECT_EQ(split.value().trace_flags, trace_flags);
+      auto message =
+          DecodeWith<SubQueryBatch>(kind, codec, split.value().payload);
+      ASSERT_TRUE(message.ok()) << message.status().ToString();
+      SubQueryBatch expected = BatchMessageOf(requests);
+      expected.attempts.assign(attempts.begin(), attempts.end());
+      EXPECT_EQ(message.value().table, expected.table);
+      EXPECT_EQ(message.value().op, expected.op);
+      EXPECT_EQ(message.value().sub_ids, expected.sub_ids);
+      EXPECT_EQ(message.value().attempts, expected.attempts);
+      EXPECT_EQ(message.value().keys, expected.keys);
+      EXPECT_EQ(message.value().expected_elements, expected.expected_elements);
+
+      auto decoded = DecodeSubQueryBatch(frame.data(), kind, codec);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_EQ(decoded.value().attempts, attempts);
+      ASSERT_EQ(decoded.value().requests.size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(Equal(decoded.value().requests[i], requests[i])) << i;
+      }
+    }
+  }
+}
+
+// Every batch-level rejection of the request decoder, one malformed
+// column or field at a time, for both codecs: each is kCorruption.
+TEST_P(WireFuzzTest, SubQueryBatchDecoderRejectsEachMalformedColumn) {
+  Rng rng(GetParam() ^ 0xbad0);
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  const SubQueryBatch base =
+      BatchMessageOf(RandomPlanBatch(rng, 2 + rng.Below(6)));
+  struct Case {
+    const char* what;
+    void (*mutate)(SubQueryBatch&);
+  };
+  const std::vector<Case> cases = {
+      {"short attempts column",
+       [](SubQueryBatch& b) { b.attempts.pop_back(); }},
+      {"short keys column", [](SubQueryBatch& b) { b.keys.pop_back(); }},
+      {"short expected_elements column",
+       [](SubQueryBatch& b) { b.expected_elements.pop_back(); }},
+      {"long sub_ids column",
+       [](SubQueryBatch& b) { b.sub_ids.push_back(b.sub_ids.back() + 1); }},
+      {"empty batch",
+       [](SubQueryBatch& b) {
+         b.sub_ids.clear();
+         b.attempts.clear();
+         b.keys.clear();
+         b.expected_elements.clear();
+       }},
+      {"duplicate sub_id",
+       [](SubQueryBatch& b) { b.sub_ids[1] = b.sub_ids[0]; }},
+      {"unknown operator", [](SubQueryBatch& b) { b.op = kQueryOpCount; }},
+      {"operator beyond uint32",
+       [](SubQueryBatch& b) { b.op = (uint64_t{1} << 32) + kOpCountByType; }},
+      {"sub_id beyond uint32",
+       [](SubQueryBatch& b) { b.sub_ids[0] |= uint64_t{1} << 32; }},
+      {"attempt beyond uint32",
+       [](SubQueryBatch& b) { b.attempts.back() = uint64_t{1} << 32; }},
+      {"expected_elements beyond uint32",
+       [](SubQueryBatch& b) { b.expected_elements[0] = uint64_t{1} << 33; }},
+      {"payload query_id differs from the header's",
+       [](SubQueryBatch& b) { ++b.query_id; }},
+  };
+  for (const WireCodecKind kind :
+       {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+    WireBuffer valid;
+    EncodeMessageFrame(base, base.query_id, 0, kind, codec, valid);
+    ASSERT_TRUE(DecodeSubQueryBatch(valid.data(), kind, codec).ok());
+    for (const Case& c : cases) {
+      SubQueryBatch bad = base;
+      c.mutate(bad);
+      WireBuffer frame;
+      EncodeMessageFrame(bad, base.query_id, 0, kind, codec, frame);
+      auto decoded = DecodeSubQueryBatch(frame.data(), kind, codec);
+      ASSERT_FALSE(decoded.ok()) << WireCodecName(kind) << ": " << c.what;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+          << WireCodecName(kind) << ": " << c.what;
+    }
+  }
+}
+
 // The write frames get the same treatment as the read frames: random
 // content round-trips, every truncation fails cleanly, and byte soup
 // never crashes the decoders.
@@ -528,6 +673,7 @@ WriteBatch RandomWriteBatch(Rng& rng) {
   WriteBatch batch;
   batch.query_id = rng.Next();
   batch.sub_id = static_cast<uint32_t>(rng.Next());
+  batch.attempt = static_cast<uint32_t>(rng.Below(4));
   batch.target = static_cast<uint32_t>(rng.Below(1024));
   batch.table = RandomString(rng, 32);
   const size_t n = 1 + rng.Below(12);
@@ -548,14 +694,13 @@ TEST_P(WireFuzzTest, WriteFramesRoundTripAndRejectEveryTruncation) {
   RegisterClusterMessages(codec);
   for (int round = 0; round < 50; ++round) {
     const WriteBatch batch = RandomWriteBatch(rng);
-    const uint32_t attempt = static_cast<uint32_t>(rng.Below(4));
     for (const WireCodecKind kind :
          {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
       WireBuffer frame;
-      EncodeWriteBatchFrame(batch, attempt, 0, kind, codec, frame);
+      EncodeWriteBatchFrame(batch, 0, kind, codec, frame);
       auto decoded = DecodeWriteBatchFrame(frame.data(), kind, codec);
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-      EXPECT_EQ(decoded.value().attempt, attempt);
+      EXPECT_EQ(decoded.value().batch.attempt, batch.attempt);
       EXPECT_EQ(decoded.value().batch.keys, batch.keys);
       EXPECT_EQ(decoded.value().batch.clusterings, batch.clusterings);
       EXPECT_EQ(decoded.value().batch.payloads, batch.payloads);

@@ -206,7 +206,7 @@ TEST(TaggedCodecTest, RejectsTruncation) {
 TEST(CompactCodecTest, RoundTripsRegisteredTypes) {
   CompactCodec codec;
   RegisterClusterMessages(codec);
-  EXPECT_EQ(codec.registered_count(), 8u);
+  EXPECT_EQ(codec.registered_count(), 7u);
 
   WireBuffer buf;
   codec.Encode(SampleResult(), buf);
@@ -267,15 +267,15 @@ WriteBatch SampleWriteBatch() {
 TEST(WriteMessageTest, BatchFrameRoundTripsBothCodecs) {
   CompactCodec codec;
   RegisterClusterMessages(codec);
-  const WriteBatch batch = SampleWriteBatch();
+  WriteBatch batch = SampleWriteBatch();
+  batch.attempt = 2;
   for (const WireCodecKind kind :
        {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
     WireBuffer buf;
-    EncodeWriteBatchFrame(batch, /*attempt=*/2, /*trace_flags=*/0, kind,
-                          codec, buf);
+    EncodeWriteBatchFrame(batch, /*trace_flags=*/0, kind, codec, buf);
     auto decoded = DecodeWriteBatchFrame(buf.data(), kind, codec);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded.value().attempt, 2u);
+    EXPECT_EQ(decoded.value().batch.attempt, 2u);
     EXPECT_EQ(decoded.value().batch.keys, batch.keys);
     EXPECT_EQ(decoded.value().batch.payloads, batch.payloads);
     EXPECT_EQ(decoded.value().batch.tombstones, batch.tombstones);
@@ -288,7 +288,7 @@ TEST(WriteMessageTest, BatchDecoderRejectsBadShapes) {
   RegisterClusterMessages(codec);
   const auto expect_corrupt = [&](const WriteBatch& bad) {
     WireBuffer buf;
-    EncodeWriteBatchFrame(bad, 0, 0, WireCodecKind::kCompact, codec, buf);
+    EncodeWriteBatchFrame(bad, 0, WireCodecKind::kCompact, codec, buf);
     auto decoded =
         DecodeWriteBatchFrame(buf.data(), WireCodecKind::kCompact, codec);
     ASSERT_FALSE(decoded.ok());

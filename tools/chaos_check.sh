@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the asan-ubsan CMake preset and runs the chaos/fault-tolerance
 # test suites under AddressSanitizer + UndefinedBehaviorSanitizer, then
-# drives one end-to-end chaos gather through the CLI. A clean exit means
-# the failover, corruption, and WAL-replay paths are memory- and UB-clean.
+# drives one end-to-end chaos gather through the CLI, after repeating the
+# put-vs-migration race 100 times. A clean exit means the failover,
+# corruption, and WAL-replay paths are memory- and UB-clean.
 #
 # Usage: tools/chaos_check.sh
 set -euo pipefail
@@ -18,6 +19,13 @@ export UBSAN_OPTIONS="print_stacktrace=1"
 # concurrent gather paths.
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
   -R 'FaultInjector|ClusterFaultTolerance|CommitLog|InProcessCluster|ReplicatedSim|StoreConcurrency|Membership|MigrationFault|QueryPlan|BoxQuery|WireFuzz|WritePath'
+
+# The put-vs-migration race, repeated: the slower sanitized build widens
+# the window in which a put lands on an old owner after the migration
+# streamed its key. Every acked column must survive the join.
+./build-asan/tests/write_path_test \
+  --gtest_filter='WritePathTest.PutsLandDuringAMembershipChange' \
+  --gtest_repeat=100
 
 # One sanitized end-to-end chaos run: replication 3, a dead node, flaky
 # reads, and corrupted segment blocks must still produce a full answer.

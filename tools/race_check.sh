@@ -3,8 +3,9 @@
 # the bounded queues and worker pools of the node runtime, the gather and
 # write loops over both transports, reads and writes interleaved on one
 # shared runtime, concurrent queries each holding its own runtime query
-# handle, FlushAll / ReviveNode racing membership churn, and the store's
-# concurrent readers and the decoded blocks they share — under
+# handle, FlushAll / ReviveNode racing membership churn, puts racing a
+# node join (the put-vs-migration race, repeated 100 times), and the
+# store's concurrent readers and the decoded blocks they share — under
 # ThreadSanitizer, then drives end-to-end message-transport gathers and
 # puts through the CLI. A clean exit means the queue/worker/clock
 # machinery is data-race-free.
@@ -41,6 +42,13 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
 ./build-tsan/tests/write_path_test \
   --gtest_filter='WritePathTest.ReadsAndWritesShareNodeWorkers' \
   --gtest_repeat=5
+
+# The put-vs-migration race, repeated: small put batches stream while a
+# node joins. A put whose round overlapped the join must wait it out and
+# re-send to the new owner; one lost acked column fails the oracle.
+./build-tsan/tests/write_path_test \
+  --gtest_filter='WritePathTest.PutsLandDuringAMembershipChange' \
+  --gtest_repeat=100
 
 # The query-handle drills, repeated: admission, per-query clocks read off
 # each query's handle, and eight clients gathering concurrently through
