@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <thread>
 
 #include "cluster/query_ops.hpp"
@@ -70,8 +71,15 @@ struct InProcessCluster::SubQueryFailover {
   GatherResult* result = nullptr;
   Transport* transport = nullptr;
   const std::string* key = nullptr;  ///< the partition under query
-  std::vector<NodeId> replicas;      ///< snapshot from `epoch`
-  uint64_t epoch = 0;                ///< ring epoch the set was resolved at
+  /// The key's set in the gather's routed plan, until a retry after an
+  /// epoch bump re-resolves it into `resolved`.
+  std::span<const NodeId> routed;
+  std::vector<NodeId> resolved;
+  uint64_t epoch = 0;  ///< ring epoch the current set was resolved at
+
+  std::span<const NodeId> replicas() const {
+    return resolved.empty() ? routed : std::span<const NodeId>(resolved);
+  }
   uint32_t next_attempt = 0;
   uint32_t attempts = 0;  ///< attempts actually consumed (incl. faulted)
 
@@ -106,12 +114,13 @@ struct InProcessCluster::SubQueryFailover {
         // holds it.
         const uint64_t epoch_now = cluster->ring_epoch();
         if (epoch_now != epoch) {
-          replicas = cluster->ReplicasOf(*key);
+          resolved = cluster->ReplicasOf(*key);
           epoch = epoch_now;
         }
       }
       next_attempt = a + 1;
       ++attempts;
+      const std::span<const NodeId> replicas = this->replicas();
       const uint32_t fanout = static_cast<uint32_t>(replicas.size());
       NodeId target = replicas[(options->replica + a) % fanout];
       FaultInjector::ReadFault fault =
@@ -237,19 +246,24 @@ std::unique_ptr<Transport> InProcessCluster::OpenTransport(
                                             query, handlers_, spans_);
 }
 
-Result<OperatorResult> InProcessCluster::ServeRead(uint32_t node,
-                                                   const SubQueryRequest& req,
-                                                   ReadProbe* probe) {
+TableReader InProcessCluster::OpenRead(uint32_t node,
+                                       const std::string& table) {
   std::shared_ptr<LocalStore> store = NodePtr(node);
-  if (store == nullptr) {
-    return Status::Unavailable("node " + std::to_string(node) +
-                               " has no store");
+  Result<Table*> found =
+      store == nullptr ? Result<Table*>(Status::Unavailable(
+                             "node " + std::to_string(node) + " has no store"))
+                       : store->FindTable(table);
+  if (!found.ok()) {
+    return [refused = found.status()](const SubQueryRequest&, ReadProbe*)
+               -> Result<OperatorResult> { return refused; };
   }
-  auto found = store->FindTable(req.table);
-  if (!found.ok()) return found.status();
   // Operator dispatch: the request names what to run; the node has no
-  // query-type knowledge of its own.
-  return ExecuteOperator(*found.value(), req, probe);
+  // query-type knowledge of its own. The captured store keeps the table
+  // alive even if ReviveNode swaps the slot while the reader is held.
+  return [store = std::move(store), opened = found.value()](
+             const SubQueryRequest& req, ReadProbe* probe) {
+    return ExecuteOperator(*opened, req, probe);
+  };
 }
 
 GatherResult InProcessCluster::Gather(const QueryPlan& plan,
@@ -314,20 +328,18 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
     std::chrono::steady_clock::time_point t0;
   };
   std::vector<Pending> subs(total);
-  {
-    // One routing pass for the whole plan, under one lock.
-    const uint64_t epoch = ring_epoch();
-    MutexLock lock(route_mu_);
-    for (size_t i = 0; i < total; ++i) {
-      SubQueryFailover& failover = subs[i].failover;
-      failover.cluster = this;
-      failover.options = &options;
-      failover.result = &result;
-      failover.transport = transport.get();
-      failover.key = &plan.partitions[i].part.key;
-      failover.epoch = epoch;
-      failover.replicas = ReplicasOfLocked(*failover.key);
-    }
+  // The plan's replica sets, routed once per ring epoch and shared by
+  // every gather of the same keys; held until this gather ends.
+  const std::shared_ptr<const RoutedPlan> routed = RoutePlan(plan);
+  for (size_t i = 0; i < total; ++i) {
+    SubQueryFailover& failover = subs[i].failover;
+    failover.cluster = this;
+    failover.options = &options;
+    failover.result = &result;
+    failover.transport = transport.get();
+    failover.key = &plan.partitions[i].part.key;
+    failover.epoch = routed->epoch;
+    failover.routed = routed->ReplicasOf(i);
   }
 
   // The flight recorder's per-sub-query stage records (last attempt wins).
@@ -475,7 +487,7 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
     SpanTracer::Scope route;
     if (spans_ != nullptr) route = spans_->StartSpan("route", master_track());
     if (route.active()) {
-      const std::vector<NodeId>& replicas = subs[i].failover.replicas;
+      const std::span<const NodeId> replicas = subs[i].failover.replicas();
       route.Attr("partition", *subs[i].failover.key);
       route.Attr("node",
                  std::to_string(replicas[options.replica % replicas.size()]));
@@ -593,11 +605,9 @@ ConcurrentGatherReport InProcessCluster::GatherConcurrent(
   GatherOptions opts = options;
   opts.transport = GatherTransport::kMessage;
 
-  // Warm the routing directory and the shared runtime outside the timed
+  // Route the plan and build the shared runtime outside the timed
   // region: the measurement is queries per second, not setup.
-  for (const PlanPartition& part : plan.partitions) {
-    ReplicasOf(part.part.key);
-  }
+  RoutePlan(plan);
   EnsureRuntime(opts);
 
   ConcurrentGatherReport report;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 
 #include "common/check.hpp"
 #include "telemetry/metrics_registry.hpp"
@@ -33,9 +34,8 @@ InProcessCluster::InProcessCluster(uint32_t nodes, PlacementKind placement,
       base_store_options_(store_options) {
   KV_CHECK(nodes >= 1);
   RegisterClusterMessages(codec_registry_);
-  handlers_.read = [this](uint32_t node, const SubQueryRequest& req,
-                          ReadProbe* probe) {
-    return ServeRead(node, req, probe);
+  handlers_.read = [this](uint32_t node, const std::string& table) {
+    return OpenRead(node, table);
   };
   handlers_.write = [this](uint32_t node, const WriteBatch& batch,
                            NodeRuntime* runtime) {
@@ -182,28 +182,124 @@ FaultInjector& InProcessCluster::fault_injector() { return *injector_; }
 
 std::vector<NodeId> InProcessCluster::ReplicasOf(
     std::string_view partition_key) {
+  std::vector<NodeId> replicas;
+  replicas.reserve(replication_);
   MutexLock lock(route_mu_);
-  return ReplicasOfLocked(partition_key);
+  AppendReplicasLocked(partition_key, replicas);
+  return replicas;
 }
 
-std::vector<NodeId> InProcessCluster::ReplicasOfLocked(
-    std::string_view partition_key) {
+void InProcessCluster::AppendReplicasLocked(std::string_view partition_key,
+                                            std::vector<NodeId>& out) {
   auto it = directory_.find(partition_key);
-  if (it != directory_.end()) return it->second;
-  std::vector<NodeId> replicas;
-  if (elastic_) {
-    // Ring routing: membership ops keep members_ >= replication_, so the
-    // lookup cannot hit the short-cluster precondition.
-    replicas = ring_.ReplicasOfKey(partition_key, replication_).value();
-  } else {
-    const NodeId primary = placement_.Place(partition_key);
-    replicas.reserve(replication_);
-    for (uint32_t r = 0; r < replication_; ++r) {
-      replicas.push_back((primary + r) % initial_nodes_);
+  if (it == directory_.end()) {
+    std::vector<NodeId> replicas;
+    if (elastic_) {
+      // Ring routing: membership ops keep members_ >= replication_, so
+      // the lookup cannot hit the short-cluster precondition.
+      replicas = ring_.ReplicasOfKey(partition_key, replication_).value();
+    } else {
+      const NodeId primary = placement_.Place(partition_key);
+      replicas.reserve(replication_);
+      for (uint32_t r = 0; r < replication_; ++r) {
+        replicas.push_back((primary + r) % initial_nodes_);
+      }
+    }
+    it = directory_.emplace(std::string(partition_key), std::move(replicas))
+             .first;
+  }
+  out.insert(out.end(), it->second.begin(), it->second.end());
+}
+
+namespace {
+
+/// Hash of a plan's ordered partition-key list: what finds its routed
+/// plan. Process-local, so std::hash's per-implementation choice is fine.
+uint64_t PlanKeyHash(const QueryPlan& plan) {
+  uint64_t h = plan.partitions.size();
+  for (const PlanPartition& part : plan.partitions) {
+    h = (h ^ std::hash<std::string_view>{}(part.part.key)) *
+        0x100000001b3ULL;
+  }
+  return h;
+}
+
+}  // namespace
+
+std::span<const NodeId> InProcessCluster::RoutedPlan::ReplicasOf(
+    size_t i) const {
+  const uint32_t begin = i == 0 ? 0 : ends[i - 1];
+  return std::span<const NodeId>(replicas).subspan(begin, ends[i] - begin);
+}
+
+bool InProcessCluster::RoutedPlan::Routes(const QueryPlan& plan) const {
+  if (plan.partitions.size() != keys.size()) return false;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (plan.partitions[i].part.key != keys[i]) return false;
+  }
+  return true;
+}
+
+std::shared_ptr<const InProcessCluster::RoutedPlan>
+InProcessCluster::RoutePlan(const QueryPlan& plan) {
+  const uint64_t hash = PlanKeyHash(plan);
+  std::shared_ptr<const RoutedPlan> cached;
+  {
+    MutexLock lock(route_mu_);
+    // Read under route_mu_: directory flips and their epoch bump happen
+    // together under this lock, so an entry of this epoch is current.
+    const uint64_t epoch = ring_epoch();
+    for (RoutedPlanSlot& slot : routed_plans_) {
+      if (slot.plan->key_hash == hash && slot.plan->epoch == epoch) {
+        slot.last_use = ++routed_plan_uses_;
+        cached = slot.plan;
+        break;
+      }
     }
   }
-  return directory_.emplace(std::string(partition_key), replicas)
-      .first->second;
+  if (cached != nullptr && cached->Routes(plan)) return cached;
+
+  auto routed = std::make_shared<RoutedPlan>();
+  routed->key_hash = hash;
+  const size_t total = plan.partitions.size();
+  routed->keys.reserve(total);
+  for (const PlanPartition& part : plan.partitions) {
+    routed->keys.push_back(part.part.key);
+  }
+  routed->replicas.reserve(total * replication_);
+  routed->ends.reserve(total);
+  MutexLock lock(route_mu_);
+  routed->epoch = ring_epoch();
+  for (const std::string& key : routed->keys) {
+    AppendReplicasLocked(key, routed->replicas);
+    routed->ends.push_back(static_cast<uint32_t>(routed->replicas.size()));
+  }
+  ++routed_plan_builds_;
+  // Replace this key list's entry or a stale one; else fill a free slot;
+  // else evict the least recently used.
+  auto victim = std::find_if(
+      routed_plans_.begin(), routed_plans_.end(), [&](const RoutedPlanSlot& s) {
+        return s.plan->key_hash == hash || s.plan->epoch != routed->epoch;
+      });
+  if (victim == routed_plans_.end()) {
+    if (routed_plans_.size() < kRoutedPlanSlots) {
+      victim = routed_plans_.emplace(routed_plans_.end());
+    } else {
+      victim = std::min_element(
+          routed_plans_.begin(), routed_plans_.end(),
+          [](const RoutedPlanSlot& a, const RoutedPlanSlot& b) {
+            return a.last_use < b.last_use;
+          });
+    }
+  }
+  victim->last_use = ++routed_plan_uses_;
+  victim->plan = routed;
+  return routed;
+}
+
+uint64_t InProcessCluster::routed_plan_builds() const {
+  MutexLock lock(route_mu_);
+  return routed_plan_builds_;
 }
 
 NodeId InProcessCluster::OwnerOf(std::string_view partition_key) {

@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -409,6 +410,11 @@ class InProcessCluster {
   GatherResult CountByTypeAll(const WorkloadSpec& workload,
                               const GatherOptions& options = {});
 
+  /// How many times a gather had to route a plan: its replica sets are
+  /// resolved once per (ordered partition-key list, ring epoch) and
+  /// reused by every gather of the same keys until the epoch moves.
+  uint64_t routed_plan_builds() const;
+
   /// How many times the shared runtime has been (re)built. A sequence of
   /// gathers with identical structural knobs holds this at 1 — the
   /// acceptance criterion for "zero per-gather thread-pool construction".
@@ -564,14 +570,43 @@ class InProcessCluster {
   /// attempts that left in one frame are recorded under one lock.
   void RecordDispatch(NodeId node, uint64_t count = 1);
 
-  /// ReplicasOf's body, for callers resolving many keys under one lock.
-  std::vector<NodeId> ReplicasOfLocked(std::string_view partition_key)
-      KV_REQUIRES(route_mu_);
+  /// ReplicasOf's body: appends the key's replica set to `out`, placing
+  /// and remembering the key on its first lookup.
+  void AppendReplicasLocked(std::string_view partition_key,
+                            std::vector<NodeId>& out) KV_REQUIRES(route_mu_);
 
-  /// The read handler both transports call: runs the request's operator
-  /// against `node`'s table (gather_engine.cpp).
-  Result<OperatorResult> ServeRead(uint32_t node, const SubQueryRequest& req,
-                                   ReadProbe* probe);
+  /// A plan's replica sets at one ring epoch, as one flat array:
+  /// partition i's set is replicas[ends[i-1], ends[i]). Immutable once
+  /// built; gathers share it through a shared_ptr, so an entry evicted or
+  /// superseded mid-gather stays alive until its last gather ends.
+  struct RoutedPlan {
+    uint64_t epoch = 0;             ///< ring epoch the sets were read at
+    uint64_t key_hash = 0;          ///< PlanKeyHash of `keys`
+    std::vector<std::string> keys;  ///< the plan's partition keys, in order
+    std::vector<NodeId> replicas;
+    std::vector<uint32_t> ends;
+
+    std::span<const NodeId> ReplicasOf(size_t i) const;
+    /// True when `plan` has exactly these partition keys, in this order.
+    bool Routes(const QueryPlan& plan) const;
+  };
+
+  /// Routed plans kept at once. coarse_mix needs 17 (one key list shared
+  /// by its count/scan/top-k plans, plus 16 box lists); beyond the bound
+  /// the least recently used entry is replaced.
+  static constexpr size_t kRoutedPlanSlots = 32;
+
+  /// `plan`'s replica sets at the current ring epoch: the cached entry
+  /// when one with the same key list was routed at this epoch, otherwise
+  /// a fresh routing (one pass under route_mu_) that replaces it. The
+  /// hash only finds an entry; the full key list accepts it, so a plan
+  /// whose keys were edited in place is never served stale routing.
+  std::shared_ptr<const RoutedPlan> RoutePlan(const QueryPlan& plan);
+
+  /// The read handler both transports call (gather_engine.cpp): opens
+  /// `node`'s current store and `table` once, for every item of a frame,
+  /// and returns the reader that runs each request's operator.
+  TableReader OpenRead(uint32_t node, const std::string& table);
 
   /// The write handler both transports call (write_path.cpp): a dead
   /// node refuses the whole batch with kUnavailable; per-key WAL faults
@@ -606,8 +641,8 @@ class InProcessCluster {
                     std::vector<RequestTrace> timeline);
 
   /// Guards the routing state shared by concurrent gathers: the
-  /// placement policy (whose load feedback mutates), the directory, and
-  /// the elastic-membership state (ring, member set).
+  /// placement policy (whose load feedback mutates), the directory, the
+  /// routed plans, and the elastic-membership state (ring, member set).
   mutable Mutex route_mu_;
   PlacementPolicy placement_ KV_GUARDED_BY(route_mu_);
   uint32_t replication_;
@@ -616,8 +651,20 @@ class InProcessCluster {
   /// stay reproducible after slots grow.
   uint32_t initial_nodes_;
   StoreOptions base_store_options_;  ///< template for joining nodes' stores
+  /// Every key's replica set, remembered at its first lookup. An
+  /// existing entry is only ever overwritten under route_mu_ together
+  /// with a ring-epoch bump (ExecutePlan's flips): routed plans are valid
+  /// for exactly one epoch on the strength of that rule.
   std::map<std::string, std::vector<NodeId>, std::less<>> directory_
       KV_GUARDED_BY(route_mu_);
+  struct RoutedPlanSlot {
+    uint64_t last_use = 0;
+    std::shared_ptr<const RoutedPlan> plan;
+  };
+  /// At most kRoutedPlanSlots routed plans (RoutePlan).
+  std::vector<RoutedPlanSlot> routed_plans_ KV_GUARDED_BY(route_mu_);
+  uint64_t routed_plan_uses_ KV_GUARDED_BY(route_mu_) = 0;
+  uint64_t routed_plan_builds_ KV_GUARDED_BY(route_mu_) = 0;
   /// Tables ever written through Put: the migration planner's universe
   /// (LocalStore has no table listing).
   std::set<std::string> tables_ KV_GUARDED_BY(route_mu_);
@@ -656,7 +703,7 @@ class InProcessCluster {
   /// Message set shared by every gather's runtime (both "peers" — the
   /// master's encoder and the slaves' decoders — see the same ids).
   CompactCodec codec_registry_;
-  /// ServeRead / ServeWrite bound to this cluster: what every transport
+  /// OpenRead / ServeWrite bound to this cluster: what every transport
   /// calls on the node side.
   NodeHandlers handlers_;
   /// The background-flush watermark the current message put armed (0 =

@@ -75,7 +75,7 @@ Status MigrationEngine::ShipBlock(uint64_t migration_id, uint32_t seq,
   block.table = table;
   block.keys = std::move(keys);
   block.payloads = std::move(payloads);
-  block.checksum = MigrationBlockChecksum(block.payloads);
+  block.checksum = MigrationBlockChecksum(block);
 
   for (uint32_t attempt = 0; attempt < options_.max_block_attempts;
        ++attempt) {
@@ -98,17 +98,11 @@ Status MigrationEngine::ShipBlock(uint64_t migration_id, uint32_t seq,
     }
 
     // Receiver side: split the frame, decode the block, verify the
-    // checksum before a single column lands.
-    auto decoded = DecodeMessageFrame<MigrationBlock>(frame, options_.codec,
-                                                      registry_);
+    // checksum over every field before a single column lands.
+    auto decoded = DecodeMigrationBlockFrame(frame, options_.codec, registry_);
     if (!decoded.ok()) continue;
-    const MigrationBlock& received = decoded.value().msg;
-    if (decoded.value().query_id != migration_id ||
-        received.migration_id != migration_id ||
-        received.keys.size() != received.payloads.size() ||
-        received.checksum != MigrationBlockChecksum(received.payloads)) {
-      continue;
-    }
+    const MigrationBlock& received = decoded.value();
+    if (received.migration_id != migration_id) continue;
 
     Table& table_ref = target_store->GetOrCreateTable(received.table);
     for (size_t i = 0; i < received.keys.size(); ++i) {

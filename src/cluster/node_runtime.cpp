@@ -471,13 +471,15 @@ void NodeRuntime::ServeFrame(uint32_t node, const RequestEnvelope& env,
   };
 
   start_frame();
+  // The frame's one table, opened at its first served item (reads only).
+  TableReader reader;
   for (size_t i = 0; i < env.sub_ids.size(); ++i) {
     if (batch.sub_ids.empty() && env.kind == EnvelopeKind::kRead &&
         request.transport.ok()) {
       first_key = request.reads.requests[i].partition_key;
     }
     const size_t values_before = batch.col_a.size() + batch.col_b.size();
-    ServeOne(node, request, env, i, sampled, batch, out);
+    ServeOne(node, request, env, i, sampled, reader, batch, out);
     answer_bytes +=
         8 * (batch.col_a.size() + batch.col_b.size() - values_before) + 40;
     if (answer_bytes >= kReplyFrameBytes) send();
@@ -520,8 +522,8 @@ StatusCode NodeRuntime::Refusal(uint32_t node, const RequestEnvelope& env,
 
 void NodeRuntime::ServeOne(uint32_t node, const DecodedRequest& request,
                            const RequestEnvelope& env, size_t item,
-                           bool sampled, SubQueryReplyBatch& batch,
-                           ReplyEnvelope& out) {
+                           bool sampled, TableReader& reader,
+                           SubQueryReplyBatch& batch, ReplyEnvelope& out) {
   QueryState& query = *env.query;
   const uint32_t sub_id = env.sub_ids[item];
   const uint32_t attempt = env.attempts[item];
@@ -531,6 +533,10 @@ void NodeRuntime::ServeOne(uint32_t node, const DecodedRequest& request,
   uint64_t db_start_ns = 0;
   uint64_t db_end_ns = 0;
   StatusCode code = Refusal(node, env, request.transport);
+  // A refused item drops the opened table: after a kill, the next served
+  // item opens whatever store the node has by then (a revive's fresh
+  // one), exactly as a per-item open would.
+  if (code != StatusCode::kOk) reader = nullptr;
   if (code == StatusCode::kOk) {
     const Micros db_start_us = NowMicros();
     SpanTracer::Scope span;
@@ -552,9 +558,11 @@ void NodeRuntime::ServeOne(uint32_t node, const DecodedRequest& request,
         span.Attr("sub", std::to_string(sub_id));
       }
     }
-    auto columns = write
-                       ? write_handler_(node, request.write.batch, this)
-                       : handler_(node, request.reads.requests[item], &probe);
+    if (!write && reader == nullptr) {
+      reader = handler_(node, request.reads.requests[item].table);
+    }
+    auto columns = write ? write_handler_(node, request.write.batch, this)
+                         : reader(request.reads.requests[item], &probe);
     const Micros db_end_us = NowMicros();
     served = true;
     if (span.active() && !write) {
@@ -578,8 +586,11 @@ void NodeRuntime::ServeOne(uint32_t node, const DecodedRequest& request,
     // The injected latency is charged after serving (to the owning
     // query's private clock), so the request that burned the clock past
     // a deadline still completes and only the ones behind it shed —
-    // deterministic under one worker.
-    query.AdvanceClock(env.extra_latency_us[item]);
+    // deterministic under one worker. A zero charge skips the atomic
+    // add on the clock every worker of the query shares.
+    if (env.extra_latency_us[item] > 0.0) {
+      query.AdvanceClock(env.extra_latency_us[item]);
+    }
   }
   batch.sub_ids.push_back(sub_id);
   batch.attempts.push_back(attempt);

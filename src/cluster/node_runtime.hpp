@@ -209,11 +209,22 @@ class BoundedQueue {
   bool closed_ KV_GUARDED_BY(mu_) = false;
 };
 
-/// Executes one decoded sub-query's operator against `node`'s store,
-/// returning the paired result columns the reply frame carries
-/// (cluster/query_ops.hpp defines the per-operator pairing).
-using SubQueryHandler = std::function<Result<OperatorResult>(
-    uint32_t node, const SubQueryRequest& request, ReadProbe* probe)>;
+/// Executes one decoded sub-query's operator against the table its
+/// reader was opened for, returning the paired result columns the reply
+/// frame carries (cluster/query_ops.hpp defines the per-operator
+/// pairing). Holding the reader keeps what it opened alive.
+using TableReader = std::function<Result<OperatorResult>(
+    const SubQueryRequest& request, ReadProbe* probe)>;
+
+/// Opens `node`'s read path for `table`. A request frame names exactly
+/// one table, so a worker opens it once per frame and serves the frame's
+/// items through the returned reader; an item the worker refuses (a dead
+/// node, a shed deadline) drops the reader, and the next served item
+/// opens it again. An open that fails (no store, no such table) returns
+/// a reader answering every item with that error. Must be safe to call
+/// from many workers at once.
+using SubQueryHandler =
+    std::function<TableReader(uint32_t node, const std::string& table)>;
 
 class NodeRuntime;
 
@@ -338,8 +349,9 @@ class NodeRuntime {
   /// thread. Each node's queue holds `options.queue_depth` requests and
   /// fills per `options.queue_policy`; admission starts from
   /// `options.max_inflight` / `options.admission_policy`. The transport
-  /// and codec fields are per query and unused here. `handler` serves decoded sub-queries (and must be safe to
-  /// call from many workers at once); `registry` must have
+  /// and codec fields are per query and unused here. `handler` opens a
+  /// node's table for the decoded sub-queries of one frame (and must be
+  /// safe to call from many workers at once); `registry` must have
   /// RegisterClusterMessages applied and outlive the runtime, as must
   /// the optional `injector`, `metrics`, and `spans`. The optional
   /// `write_handler` serves WriteBatch envelopes (required before any
@@ -525,11 +537,14 @@ class NodeRuntime {
   /// each. `wait_us` is the frame's queue residency (for its span).
   void ServeFrame(uint32_t node, const RequestEnvelope& env, Micros wait_us);
   /// Serves item `item` of `request` (or refuses it), appending its
-  /// answer to `batch` and its metadata to `out`. `sampled` stamps the
-  /// worker's span with the flow of the wire-propagated trace context.
+  /// answer to `batch` and its metadata to `out`. A read is served
+  /// through `reader`, opened here when empty and dropped when the item
+  /// is refused. `sampled` stamps the worker's span with the flow of the
+  /// wire-propagated trace context.
   void ServeOne(uint32_t node, const DecodedRequest& request,
                 const RequestEnvelope& env, size_t item, bool sampled,
-                SubQueryReplyBatch& batch, ReplyEnvelope& out);
+                TableReader& reader, SubQueryReplyBatch& batch,
+                ReplyEnvelope& out);
   /// Takes `query`'s next reply frame off its channel and decodes it;
   /// false once the runtime shut down.
   bool NextReplyFrame(QueryState& query);

@@ -40,31 +40,41 @@ void Answer(Result<OperatorResult> columns, TransportReply& out) {
 
 }  // namespace
 
-TransportReply Transport::ServeRead(NodeId node,
-                                    const SubQueryRequest& request,
-                                    uint32_t attempt) {
-  TransportReply out;
-  out.trace.node = node;
-  out.trace.sub_id = request.sub_id;
-  out.attempt = attempt;
-  out.trace.issued = now_us();
-  out.trace.received = out.trace.issued;  // no queue to sit in
-  SpanTracer::Scope read;
-  if (spans_ != nullptr) {
-    read = spans_->StartSpan("store-read", node);
-    read.Attr("partition", request.partition_key);
-    read.Attr("attempt", std::to_string(attempt));
+void Transport::ServeReads(NodeId node,
+                           std::span<const SubQueryRequest> requests,
+                           std::span<const uint32_t> attempts,
+                           std::span<const Micros> extra_latency_us,
+                           std::deque<TransportReply>& out) {
+  if (requests.empty()) return;
+  // One table per send, like one table per request frame.
+  const TableReader reader = handlers_.read(node, requests.front().table);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const SubQueryRequest& request = requests[i];
+    TransportReply& reply = out.emplace_back();
+    reply.trace.node = node;
+    reply.trace.sub_id = request.sub_id;
+    reply.attempt = attempts[i];
+    reply.trace.issued = now_us();
+    reply.trace.received = reply.trace.issued;  // no queue to sit in
+    SpanTracer::Scope read;
+    if (spans_ != nullptr) {
+      read = spans_->StartSpan("store-read", node);
+      read.Attr("partition", request.partition_key);
+      read.Attr("attempt", std::to_string(attempts[i]));
+    }
+    reply.trace.db_start = now_us();
+    Result<OperatorResult> columns = reader(request, &reply.probe);
+    reply.trace.db_end = now_us();
+    if (read.active()) {
+      read.Attr("blocks_decoded", std::to_string(reply.probe.blocks_decoded));
+      read.Attr("blocks_from_cache",
+                std::to_string(reply.probe.blocks_from_cache));
+      read.Attr("bloom_negatives",
+                std::to_string(reply.probe.bloom_negatives));
+    }
+    Answer(std::move(columns), reply);
+    AdvanceClock(extra_latency_us[i]);
   }
-  out.trace.db_start = now_us();
-  Result<OperatorResult> columns = handlers_.read(node, request, &out.probe);
-  out.trace.db_end = now_us();
-  if (read.active()) {
-    read.Attr("blocks_decoded", std::to_string(out.probe.blocks_decoded));
-    read.Attr("blocks_from_cache", std::to_string(out.probe.blocks_from_cache));
-    read.Attr("bloom_negatives", std::to_string(out.probe.bloom_negatives));
-  }
-  Answer(std::move(columns), out);
-  return out;
 }
 
 TransportReply Transport::ServeWrite(const WriteBatch& batch) {
@@ -89,10 +99,7 @@ Status InlineTransport::SendReads(NodeId node,
                                   std::span<const SubQueryRequest> requests,
                                   std::span<const uint32_t> attempts,
                                   std::span<const Micros> extra_latency_us) {
-  for (size_t i = 0; i < requests.size(); ++i) {
-    replies_.push_back(ServeRead(node, requests[i], attempts[i]));
-    clock_us_ += extra_latency_us[i];
-  }
+  ServeReads(node, requests, attempts, extra_latency_us, replies_);
   return Status::Ok();
 }
 
@@ -139,10 +146,7 @@ Status MessageTransport::SendReads(NodeId node,
   }
   // Read it directly — a fresh connection outside the stale pool — rather
   // than burning every attempt on kUnavailable.
-  for (size_t i = 0; i < requests.size(); ++i) {
-    direct_.push_back(ServeRead(node, requests[i], attempts[i]));
-    AdvanceClock(extra_latency_us[i]);
-  }
+  ServeReads(node, requests, attempts, extra_latency_us, direct_);
   return Status::Ok();
 }
 

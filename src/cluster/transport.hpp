@@ -97,11 +97,15 @@ class Transport {
   Transport(const NodeHandlers& handlers, SpanTracer* spans)
       : handlers_(handlers), spans_(spans) {}
 
-  /// Serves one read / one write batch on the caller's thread — the
-  /// inline transport's body, and the message transport's route to a
-  /// node its (older) runtime has no queue for.
-  TransportReply ServeRead(NodeId node, const SubQueryRequest& request,
-                           uint32_t attempt);
+  /// Serves read sub-queries bound for `node` / one write batch on the
+  /// caller's thread — the inline transport's body, and the message
+  /// transport's route to a node its (older) runtime has no queue for.
+  /// The reads open `node`'s table once, park one answer per request in
+  /// `out`, and charge each request's injected latency to the clock.
+  void ServeReads(NodeId node, std::span<const SubQueryRequest> requests,
+                  std::span<const uint32_t> attempts,
+                  std::span<const Micros> extra_latency_us,
+                  std::deque<TransportReply>& out);
   TransportReply ServeWrite(const WriteBatch& batch);
 
   const NodeHandlers& handlers_;

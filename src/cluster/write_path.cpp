@@ -339,7 +339,7 @@ PutResult InProcessCluster::PutBatch(const std::string& table,
           reinterpret_cast<const char*>(item.column.payload.data()),
           item.column.payload.size());
     }
-    batch.checksum = MigrationBlockChecksum(batch.payloads);
+    batch.checksum = WriteBatchChecksum(batch);
     return batch;
   };
 

@@ -92,6 +92,10 @@ class FaultInjector {
   /// Marks `node` reachable again.
   void ReviveNode(uint32_t node);
 
+  /// Takes no lock while no node is down: the per-sub-query liveness
+  /// checks on the master and on every node worker stay off the
+  /// injector's lock in a healthy cluster. Once KillNode returns, every
+  /// later call reports the node down.
   bool IsNodeDown(uint32_t node) const;
 
   // -- Per-attempt read faults -------------------------------------------
@@ -197,6 +201,10 @@ class FaultInjector {
   /// splitmix64 stream for CorruptTableBlocks
   uint64_t corrupt_rng_state_ KV_GUARDED_BY(mu_);
   std::unordered_set<uint32_t> down_ KV_GUARDED_BY(mu_);
+  /// down_.size(), stored under mu_ wherever down_ changes, so that
+  /// IsNodeDown can skip the lock while every node is up (sequentially
+  /// consistent, like the lock it stands in for).
+  std::atomic<size_t> down_count_{0};
   /// node -> blocks left before an armed mid-stream source kill fires
   std::unordered_map<uint32_t, uint64_t> armed_source_kills_
       KV_GUARDED_BY(mu_);

@@ -388,13 +388,37 @@ Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
                                 " is not 0/1");
     }
   }
-  if (MigrationBlockChecksum(batch.payloads) != batch.checksum) {
-    return Status::Corruption("write batch: payload checksum mismatch");
+  if (WriteBatchChecksum(batch) != batch.checksum) {
+    return Status::Corruption("write batch: checksum mismatch");
   }
   DecodedWriteBatchFrame out;
   out.trace_flags = decoded.value().trace_flags;
   out.batch = std::move(decoded.value().msg);
   return out;
+}
+
+Result<MigrationBlock> DecodeMigrationBlockFrame(
+    std::span<const std::byte> frame, WireCodecKind kind,
+    const CompactCodec& registry) {
+  auto decoded = DecodeMessageFrame<MigrationBlock>(frame, kind, registry);
+  if (!decoded.ok()) return decoded.status();
+  const MigrationBlock& block = decoded.value().msg;
+  if (block.migration_id != decoded.value().query_id) {
+    return Status::Corruption(
+        "migration block: payload migration_id " +
+        std::to_string(block.migration_id) + " disagrees with the header's " +
+        std::to_string(decoded.value().query_id));
+  }
+  if (block.keys.size() != block.payloads.size()) {
+    return Status::Corruption("migration block: " +
+                              std::to_string(block.keys.size()) + " keys, " +
+                              std::to_string(block.payloads.size()) +
+                              " payloads");
+  }
+  if (MigrationBlockChecksum(block) != block.checksum) {
+    return Status::Corruption("migration block: checksum mismatch");
+  }
+  return std::move(decoded.value().msg);
 }
 
 }  // namespace kvscale

@@ -270,10 +270,19 @@ void EncodeWriteBatchFrame(const WriteBatch& batch, uint8_t trace_flags,
 /// Decodes and validates a WriteBatch frame. Beyond message decoding it
 /// enforces batch invariants: header/payload query_id agreement, at
 /// least one key, all five column vectors the same length, type ids that
-/// fit uint32, tombstone flags that are 0/1, and a payload checksum
-/// matching the MigrationBlock recipe. Any violation is kCorruption — a damaged batch must fail
-/// before any column touches a store.
+/// fit uint32, tombstone flags that are 0/1, and a checksum matching
+/// WriteBatchChecksum (every field). Any violation is kCorruption — a
+/// damaged batch must fail before any column touches a store.
 Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
+    std::span<const std::byte> frame, WireCodecKind kind,
+    const CompactCodec& registry);
+
+/// Decodes and validates a MigrationBlock frame (sent with
+/// EncodeMessageFrame under its migration id): header/payload
+/// migration_id agreement, one payload per key, and a checksum matching
+/// MigrationBlockChecksum (every field). Any violation is kCorruption —
+/// a damaged block must fail before any column lands on its target.
+Result<MigrationBlock> DecodeMigrationBlockFrame(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry);
 

@@ -12,23 +12,68 @@ void RegisterClusterMessages(CompactCodec& codec) {
   codec.Register<SubQueryBatch>();
 }
 
-uint64_t MigrationBlockChecksum(const std::vector<std::string>& payloads) {
-  // FNV-1a chained across payloads, folding each payload's length in
-  // first so ("ab","c") and ("a","bc") can never collide by
-  // concatenation.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](uint64_t byte) {
-    h ^= byte & 0xffU;
-    h *= 0x100000001b3ULL;
-  };
-  for (const std::string& payload : payloads) {
-    for (uint64_t len = payload.size();; len >>= 7) {
-      mix((len & 0x7fU) | (len >= 0x80 ? 0x80U : 0U));
-      if (len < 0x80) break;
-    }
-    for (const char c : payload) mix(static_cast<unsigned char>(c));
+namespace {
+
+/// FNV-1a-style mixing for the message checksums: numbers fold in one
+/// 64-bit word at a time, strings byte by byte after their length, and
+/// every list after its size, so no two field layouts can collide by
+/// concatenation. Each step is a bijection of the running hash, so a
+/// single changed field always changes the result.
+class ChecksumMix {
+ public:
+  void Word(uint64_t word) {
+    h_ ^= word;
+    h_ *= kPrime;
   }
-  return h;
+  void Bytes(std::string_view bytes) {
+    Word(bytes.size());
+    for (const char c : bytes) {
+      h_ ^= static_cast<unsigned char>(c);
+      h_ *= kPrime;
+    }
+  }
+  void Words(const std::vector<uint64_t>& words) {
+    Word(words.size());
+    for (const uint64_t word : words) Word(word);
+  }
+  void Strings(const std::vector<std::string>& strings) {
+    Word(strings.size());
+    for (const std::string& s : strings) Bytes(s);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  static constexpr uint64_t kPrime = 0x100000001b3ULL;
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+}  // namespace
+
+uint64_t MigrationBlockChecksum(const MigrationBlock& block) {
+  ChecksumMix mix;
+  mix.Word(block.migration_id);
+  mix.Word(block.seq);
+  mix.Word(block.source);
+  mix.Word(block.target);
+  mix.Bytes(block.table);
+  mix.Strings(block.keys);
+  mix.Strings(block.payloads);
+  return mix.value();
+}
+
+uint64_t WriteBatchChecksum(const WriteBatch& batch) {
+  ChecksumMix mix;
+  mix.Word(batch.query_id);
+  mix.Word(batch.sub_id);
+  mix.Word(batch.attempt);
+  mix.Word(batch.target);
+  mix.Bytes(batch.table);
+  mix.Strings(batch.keys);
+  mix.Words(batch.clusterings);
+  mix.Words(batch.type_ids);
+  mix.Words(batch.tombstones);
+  mix.Strings(batch.payloads);
+  return mix.value();
 }
 
 uint64_t ReplyItemChecksum(const SubQueryReplyBatch& batch, size_t item) {

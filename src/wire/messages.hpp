@@ -206,9 +206,10 @@ struct SubQueryReplyBatch {
 // mid-stream is replaced by another replica holding the same data.
 
 /// One batched block of partitions: keys[i] pairs with payloads[i], the
-/// EncodeColumns bytes of that partition. `checksum` is FNV-1a over every
-/// payload (in order), so in-flight corruption is detected before any
-/// column is applied to the target's store.
+/// EncodeColumns bytes of that partition. `checksum` is
+/// MigrationBlockChecksum, over every other field, so in-flight damage to
+/// a key, a payload or the routing fields is detected before any column
+/// is applied to the target's store.
 struct MigrationBlock {
   static constexpr std::string_view kTypeName = "kvscale.MigrationBlock";
 
@@ -219,7 +220,7 @@ struct MigrationBlock {
   std::string table;
   std::vector<std::string> keys;      ///< partition keys in this block
   std::vector<std::string> payloads;  ///< EncodeColumns bytes per key
-  uint64_t checksum = 0;              ///< FNV-1a over all payload bytes
+  uint64_t checksum = 0;              ///< MigrationBlockChecksum
 
   template <typename V>
   void Visit(V&& v) {
@@ -247,9 +248,10 @@ struct MigrationBlock {
 
 /// Master -> replica: apply a batch of columns to one table. The five
 /// column vectors are parallel: keys[i] owns (clusterings[i],
-/// type_ids[i], tombstones[i], payloads[i]). `checksum` is FNV-1a over
-/// every payload (the MigrationBlock recipe), so in-flight corruption is
-/// detected before any column reaches the store.
+/// type_ids[i], tombstones[i], payloads[i]). `checksum` is
+/// WriteBatchChecksum, over every other field, so in-flight corruption of
+/// a key, a clustering, a type id, a tombstone or a payload is detected
+/// before any column reaches the store.
 struct WriteBatch {
   static constexpr std::string_view kTypeName = "kvscale.WriteBatch";
 
@@ -263,7 +265,7 @@ struct WriteBatch {
   std::vector<uint64_t> type_ids;       ///< type id per column (fits u32)
   std::vector<uint64_t> tombstones;     ///< 0 = value, 1 = deletion marker
   std::vector<std::string> payloads;    ///< opaque value bytes per column
-  uint64_t checksum = 0;                ///< FNV-1a over all payload bytes
+  uint64_t checksum = 0;                ///< WriteBatchChecksum
 
   template <typename V>
   void Visit(V&& v) {
@@ -281,11 +283,16 @@ struct WriteBatch {
   }
 };
 
-/// The expected checksum of one MigrationBlock: FNV-1a chained over every
-/// payload string, in order. Defined next to the message so the sender
-/// and the verifier can never disagree on the recipe. WriteBatch reuses
-/// the same recipe over its payload vector.
-uint64_t MigrationBlockChecksum(const std::vector<std::string>& payloads);
+/// The expected checksum of one MigrationBlock: FNV-1a over every field
+/// but `checksum` — ids, seq, source, target, table, then each key and
+/// payload with its length first. Defined next to the message so the
+/// sender and the verifier can never disagree on the recipe.
+uint64_t MigrationBlockChecksum(const MigrationBlock& block);
+
+/// The expected checksum of one WriteBatch: FNV-1a over every field but
+/// `checksum`, numeric columns one 64-bit word at a time, strings byte by
+/// byte after their length.
+uint64_t WriteBatchChecksum(const WriteBatch& batch);
 
 /// The checksum of item `item` of a SubQueryReplyBatch whose parallel
 /// columns are consistent: FNV-1a over its id, attempt, status, stamps

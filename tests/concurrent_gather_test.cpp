@@ -100,8 +100,11 @@ TEST(AdmissionControlTest, RejectPolicyShedsAtTheLimitAndRearms) {
   options.admission_policy = QueueFullPolicy::kReject;
   NodeRuntime runtime(
       1, options,
-      [](uint32_t, const SubQueryRequest&, ReadProbe*) -> Result<OperatorResult> {
-        return OperatorResult{};
+      [](uint32_t, const std::string&) -> TableReader {
+        return [](const SubQueryRequest&,
+                  ReadProbe*) -> Result<OperatorResult> {
+          return OperatorResult{};
+        };
       },
       registry, nullptr, nullptr, nullptr);
 
@@ -135,8 +138,11 @@ TEST(AdmissionControlTest, BlockPolicyWaitsForASlot) {
   options.admission_policy = QueueFullPolicy::kBlock;
   NodeRuntime runtime(
       1, options,
-      [](uint32_t, const SubQueryRequest&, ReadProbe*) -> Result<OperatorResult> {
-        return OperatorResult{};
+      [](uint32_t, const std::string&) -> TableReader {
+        return [](const SubQueryRequest&,
+                  ReadProbe*) -> Result<OperatorResult> {
+          return OperatorResult{};
+        };
       },
       registry, nullptr, nullptr, nullptr);
 
@@ -161,8 +167,11 @@ TEST(AdmissionControlTest, PerQueryClocksAreIsolated) {
   TransportOptions options;
   NodeRuntime runtime(
       1, options,
-      [](uint32_t, const SubQueryRequest&, ReadProbe*) -> Result<OperatorResult> {
-        return OperatorResult{};
+      [](uint32_t, const std::string&) -> TableReader {
+        return [](const SubQueryRequest&,
+                  ReadProbe*) -> Result<OperatorResult> {
+          return OperatorResult{};
+        };
       },
       registry, nullptr, nullptr, nullptr);
   auto first = runtime.BeginQuery(1, NodeRuntime::QueryOptions{});

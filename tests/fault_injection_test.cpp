@@ -6,11 +6,14 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "cluster/in_process_cluster.hpp"
 #include "common/rng.hpp"
@@ -106,6 +109,105 @@ TEST(FaultInjectorTest, DeadNodesRejectEveryRead) {
   injector.ReviveNode(2);
   EXPECT_FALSE(injector.IsNodeDown(2));
   EXPECT_TRUE(injector.OnRead(2, "p", 0).status.ok());
+}
+
+/// Digest of every OnRead decision over six nodes (node 5 down), 200
+/// keys and four attempts, plus the tallies they left.
+uint64_t SweepDigest(const FaultConfig& config) {
+  FaultInjector injector(config);
+  injector.KillNode(5);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t word) {
+    h ^= word;
+    h *= 0x100000001b3ULL;
+  };
+  for (uint32_t node = 0; node < 6; ++node) {
+    for (int key = 0; key < 200; ++key) {
+      const std::string partition = "k" + std::to_string(key);
+      for (uint32_t attempt = 0; attempt < 4; ++attempt) {
+        const FaultInjector::ReadFault f =
+            injector.OnRead(node, partition, attempt);
+        mix(static_cast<uint64_t>(f.status.code()));
+        mix(static_cast<uint64_t>(f.extra_latency_us * 1000.0));
+      }
+    }
+  }
+  mix(injector.injected_errors());
+  mix(injector.injected_spikes());
+  mix(injector.rejected_dead_node_reads());
+  return h;
+}
+
+TEST(FaultInjectorTest, OnReadSweepKeepsItsDecisions) {
+  // The digests were taken from the injector before its liveness check
+  // and its healthy-rate shortcut skipped work: both are pure fast paths,
+  // so every decision and every tally must stay what it was.
+  struct Case {
+    double error_rate;
+    double spike_rate;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {0.0, 0.0, 0xc0e5040fcdcbc1d7ULL},
+      {0.1, 0.0, 0xcb9b99dbc0283c15ULL},
+      {0.0, 0.25, 0x6e079ef00848b8a7ULL},
+      {0.05, 0.3, 0xf951a8d7aa0a647fULL},
+  };
+  for (const Case& c : cases) {
+    FaultConfig config;
+    config.seed = 2026;
+    config.read_error_rate = c.error_rate;
+    config.latency_spike_rate = c.spike_rate;
+    EXPECT_EQ(SweepDigest(config), c.digest)
+        << "error " << c.error_rate << " spike " << c.spike_rate;
+  }
+}
+
+TEST(FaultInjectorTest, AKillIsSeenByEveryReadThatStartsAfterIt) {
+  // Readers race kills and revives of node 1 (node 0 stays up). Each
+  // round publishes "killed" only after KillNode returned, so a reader
+  // that sees the round must see the node down: the lock-free liveness
+  // path may never report a stale "up". Under TSan this is also the
+  // race check of that path.
+  FaultInjector injector;
+  constexpr int kRounds = 200;
+  constexpr int kReaders = 3;
+  std::atomic<int> killed_round{-1};
+  std::atomic<int> done_readers{0};
+  std::atomic<int> stale{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      int seen = -1;
+      while (seen < kRounds - 1) {
+        const int round = killed_round.load(std::memory_order_acquire);
+        // Node 0 is never down; node 1's answer here races the churn.
+        if (!injector.OnRead(0, "p", 0).status.ok()) stale.fetch_add(1);
+        // kvscale-lint: allow(discarded-status) a racing read: its answer depends on the interleaving
+        (void)injector.OnRead(1, "p", 0);
+        if (round == seen) continue;
+        // Node 1 stays down until every reader checked this round.
+        if (!injector.IsNodeDown(1) || injector.OnRead(1, "p", 0).status.ok()) {
+          stale.fetch_add(1);
+        }
+        if (injector.IsNodeDown(0)) stale.fetch_add(1);
+        seen = round;
+        done_readers.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    injector.KillNode(1);
+    killed_round.store(round, std::memory_order_release);
+    while (done_readers.load(std::memory_order_acquire) <
+           kReaders * (round + 1)) {
+      std::this_thread::yield();
+    }
+    injector.ReviveNode(1);
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(stale.load(), 0);
+  EXPECT_FALSE(injector.IsNodeDown(1));
 }
 
 TEST(FaultInjectorTest, ErrorRateIsRoughlyHonoured) {

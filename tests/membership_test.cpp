@@ -565,5 +565,143 @@ TEST(MembershipChaosTest, FlushAndReviveSerializeWithChurn) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Routed plans: a plan's replica sets are resolved once per ring epoch
+
+TEST(RoutedPlanTest, OneRoutingPerPlanPerEpoch) {
+  InProcessCluster cluster(4, PlacementKind::kDhtRandom, StoreOptions{}, 17,
+                           2);
+  TypeCounts truth;
+  const WorkloadSpec workload = LoadCluster(cluster, 30, 4, truth);
+  const QueryPlan plan = MakeCountPlan(workload);
+  GatherOptions message;
+  message.transport = GatherTransport::kMessage;
+  message.batch = true;
+
+  const uint64_t before = cluster.routed_plan_builds();
+  EXPECT_EQ(cluster.Gather(plan).totals, truth);
+  EXPECT_EQ(cluster.routed_plan_builds(), before + 1);
+  // The same key list again — the same plan, a copy, either transport —
+  // reads the routed plan instead of routing.
+  EXPECT_EQ(cluster.Gather(plan).totals, truth);
+  EXPECT_EQ(cluster.Gather(plan, message).totals, truth);
+  const QueryPlan copy = plan;
+  EXPECT_EQ(cluster.Gather(copy, message).totals, truth);
+  EXPECT_EQ(cluster.routed_plan_builds(), before + 1);
+
+  // A membership change moves the epoch: the next gather routes once.
+  ASSERT_TRUE(cluster.AddNode().ok());
+  EXPECT_EQ(cluster.Gather(plan, message).totals, truth);
+  EXPECT_EQ(cluster.routed_plan_builds(), before + 2);
+  EXPECT_EQ(cluster.Gather(plan).totals, truth);
+  EXPECT_EQ(cluster.routed_plan_builds(), before + 2);
+}
+
+TEST(RoutedPlanTest, EditingAPlanInPlaceRoutesTheNewKey) {
+  InProcessCluster cluster(4, PlacementKind::kDhtRandom, StoreOptions{}, 19,
+                           1);
+  TypeCounts truth;
+  WorkloadSpec workload = LoadCluster(cluster, 40, 5, truth);
+  ASSERT_TRUE(cluster.AddNode().ok());  // ring routing, like perfbench's
+  const WorkloadSpec first_30{workload.table,
+                              {workload.partitions.begin(),
+                               workload.partitions.begin() + 30}};
+  QueryPlan plan = MakeCountPlan(first_30);
+  GatherOptions message;
+  message.transport = GatherTransport::kMessage;
+  message.batch = true;
+  const GatherResult before = cluster.Gather(plan, message);
+  ASSERT_EQ(before.completed, 30u);
+  const uint64_t builds = cluster.routed_plan_builds();
+
+  // Swap partition 5 for one the plan never named, in the same object:
+  // the routed plan of the old key list must not serve it.
+  WorkloadSpec edited = first_30;
+  for (int swap = 0; swap < 3; ++swap) {
+    plan.partitions[5 + swap].part.key = "part-" + std::to_string(31 + swap);
+    edited.partitions[5 + swap].key = plan.partitions[5 + swap].part.key;
+    const GatherResult direct = cluster.Gather(MakeCountPlan(edited));
+    const GatherResult routed = cluster.Gather(plan, message);
+    EXPECT_EQ(routed.totals, direct.totals) << swap;
+    EXPECT_EQ(routed.requests_per_node, direct.requests_per_node) << swap;
+    EXPECT_EQ(routed.completed, 30u) << swap;
+    EXPECT_EQ(routed.partitions_missing, 0u) << swap;
+  }
+  // Each edited list routed once, for the message gather and the direct
+  // one of the same keys together.
+  EXPECT_EQ(cluster.routed_plan_builds(), builds + 3);
+}
+
+TEST(RoutedPlanTest, GathersStayBalancedThroughChurn) {
+  // Two clients gather one plan object, direct and message, while a third
+  // thread joins and drains nodes: every epoch bump re-routes the plan
+  // under the clients' feet.
+  InProcessCluster cluster(4, PlacementKind::kDhtRandom, StoreOptions{}, 23,
+                           2);
+  TypeCounts truth;
+  const WorkloadSpec workload = LoadCluster(cluster, 32, 4, truth);
+  const QueryPlan plan = MakeCountPlan(workload);
+  GatherOptions direct;
+  direct.max_attempts = 5;  // enough to ride out an epoch flip mid-query
+  GatherOptions message = direct;
+  message.transport = GatherTransport::kMessage;
+  message.batch = true;
+
+  std::atomic<bool> churning{true};
+  std::atomic<uint64_t> gathers{0};
+  std::atomic<uint64_t> balanced{0};
+  std::atomic<uint64_t> exact{0};
+  std::vector<std::thread> clients;
+  for (const GatherOptions* options : {&direct, &message}) {
+    clients.emplace_back([&, options] {
+      while (churning.load(std::memory_order_acquire)) {
+        const GatherResult r = cluster.Gather(plan, *options);
+        gathers.fetch_add(1, std::memory_order_relaxed);
+        if (r.completed + r.failed == r.subqueries) {
+          balanced.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (r.totals == truth) exact.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Start churning only once both clients are gathering.
+  while (gathers.load(std::memory_order_relaxed) < 2) {
+    std::this_thread::yield();
+  }
+  std::vector<Status> churn;
+  for (int round = 0; round < 3; ++round) {
+    auto joined = cluster.AddNode();
+    churn.push_back(joined.status());
+    if (!joined.ok()) break;
+    churn.push_back(cluster.DecommissionNode(joined.value().node).status());
+  }
+  churning.store(false, std::memory_order_release);
+  for (std::thread& t : clients) t.join();
+
+  for (const Status& status : churn) {
+    EXPECT_TRUE(status.ok()) << status.message();
+  }
+  EXPECT_EQ(cluster.ring_epoch(), 7u);  // adoption, three joins and drains
+  EXPECT_GT(gathers.load(), 0u);
+  EXPECT_EQ(balanced.load(), gathers.load());
+  EXPECT_EQ(exact.load(), gathers.load());
+
+  // Quiet again: the message gather equals the direct one field by field.
+  const GatherResult d = cluster.Gather(plan, direct);
+  const GatherResult m = cluster.Gather(plan, message);
+  EXPECT_EQ(m.totals, d.totals);
+  EXPECT_EQ(d.totals, truth);
+  EXPECT_EQ(m.requests_per_node, d.requests_per_node);
+  EXPECT_EQ(m.errors_per_node, d.errors_per_node);
+  EXPECT_EQ(m.partitions_missing, d.partitions_missing);
+  EXPECT_EQ(m.subqueries, d.subqueries);
+  EXPECT_EQ(m.completed, d.completed);
+  EXPECT_EQ(m.failed, d.failed);
+  EXPECT_EQ(m.retries, d.retries);
+  EXPECT_EQ(m.hedged, d.hedged);
+  EXPECT_EQ(m.lost_partitions, d.lost_partitions);
+  EXPECT_DOUBLE_EQ(m.virtual_latency_us, d.virtual_latency_us);
+}
+
 }  // namespace
 }  // namespace kvscale

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <latch>
 #include <span>
 #include <string>
@@ -125,10 +127,12 @@ TEST(NodeRuntimeTest, DispatchRoundTripsOneSubQuery) {
   TransportOptions options;
   NodeRuntime runtime(
       2, options,
-      [](uint32_t, const SubQueryRequest& req, ReadProbe* probe)
-          -> Result<OperatorResult> {
-        probe->columns_returned = req.expected_elements;
-        return OperatorResult{{3}, {req.expected_elements}};
+      [](uint32_t, const std::string&) -> TableReader {
+        return [](const SubQueryRequest& req,
+                  ReadProbe* probe) -> Result<OperatorResult> {
+          probe->columns_returned = req.expected_elements;
+          return OperatorResult{{3}, {req.expected_elements}};
+        };
       },
       registry, nullptr, &metrics, nullptr);
   auto query = runtime.BeginQuery(42, NodeRuntime::QueryOptions{});
@@ -203,14 +207,16 @@ void DispatchOneFrame(NodeRuntime& runtime,
 
 /// Answers sub-query i with `width` rows (i, i + k).
 SubQueryHandler WideHandler(size_t width) {
-  return [width](uint32_t, const SubQueryRequest& req,
-                 ReadProbe*) -> Result<OperatorResult> {
-    OperatorResult out;
-    for (size_t k = 0; k < width; ++k) {
-      out.col_a.push_back(req.sub_id);
-      out.col_b.push_back(req.sub_id + k);
-    }
-    return out;
+  return [width](uint32_t, const std::string&) -> TableReader {
+    return [width](const SubQueryRequest& req,
+                   ReadProbe*) -> Result<OperatorResult> {
+      OperatorResult out;
+      for (size_t k = 0; k < width; ++k) {
+        out.col_a.push_back(req.sub_id);
+        out.col_b.push_back(req.sub_id + k);
+      }
+      return out;
+    };
   };
 }
 
@@ -327,13 +333,15 @@ TEST(NodeRuntimeTest, RejectPolicyShedsWhenQueueAndWorkerAreBusy) {
   options.queue_policy = QueueFullPolicy::kReject;
   NodeRuntime runtime(
       1, options,
-      [&](uint32_t, const SubQueryRequest& req, ReadProbe*)
-          -> Result<OperatorResult> {
-        if (req.sub_id == 0) {
-          worker_started.count_down();
-          release_worker.wait();
-        }
-        return OperatorResult{};
+      [&](uint32_t, const std::string&) -> TableReader {
+        return [&](const SubQueryRequest& req,
+                   ReadProbe*) -> Result<OperatorResult> {
+          if (req.sub_id == 0) {
+            worker_started.count_down();
+            release_worker.wait();
+          }
+          return OperatorResult{};
+        };
       },
       registry, nullptr, nullptr, nullptr);
   auto query = runtime.BeginQuery(9, NodeRuntime::QueryOptions{});
@@ -365,6 +373,184 @@ TEST(NodeRuntimeTest, RejectPolicyShedsWhenQueueAndWorkerAreBusy) {
   EXPECT_EQ(runtime.Await(query.value()).code, StatusCode::kOk);
   // The reject sent nothing.
   EXPECT_EQ(runtime.EndQuery(query.value()).wire.frames_sent, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Per-frame table opening: a worker opens its node's table once per
+// request frame, and re-opens it only after an item it refused.
+
+/// A read path that counts its opens; every reader it hands out answers
+/// an item with (the open ordinal it came from, sub_id), so each answer
+/// names the open that served it. `on_item` runs before each answer.
+struct CountingOpener {
+  std::atomic<uint32_t> opens{0};
+  std::function<void(uint32_t sub_id)> on_item = [](uint32_t) {};
+
+  SubQueryHandler Handler() {
+    return [this](uint32_t, const std::string& table) -> TableReader {
+      EXPECT_EQ(table, "t");
+      const uint64_t open = opens.fetch_add(1) + 1;
+      return [this, open](const SubQueryRequest& req,
+                          ReadProbe*) -> Result<OperatorResult> {
+        on_item(req.sub_id);
+        return OperatorResult{{open}, {req.sub_id}};
+      };
+    };
+  }
+};
+
+/// Awaits `count` answers and returns them indexed by sub_id, each with
+/// its own copy of its result columns.
+std::vector<TransportReply> AwaitAll(NodeRuntime& runtime,
+                                     const NodeRuntime::QueryHandle& query,
+                                     size_t count) {
+  std::vector<TransportReply> by_sub(count);
+  for (size_t i = 0; i < count; ++i) {
+    TransportReply reply = runtime.Await(query);
+    // The columns view the reply frame only until the next Await.
+    reply.columns.col_a.assign(reply.col_a().begin(), reply.col_a().end());
+    reply.columns.col_b.assign(reply.col_b().begin(), reply.col_b().end());
+    reply.in_frame = false;
+    EXPECT_LT(reply.trace.sub_id, count);
+    if (reply.trace.sub_id < count) {
+      by_sub[reply.trace.sub_id] = std::move(reply);
+    }
+  }
+  return by_sub;
+}
+
+TEST(NodeRuntimeTest, ATableIsOpenedOncePerRequestFrame) {
+  CompactCodec registry;
+  RegisterClusterMessages(registry);
+  CountingOpener opener;
+  NodeRuntime runtime(1, TransportOptions{}, opener.Handler(), registry,
+                      nullptr, nullptr, nullptr);
+  auto query = runtime.BeginQuery(11, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(query.ok());
+  DispatchOneFrame(runtime, query.value(), 50);
+  for (const TransportReply& reply : AwaitAll(runtime, query.value(), 50)) {
+    ASSERT_EQ(reply.code, StatusCode::kOk);
+    EXPECT_EQ(reply.col_a()[0], 1u);  // every item read through open 1
+  }
+  DispatchOneFrame(runtime, query.value(), 5);
+  AwaitAll(runtime, query.value(), 5);
+  EXPECT_EQ(opener.opens.load(), 2u);  // one open per frame
+  runtime.EndQuery(query.value());
+}
+
+TEST(NodeRuntimeTest, AKillInTheMiddleOfAFrameRefusesTheItemsBehindIt) {
+  CompactCodec registry;
+  RegisterClusterMessages(registry);
+  FaultInjector injector;
+  std::latch reading_item_3(1);
+  std::latch killed(1);
+  CountingOpener opener;
+  opener.on_item = [&](uint32_t sub_id) {
+    if (sub_id == 3) {
+      reading_item_3.count_down();
+      killed.wait();  // the kill lands while this read is in flight
+    }
+  };
+  NodeRuntime runtime(1, TransportOptions{}, opener.Handler(), registry,
+                      &injector, nullptr, nullptr);
+  auto query = runtime.BeginQuery(12, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(query.ok());
+  DispatchOneFrame(runtime, query.value(), 10);
+  reading_item_3.wait();
+  injector.KillNode(0);
+  killed.count_down();
+  const std::vector<TransportReply> replies =
+      AwaitAll(runtime, query.value(), 10);
+  for (size_t i = 0; i < replies.size(); ++i) {
+    if (i <= 3) {
+      // Served before the kill, or already inside the store when it came.
+      EXPECT_EQ(replies[i].code, StatusCode::kOk) << i;
+      EXPECT_TRUE(replies[i].served) << i;
+    } else {
+      EXPECT_EQ(replies[i].code, StatusCode::kUnavailable) << i;
+      EXPECT_FALSE(replies[i].served) << i;
+    }
+  }
+  EXPECT_EQ(opener.opens.load(), 1u);
+  runtime.EndQuery(query.value());
+}
+
+TEST(NodeRuntimeTest, AKillAndReviveNoItemSawKeepTheOpenedTable) {
+  // The documented rule's quiet half: liveness is checked per item, so a
+  // kill and revive that both land inside one item's read are invisible
+  // to the frame, which keeps serving through the table it opened.
+  CompactCodec registry;
+  RegisterClusterMessages(registry);
+  FaultInjector injector;
+  CountingOpener opener;
+  opener.on_item = [&](uint32_t sub_id) {
+    if (sub_id == 3) {
+      injector.KillNode(0);
+      injector.ReviveNode(0);
+    }
+  };
+  NodeRuntime runtime(1, TransportOptions{}, opener.Handler(), registry,
+                      &injector, nullptr, nullptr);
+  auto query = runtime.BeginQuery(13, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(query.ok());
+  DispatchOneFrame(runtime, query.value(), 10);
+  for (const TransportReply& reply : AwaitAll(runtime, query.value(), 10)) {
+    EXPECT_EQ(reply.code, StatusCode::kOk);
+    EXPECT_EQ(reply.col_a()[0], 1u);
+  }
+  EXPECT_EQ(opener.opens.load(), 1u);
+  runtime.EndQuery(query.value());
+}
+
+TEST(NodeRuntimeTest, AReviveInTheMiddleOfAFrameReopensAfterTheRefusals) {
+  // The rule's other half: once an item was refused, the next item that
+  // is served opens the node's table again — after a revive, that is
+  // the revived node's store. A revive thread races the worker, so the
+  // refused run may be empty or reach the end of the frame; whatever the
+  // interleaving, items come in order served / refused / served, and
+  // every item after a refusal reads through a new open.
+  CompactCodec registry;
+  RegisterClusterMessages(registry);
+  FaultInjector injector;
+  std::latch killed(1);
+  CountingOpener opener;
+  opener.on_item = [&](uint32_t sub_id) {
+    if (sub_id == 3) {
+      injector.KillNode(0);
+      killed.count_down();
+    }
+  };
+  NodeRuntime runtime(1, TransportOptions{}, opener.Handler(), registry,
+                      &injector, nullptr, nullptr);
+  auto query = runtime.BeginQuery(14, NodeRuntime::QueryOptions{});
+  ASSERT_TRUE(query.ok());
+  constexpr size_t kItems = 4000;
+  DispatchOneFrame(runtime, query.value(), kItems);
+  std::thread reviver([&] {
+    killed.wait();
+    injector.ReviveNode(0);
+  });
+  const std::vector<TransportReply> replies =
+      AwaitAll(runtime, query.value(), kItems);
+  reviver.join();
+  size_t refused = 0;
+  for (size_t i = 0; i < kItems; ++i) {
+    if (i <= 3) {
+      ASSERT_EQ(replies[i].code, StatusCode::kOk) << i;
+      EXPECT_EQ(replies[i].col_a()[0], 1u) << i;
+    } else if (replies[i].code == StatusCode::kUnavailable) {
+      ASSERT_EQ(refused, i - 4) << "a refusal after a served item at " << i;
+      ++refused;
+    } else {
+      ASSERT_EQ(replies[i].code, StatusCode::kOk) << i;
+      // Served after the refused run: open 2 when there was one, else
+      // the first open never saw the kill.
+      EXPECT_EQ(replies[i].col_a()[0], refused > 0 ? 2u : 1u) << i;
+    }
+  }
+  const bool served_after = refused > 0 && refused < kItems - 4;
+  EXPECT_EQ(opener.opens.load(), served_after ? 2u : 1u);
+  runtime.EndQuery(query.value());
 }
 
 // ---------------------------------------------------------------------------

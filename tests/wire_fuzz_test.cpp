@@ -684,7 +684,7 @@ WriteBatch RandomWriteBatch(Rng& rng) {
     batch.tombstones.push_back(rng.Below(2));
     batch.payloads.push_back(RandomString(rng, 64));
   }
-  batch.checksum = MigrationBlockChecksum(batch.payloads);
+  batch.checksum = WriteBatchChecksum(batch);
   return batch;
 }
 
@@ -730,6 +730,138 @@ TEST_P(WireFuzzTest, RandomBytesNeverCrashTheWriteFrameDecoders) {
       auto batch = DecodeWriteBatchFrame(soup, kind, codec);
       if (!batch.ok()) {
         EXPECT_EQ(batch.status().code(), StatusCode::kCorruption);
+      }
+    }
+  }
+}
+
+/// Flips one random bit of `word`, below bit `width`.
+void FlipBit(uint64_t& word, Rng& rng, uint32_t width = 64) {
+  word ^= uint64_t{1} << rng.Below(width);
+}
+void FlipBit(uint32_t& word, Rng& rng) {
+  word ^= uint32_t{1} << rng.Below(32);
+}
+/// Flips one random bit of one random byte of `bytes` (made non-empty).
+void FlipBit(std::string& bytes, Rng& rng) {
+  if (bytes.empty()) bytes.push_back('k');
+  bytes[rng.Below(bytes.size())] ^= static_cast<char>(1u << rng.Below(8));
+}
+
+// A flipped bit in any field a write batch carries must fail the batch
+// before a column lands: a damaged key, clustering, type id or
+// tombstone would otherwise be stored under the wrong coordinates.
+TEST_P(WireFuzzTest, OneBitFlipInAnyWriteBatchFieldIsCaught) {
+  Rng rng(GetParam() ^ 0xf11b);
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  struct Case {
+    const char* field;
+    void (*flip)(WriteBatch&, Rng&);
+  };
+  const Case cases[] = {
+      {"query_id", [](WriteBatch& b, Rng& r) { FlipBit(b.query_id, r); }},
+      {"sub_id", [](WriteBatch& b, Rng& r) { FlipBit(b.sub_id, r); }},
+      {"attempt", [](WriteBatch& b, Rng& r) { FlipBit(b.attempt, r); }},
+      {"target", [](WriteBatch& b, Rng& r) { FlipBit(b.target, r); }},
+      {"table", [](WriteBatch& b, Rng& r) { FlipBit(b.table, r); }},
+      {"keys",
+       [](WriteBatch& b, Rng& r) { FlipBit(b.keys[r.Below(b.keys.size())], r); }},
+      {"clusterings",
+       [](WriteBatch& b, Rng& r) {
+         FlipBit(b.clusterings[r.Below(b.clusterings.size())], r);
+       }},
+      {"type_ids",  // stays inside uint32, so only the checksum can tell
+       [](WriteBatch& b, Rng& r) {
+         FlipBit(b.type_ids[r.Below(b.type_ids.size())], r, 32);
+       }},
+      {"tombstones",  // 0 <-> 1 stays a valid flag
+       [](WriteBatch& b, Rng& r) { b.tombstones[r.Below(b.tombstones.size())] ^= 1; }},
+      {"payloads",
+       [](WriteBatch& b, Rng& r) {
+         FlipBit(b.payloads[r.Below(b.payloads.size())], r);
+       }},
+  };
+  for (int round = 0; round < 20; ++round) {
+    const WriteBatch batch = RandomWriteBatch(rng);
+    for (const Case& c : cases) {
+      WriteBatch damaged = batch;
+      c.flip(damaged, rng);  // the checksum still describes `batch`
+      for (const WireCodecKind kind :
+           {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+        WireBuffer frame;
+        EncodeWriteBatchFrame(damaged, 0, kind, codec, frame);
+        auto decoded = DecodeWriteBatchFrame(frame.data(), kind, codec);
+        EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+            << WireCodecName(kind) << ": " << c.field;
+      }
+    }
+  }
+}
+
+MigrationBlock RandomMigrationBlock(Rng& rng) {
+  MigrationBlock block;
+  block.migration_id = rng.Next();
+  block.seq = static_cast<uint32_t>(rng.Next());
+  block.source = static_cast<uint32_t>(rng.Below(64));
+  block.target = static_cast<uint32_t>(rng.Below(64));
+  block.table = RandomString(rng, 32);
+  const size_t n = 1 + rng.Below(8);
+  for (size_t i = 0; i < n; ++i) {
+    block.keys.push_back(RandomString(rng, 48));
+    block.payloads.push_back(RandomString(rng, 96));
+  }
+  block.checksum = MigrationBlockChecksum(block);
+  return block;
+}
+
+// The same for a migration block: a flipped key would apply a
+// partition's columns under another key, a flipped seq / source / target
+// would misattribute the block.
+TEST_P(WireFuzzTest, OneBitFlipInAnyMigrationBlockFieldIsCaught) {
+  Rng rng(GetParam() ^ 0xb10c);
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  struct Case {
+    const char* field;
+    void (*flip)(MigrationBlock&, Rng&);
+  };
+  const Case cases[] = {
+      {"migration_id",
+       [](MigrationBlock& b, Rng& r) { FlipBit(b.migration_id, r); }},
+      {"seq", [](MigrationBlock& b, Rng& r) { FlipBit(b.seq, r); }},
+      {"source", [](MigrationBlock& b, Rng& r) { FlipBit(b.source, r); }},
+      {"target", [](MigrationBlock& b, Rng& r) { FlipBit(b.target, r); }},
+      {"table", [](MigrationBlock& b, Rng& r) { FlipBit(b.table, r); }},
+      {"keys",
+       [](MigrationBlock& b, Rng& r) {
+         FlipBit(b.keys[r.Below(b.keys.size())], r);
+       }},
+      {"payloads",
+       [](MigrationBlock& b, Rng& r) {
+         FlipBit(b.payloads[r.Below(b.payloads.size())], r);
+       }},
+  };
+  for (int round = 0; round < 20; ++round) {
+    const MigrationBlock block = RandomMigrationBlock(rng);
+    for (const WireCodecKind kind :
+         {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+      WireBuffer valid;
+      EncodeMessageFrame(block, block.migration_id, 0, kind, codec, valid);
+      ASSERT_TRUE(DecodeMigrationBlockFrame(valid.data(), kind, codec).ok());
+    }
+    for (const Case& c : cases) {
+      MigrationBlock damaged = block;
+      c.flip(damaged, rng);  // the checksum still describes `block`
+      for (const WireCodecKind kind :
+           {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+        WireBuffer frame;
+        // Framed under the damaged id, so only the checksum can tell.
+        EncodeMessageFrame(damaged, damaged.migration_id, 0, kind, codec,
+                           frame);
+        auto decoded = DecodeMigrationBlockFrame(frame.data(), kind, codec);
+        EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+            << WireCodecName(kind) << ": " << c.field;
       }
     }
   }

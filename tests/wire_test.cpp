@@ -227,7 +227,7 @@ TEST(MigrationMessageTest, BlockRoundTripsWithChecksum) {
   block.table = "particles";
   block.keys = {"p:0001", "p:0002"};
   block.payloads = {std::string("ab\0cd", 5), "efg"};  // embedded NUL survives
-  block.checksum = MigrationBlockChecksum(block.payloads);
+  block.checksum = MigrationBlockChecksum(block);
 
   WireBuffer buf;
   codec.Encode(block, buf);
@@ -237,16 +237,19 @@ TEST(MigrationMessageTest, BlockRoundTripsWithChecksum) {
   EXPECT_EQ(decoded.value().seq, 7u);
   EXPECT_EQ(decoded.value().keys, block.keys);
   EXPECT_EQ(decoded.value().payloads, block.payloads);
-  EXPECT_EQ(MigrationBlockChecksum(decoded.value().payloads), block.checksum);
+  EXPECT_EQ(MigrationBlockChecksum(decoded.value()), block.checksum);
 }
 
 TEST(MigrationMessageTest, ChecksumSeesPayloadBoundaries) {
   // The length-mixing keeps concatenation-equal payload lists distinct.
-  EXPECT_NE(MigrationBlockChecksum({"ab", "c"}),
-            MigrationBlockChecksum({"a", "bc"}));
-  EXPECT_NE(MigrationBlockChecksum({}), MigrationBlockChecksum({""}));
-  EXPECT_EQ(MigrationBlockChecksum({"ab", "c"}),
-            MigrationBlockChecksum({"ab", "c"}));
+  const auto with_payloads = [](std::vector<std::string> payloads) {
+    MigrationBlock block;
+    block.payloads = std::move(payloads);
+    return MigrationBlockChecksum(block);
+  };
+  EXPECT_NE(with_payloads({"ab", "c"}), with_payloads({"a", "bc"}));
+  EXPECT_NE(with_payloads({}), with_payloads({""}));
+  EXPECT_EQ(with_payloads({"ab", "c"}), with_payloads({"ab", "c"}));
 }
 
 WriteBatch SampleWriteBatch() {
@@ -260,7 +263,7 @@ WriteBatch SampleWriteBatch() {
   batch.type_ids = {0, 1, 4};
   batch.tombstones = {0, 0, 1};
   batch.payloads = {"aa", "bbb", ""};
-  batch.checksum = MigrationBlockChecksum(batch.payloads);
+  batch.checksum = WriteBatchChecksum(batch);
   return batch;
 }
 
@@ -269,6 +272,7 @@ TEST(WriteMessageTest, BatchFrameRoundTripsBothCodecs) {
   RegisterClusterMessages(codec);
   WriteBatch batch = SampleWriteBatch();
   batch.attempt = 2;
+  batch.checksum = WriteBatchChecksum(batch);  // the attempt is covered too
   for (const WireCodecKind kind :
        {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
     WireBuffer buf;
@@ -309,7 +313,7 @@ TEST(WriteMessageTest, BatchDecoderRejectsBadShapes) {
   empty.type_ids.clear();
   empty.tombstones.clear();
   empty.payloads.clear();
-  empty.checksum = MigrationBlockChecksum(empty.payloads);
+  empty.checksum = WriteBatchChecksum(empty);
   expect_corrupt(empty);
 
   WriteBatch bad_flag = SampleWriteBatch();

@@ -18,7 +18,7 @@ export UBSAN_OPTIONS="print_stacktrace=1"
 # The suites that exercise fault injection, failover, torn WALs, and the
 # concurrent gather paths.
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-  -R 'FaultInjector|ClusterFaultTolerance|CommitLog|InProcessCluster|ReplicatedSim|StoreConcurrency|Membership|MigrationFault|QueryPlan|BoxQuery|WireFuzz|WritePath'
+  -R 'FaultInjector|ClusterFaultTolerance|CommitLog|InProcessCluster|ReplicatedSim|StoreConcurrency|Membership|MigrationFault|QueryPlan|BoxQuery|WireFuzz|WritePath|RoutedPlan'
 
 # The put-vs-migration race, repeated: the slower sanitized build widens
 # the window in which a put lands on an old owner after the migration
@@ -26,6 +26,12 @@ ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
 ./build-asan/tests/write_path_test \
   --gtest_filter='WritePathTest.PutsLandDuringAMembershipChange' \
   --gtest_repeat=100
+
+# Routed plans under membership churn: a plan's shared replica sets are
+# replaced at every epoch while gathers still hold the old ones.
+./build-asan/tests/membership_test \
+  --gtest_filter='RoutedPlanTest.GathersStayBalancedThroughChurn' \
+  --gtest_repeat=50
 
 # One sanitized end-to-end chaos run: replication 3, a dead node, flaky
 # reads, and corrupted segment blocks must still produce a full answer.

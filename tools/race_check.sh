@@ -23,7 +23,7 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 # message-vs-direct parity (including the chaos run), wide worker pools,
 # and concurrent store reads.
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'BoundedQueue|NodeRuntime|MessageGather|InProcessCluster|ClusterFaultTolerance|FaultInjector|StoreConcurrency|SharedRuntime|AdmissionControl|ConcurrentGather|Membership|MigrationFault|QueryPlan|BoxQuery|WritePath'
+  -R 'BoundedQueue|NodeRuntime|MessageGather|InProcessCluster|ClusterFaultTolerance|FaultInjector|StoreConcurrency|SharedRuntime|AdmissionControl|ConcurrentGather|Membership|MigrationFault|QueryPlan|BoxQuery|WritePath|RoutedPlan'
 
 # The shared-block and segment-image drills, repeated: store readers keep
 # iterating decoded blocks they hold while compaction erases them from
@@ -54,6 +54,24 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
 # each query's handle, and eight clients gathering concurrently through
 # one runtime, each bit-identical to a sequential gather.
 ./build-tsan/tests/concurrent_gather_test --gtest_repeat=3
+
+# The routed-plan churn drill, repeated: two clients gather one plan
+# object (direct and message) while nodes join and drain, so each epoch
+# bump re-routes the plan the clients share; every gather must balance.
+./build-tsan/tests/membership_test \
+  --gtest_filter='RoutedPlanTest.GathersStayBalancedThroughChurn' \
+  --gtest_repeat=50
+
+# The lock-free liveness path: readers race kills and revives and must
+# never see a killed node up; then kills and revives in the middle of a
+# request frame, which the worker serves through one opened table.
+./build-tsan/tests/fault_injection_test \
+  --gtest_filter='FaultInjectorTest.AKillIsSeenByEveryReadThatStartsAfterIt' \
+  --gtest_repeat=5
+
+./build-tsan/tests/node_runtime_test \
+  --gtest_filter='NodeRuntimeTest.AKill*:NodeRuntimeTest.ARevive*' \
+  --gtest_repeat=5
 
 # The membership serialization drill, repeated: joins and decommissions
 # churn while another thread loops FlushAll and KillNode + ReviveNode on
