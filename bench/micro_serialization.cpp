@@ -191,7 +191,8 @@ void BM_ReplyFramesEncodeBatched(benchmark::State& state) {
   const SubQueryReplyBatch batch = ReplyBatch();
   for (auto _ : state) {
     WireBuffer buf;
-    EncodeReplyBatchFrame(batch, 0, WireCodecKind::kCompact, codec, buf);
+    EncodeMessageFrame(batch, batch.query_id, 0, WireCodecKind::kCompact,
+                       codec, buf);
     benchmark::DoNotOptimize(buf.data());
   }
   state.SetItemsProcessed(state.iterations() * kReplyItems);
@@ -203,7 +204,8 @@ void BM_ReplyFramesDecodeBatched(benchmark::State& state) {
   RegisterClusterMessages(codec);
   const SubQueryReplyBatch batch = ReplyBatch();
   WireBuffer buf;
-  EncodeReplyBatchFrame(batch, 0, WireCodecKind::kCompact, codec, buf);
+  EncodeMessageFrame(batch, batch.query_id, 0, WireCodecKind::kCompact, codec,
+                     buf);
   std::vector<uint32_t> sub_ids, attempts(kReplyItems, 0);
   for (uint64_t id : batch.sub_ids) sub_ids.push_back(static_cast<uint32_t>(id));
   for (auto _ : state) {

@@ -288,19 +288,9 @@ QueryRunResult RunDistributedQuery(const ClusterConfig& config,
     result.requests_per_node[node]++;
 
     // Size the real request message with the configured codec.
-    SubQueryRequest request;
-    request.query_id = query_id;
-    request.sub_id = sub_id;
-    request.table = workload.table;
-    request.partition_key = part.key;
-    request.expected_elements = part.elements;
-    WireBuffer encoded;
-    if (config.size_messages_with_compact_codec) {
-      state.codec.Encode(request, encoded);
-    } else {
-      TaggedCodec::Encode(request, encoded);
-    }
-    double request_bytes = static_cast<double>(encoded.size());
+    double request_bytes = static_cast<double>(SubQueryRequestBytes(
+        config.size_messages_with_compact_codec ? &state.codec : nullptr,
+        query_id, sub_id, workload.table, part.key, part.elements));
     if (!config.size_messages_with_compact_codec) {
       // The tagged codec is structurally verbose but the JVM default adds
       // further object-graph metadata; scale to the profile's measurement.

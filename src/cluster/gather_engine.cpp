@@ -240,7 +240,7 @@ std::unique_ptr<Transport> InProcessCluster::OpenTransport(
     const TransportOptions& options, uint64_t query_id,
     const NodeRuntime::QueryOptions& query) {
   if (options.transport == GatherTransport::kDirect) {
-    return std::make_unique<InlineTransport>(handlers_, spans_);
+    return std::make_unique<InlineTransport>(handlers_, spans_, query_id);
   }
   return std::make_unique<MessageTransport>(EnsureRuntime(options), query_id,
                                             query, handlers_, spans_);
@@ -254,15 +254,19 @@ TableReader InProcessCluster::OpenRead(uint32_t node,
                              "node " + std::to_string(node) + " has no store"))
                        : store->FindTable(table);
   if (!found.ok()) {
-    return [refused = found.status()](const SubQueryRequest&, ReadProbe*)
-               -> Result<OperatorResult> { return refused; };
+    return [refused = found.status()](const SubQueryBatch&, size_t,
+                                      ReadProbe*) -> Result<OperatorResult> {
+      return refused;
+    };
   }
-  // Operator dispatch: the request names what to run; the node has no
+  // Operator dispatch: the frame names what to run; the node has no
   // query-type knowledge of its own. The captured store keeps the table
   // alive even if ReviveNode swaps the slot while the reader is held.
   return [store = std::move(store), opened = found.value()](
-             const SubQueryRequest& req, ReadProbe* probe) {
-    return ExecuteOperator(*opened, req, probe);
+             const SubQueryBatch& frame, size_t item, ReadProbe* probe) {
+    return ExecuteOperator(*opened, frame.keys[item],
+                           static_cast<uint32_t>(frame.op), frame.arg_lo,
+                           frame.arg_hi, frame.arg_limit, probe);
   };
 }
 
@@ -391,48 +395,58 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
     return completed;
   };
 
-  // Sends one frame of sub-queries to `node`, with one dispatch span per
-  // sub-query: each starts its own flow, even when they share a frame,
-  // and covers encode + enqueue (any backpressure blocking included) — the
-  // arrow the node's worker spans and the master's reply span attach to.
-  // Feeds placement once the frame actually left the master.
-  auto send = [&](NodeId node, std::span<const SubQueryRequest> requests,
-                  std::span<const uint32_t> attempts,
-                  std::span<const Micros> extras) {
+  // A request frame: the plan's sub-queries bound for one node as one
+  // SubQueryBatch (the plan-level fields once, one item per attempt),
+  // plus each item's injected latency charge, which stays off the wire.
+  struct Frame {
+    SubQueryBatch batch;
+    std::vector<Micros> extras;
+  };
+  Frame blank;  // the plan-level fields every frame of this gather shares
+  blank.batch.query_id = query_id;
+  blank.batch.table = plan.table;
+  blank.batch.op = plan.op;
+  blank.batch.arg_lo = plan.arg_lo;
+  blank.batch.arg_hi = plan.arg_hi;
+  blank.batch.arg_limit = plan.arg_limit;
+  std::vector<Frame> per_node;  // filled only during a batched scatter
+  Frame single;  // the one-item frame of an unbatched send or a failover
+
+  // Sends `frame` to `node`, with one dispatch span per sub-query: each
+  // starts its own flow, even when they share a frame, and covers encode
+  // + enqueue (any backpressure blocking included) — the arrow the node's
+  // worker spans and the master's reply span attach to. Feeds placement
+  // once the frame actually left the master.
+  auto send = [&](NodeId node, const Frame& frame) {
+    const SubQueryBatch& batch = frame.batch;
     std::vector<SpanTracer::Scope> dispatch_spans;
     if (sampled) {
-      dispatch_spans.reserve(requests.size());
-      for (size_t k = 0; k < requests.size(); ++k) {
+      dispatch_spans.reserve(batch.size());
+      for (size_t k = 0; k < batch.size(); ++k) {
+        const auto attempt = static_cast<uint32_t>(batch.attempts[k]);
         SpanTracer::Scope span = spans_->StartSpan("dispatch", master_track());
-        span.Attr("partition", requests[k].partition_key);
+        span.Attr("partition", batch.keys[k]);
         span.Attr("node", std::to_string(node));
-        span.Attr("attempt", std::to_string(attempts[k]));
-        span.Flow(TraceFlowId(query_id, requests[k].sub_id, attempts[k]),
+        span.Attr("attempt", std::to_string(attempt));
+        span.Flow(TraceFlowId(query_id, static_cast<uint32_t>(batch.sub_ids[k]),
+                              attempt),
                   FlowPhase::kStart);
         dispatch_spans.push_back(std::move(span));
       }
     }
-    const Status sent = transport->SendReads(node, requests, attempts, extras);
+    const Status sent = transport->SendReads(node, batch, frame.extras);
     for (SpanTracer::Scope& span : dispatch_spans) {
       if (!sent.ok()) span.Attr("refused", "true");
       span.End();
     }
     if (sent.ok()) {
-      RecordDispatch(node, requests.size());
+      RecordDispatch(node, batch.size());
     }
     return sent;
   };
 
-  // One frame per node, filled only during a batched scatter.
-  struct Frame {
-    std::vector<SubQueryRequest> requests;
-    std::vector<uint32_t> attempts;
-    std::vector<Micros> extras;
-  };
-  std::vector<Frame> per_node;
-
   // Advances sub-query `i` to its next viable attempt via the failover
-  // loop, then either sends the attempt (or, with `collect`, adds it to
+  // loop, then either sends the attempt (or, with `collect`, appends it to
   // its node's frame) and returns true, or exhausts the attempts, records
   // the loss, and returns false.
   auto try_dispatch = [&](size_t i, bool collect) {
@@ -446,30 +460,17 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
     }
     SubQueryFailover::Decision decision;
     while (s.failover.NextAttempt(decision)) {
-      SubQueryRequest req;
-      req.query_id = query_id;
-      req.sub_id = static_cast<uint32_t>(i);
-      req.table = plan.table;
-      req.partition_key = *s.failover.key;
-      req.expected_elements = plan.partitions[i].part.elements;
-      req.op = plan.op;
-      req.arg_lo = plan.arg_lo;
-      req.arg_hi = plan.arg_hi;
-      req.arg_limit = plan.arg_limit;
-      if (collect) {
-        EnsureSlot(per_node, decision.target);
-        Frame& frame = per_node[decision.target];
-        frame.requests.push_back(std::move(req));
-        frame.attempts.push_back(decision.attempt);
-        frame.extras.push_back(decision.extra_latency_us);
-        return true;
+      if (collect && per_node.size() <= decision.target) {
+        per_node.resize(decision.target + 1, blank);
       }
-      if (send(decision.target, std::span<const SubQueryRequest>(&req, 1),
-               std::span<const uint32_t>(&decision.attempt, 1),
-               std::span<const Micros>(&decision.extra_latency_us, 1))
-              .ok()) {
-        return true;
-      }
+      // Copy-assigning the blank keeps the frame's buffers: a single send
+      // allocates nothing once the first one sized them.
+      if (!collect) single = blank;
+      Frame& frame = collect ? per_node[decision.target] : single;
+      frame.batch.Append(static_cast<uint32_t>(i), decision.attempt,
+                         *s.failover.key, plan.partitions[i].part.elements);
+      frame.extras.push_back(decision.extra_latency_us);
+      if (collect || send(decision.target, frame).ok()) return true;
       // kReject backpressure: the send itself was refused; fail over like
       // any other transport error.
       s.failover.RecordError(decision.target);
@@ -497,16 +498,16 @@ GatherResult InProcessCluster::Gather(const QueryPlan& plan,
   }
   for (uint32_t n = 0; n < per_node.size(); ++n) {
     const Frame& frame = per_node[n];
-    if (frame.requests.empty()) continue;
-    if (send(n, frame.requests, frame.attempts, frame.extras).ok()) {
-      outstanding += frame.requests.size();
+    if (frame.batch.size() == 0) continue;
+    if (send(n, frame).ok()) {
+      outstanding += frame.batch.size();
       continue;
     }
     // The whole frame was refused (kReject): every sub-query in it fails
     // over individually, unbatched.
-    for (const SubQueryRequest& req : frame.requests) {
-      subs[req.sub_id].failover.RecordError(n);
-      if (try_dispatch(req.sub_id, false)) ++outstanding;
+    for (const uint64_t sub_id : frame.batch.sub_ids) {
+      subs[sub_id].failover.RecordError(n);
+      if (try_dispatch(sub_id, false)) ++outstanding;
     }
   }
 

@@ -605,7 +605,7 @@ class InProcessCluster {
 
   /// The read handler both transports call (gather_engine.cpp): opens
   /// `node`'s current store and `table` once, for every item of a frame,
-  /// and returns the reader that runs each request's operator.
+  /// and returns the reader that runs the frame's operator on each item.
   TableReader OpenRead(uint32_t node, const std::string& table);
 
   /// The write handler both transports call (write_path.cpp): a dead

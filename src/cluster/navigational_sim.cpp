@@ -118,15 +118,8 @@ class NavigationalRun {
     const uint32_t sub_id = next_sub_id_++;
     const NodeId node = placement_.Place(part.key);
 
-    SubQueryRequest request;
-    request.query_id = 1;
-    request.sub_id = sub_id;
-    request.table = "d8.navigation";
-    request.partition_key = part.key;
-    request.expected_elements = part.elements;
-    WireBuffer buf;
-    codec_.Encode(request, buf);
-    const auto bytes = static_cast<double>(buf.size());
+    const auto bytes = static_cast<double>(SubQueryRequestBytes(
+        &codec_, 1, sub_id, "d8.navigation", part.key, part.elements));
 
     auto trace = std::make_shared<RequestTrace>();
     trace->query_id = 1;

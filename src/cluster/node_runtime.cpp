@@ -235,26 +235,29 @@ Status NodeRuntime::Enqueue(RequestEnvelope env) {
 }
 
 Status NodeRuntime::Dispatch(const QueryHandle& query, uint32_t node,
-                             std::span<const SubQueryRequest> requests,
-                             std::span<const uint32_t> attempts,
+                             const SubQueryBatch& batch,
                              std::span<const Micros> extra_latency_us) {
   KV_CHECK(node < queues_.size());  // MessageTransport routes stale nodes
-  KV_CHECK(!requests.empty());
-  KV_CHECK(requests.size() == attempts.size());
-  KV_CHECK(requests.size() == extra_latency_us.size());
+  KV_CHECK(batch.size() > 0);
+  KV_CHECK(batch.query_id == query->query_id);
+  KV_CHECK(batch.attempts.size() == batch.size());
+  KV_CHECK(extra_latency_us.size() == batch.size());
 
   RequestEnvelope env;
   env.node = node;
   env.query = query;
   env.issued_us = NowMicros();  // encode time belongs to master-to-slave
   WireBuffer buf;
-  EncodeSubQueryBatch(requests, attempts, query->trace_flags, query->codec,
-                      registry_, buf);
+  EncodeMessageFrame(batch, batch.query_id, query->trace_flags, query->codec,
+                     registry_, buf);
   RecordEncode(*query, env.issued_us);
   env.frame = buf.TakeBytes();
-  env.sub_ids.reserve(requests.size());
-  for (const SubQueryRequest& req : requests) env.sub_ids.push_back(req.sub_id);
-  env.attempts.assign(attempts.begin(), attempts.end());
+  env.sub_ids.reserve(batch.size());
+  env.attempts.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    env.sub_ids.push_back(static_cast<uint32_t>(batch.sub_ids[i]));
+    env.attempts.push_back(static_cast<uint32_t>(batch.attempts[i]));
+  }
   env.extra_latency_us.assign(extra_latency_us.begin(),
                               extra_latency_us.end());
   return Enqueue(std::move(env));
@@ -272,8 +275,8 @@ Status NodeRuntime::DispatchWrite(const QueryHandle& query, uint32_t node,
   env.query = query;
   env.issued_us = NowMicros();
   WireBuffer buf;
-  EncodeWriteBatchFrame(batch, query->trace_flags, query->codec, registry_,
-                        buf);
+  EncodeMessageFrame(batch, batch.query_id, query->trace_flags, query->codec,
+                     registry_, buf);
   RecordEncode(*query, env.issued_us);
   env.frame = buf.TakeBytes();
   env.sub_ids = {batch.sub_id};
@@ -349,10 +352,11 @@ NodeRuntime::DecodedRequest NodeRuntime::DecodeRequest(
     out.reads = std::move(decoded).value();
     out.trace_flags = out.reads.trace_flags;
     out.query_id = out.reads.query_id;
-    bool matches = out.reads.requests.size() == env.sub_ids.size();
+    const SubQueryBatch& batch = out.reads.msg;
+    bool matches = batch.size() == env.sub_ids.size();
     for (size_t i = 0; matches && i < env.sub_ids.size(); ++i) {
-      matches = out.reads.requests[i].sub_id == env.sub_ids[i] &&
-                out.reads.attempts[i] == env.attempts[i];
+      matches = batch.sub_ids[i] == env.sub_ids[i] &&
+                batch.attempts[i] == env.attempts[i];
     }
     if (!matches) {
       out.transport =
@@ -367,14 +371,15 @@ NodeRuntime::DecodedRequest NodeRuntime::DecodeRequest(
   }
   out.write = std::move(decoded).value();
   out.trace_flags = out.write.trace_flags;
-  out.query_id = out.write.batch.query_id;
-  if (out.write.batch.sub_id != env.sub_ids.front() ||
-      out.write.batch.attempt != env.attempts.front()) {
+  out.query_id = out.write.query_id;
+  const WriteBatch& batch = out.write.msg;
+  if (batch.sub_id != env.sub_ids.front() ||
+      batch.attempt != env.attempts.front()) {
     out.transport =
         Status::Corruption("write batch does not match its transport metadata");
-  } else if (out.write.batch.target != node) {
+  } else if (batch.target != node) {
     out.transport = Status::Corruption(
-        "write batch names target " + std::to_string(out.write.batch.target) +
+        "write batch names target " + std::to_string(batch.target) +
         " but arrived at node " + std::to_string(node));
   }
   return out;
@@ -448,8 +453,8 @@ void NodeRuntime::ServeFrame(uint32_t node, const RequestEnvelope& env,
       encode_scope.Attr("items", std::to_string(out.sub_ids.size()));
     }
     WireBuffer buf;
-    EncodeReplyBatchFrame(batch, request.trace_flags, query.codec, registry_,
-                          buf);
+    EncodeMessageFrame(batch, batch.query_id, request.trace_flags, query.codec,
+                       registry_, buf);
     encode_scope.End();
     RecordEncode(query, encode_start);
     out.frame = buf.TakeBytes();
@@ -476,7 +481,7 @@ void NodeRuntime::ServeFrame(uint32_t node, const RequestEnvelope& env,
   for (size_t i = 0; i < env.sub_ids.size(); ++i) {
     if (batch.sub_ids.empty() && env.kind == EnvelopeKind::kRead &&
         request.transport.ok()) {
-      first_key = request.reads.requests[i].partition_key;
+      first_key = request.reads.msg.keys[i];
     }
     const size_t values_before = batch.col_a.size() + batch.col_b.size();
     ServeOne(node, request, env, i, sampled, reader, batch, out);
@@ -543,10 +548,10 @@ void NodeRuntime::ServeOne(uint32_t node, const DecodedRequest& request,
     if (spans_ != nullptr) {
       if (write) {
         span = spans_->StartSpan("store-write", node);
-        span.Attr("keys", std::to_string(request.write.batch.keys.size()));
+        span.Attr("keys", std::to_string(request.write.msg.keys.size()));
       } else {
         span = spans_->StartSpan("store-read", node);
-        span.Attr("partition", request.reads.requests[item].partition_key);
+        span.Attr("partition", request.reads.msg.keys[item]);
       }
       span.Attr("attempt", std::to_string(attempt));
       if (sampled) {
@@ -559,10 +564,10 @@ void NodeRuntime::ServeOne(uint32_t node, const DecodedRequest& request,
       }
     }
     if (!write && reader == nullptr) {
-      reader = handler_(node, request.reads.requests[item].table);
+      reader = handler_(node, request.reads.msg.table);
     }
-    auto columns = write ? write_handler_(node, request.write.batch, this)
-                         : reader(request.reads.requests[item], &probe);
+    auto columns = write ? write_handler_(node, request.write.msg, this)
+                         : reader(request.reads.msg, item, &probe);
     const Micros db_end_us = NowMicros();
     served = true;
     if (span.active() && !write) {
@@ -603,7 +608,7 @@ void NodeRuntime::ServeOne(uint32_t node, const DecodedRequest& request,
       ReplyItemChecksum(batch, batch.sub_ids.size() - 1));
   if (served && !write && injector_ != nullptr &&
       injector_->ShouldCorruptReply(
-          node, request.reads.requests[item].partition_key, attempt)) {
+          node, request.reads.msg.keys[item], attempt)) {
     // In-flight damage to this answer alone: its checksum no longer
     // matches, so the master fails it over while its siblings fold.
     batch.checksums.back() ^= 1;

@@ -1,6 +1,6 @@
 // NodeRuntime: the message-driven execution layer of the real data path.
 //
-// The direct gather (in_process_cluster.cpp) calls each node's store as a
+// The inline transport (transport.cpp) calls each node's read handler as a
 // plain function; this layer makes the paper's architecture literal. Each
 // node owns a bounded request queue and a pool of worker threads; the
 // master *encodes* every sub-query through a selectable wire codec
@@ -209,12 +209,14 @@ class BoundedQueue {
   bool closed_ KV_GUARDED_BY(mu_) = false;
 };
 
-/// Executes one decoded sub-query's operator against the table its
-/// reader was opened for, returning the paired result columns the reply
-/// frame carries (cluster/query_ops.hpp defines the per-operator
-/// pairing). Holding the reader keeps what it opened alive.
+/// Executes item `item` of a request frame — the frame's operator and
+/// arguments over the item's partition key — against the table its reader
+/// was opened for, returning the paired result columns the reply frame
+/// carries (cluster/query_ops.hpp defines the per-operator pairing). The
+/// frame is the decoded SubQueryBatch, served in place. Holding the
+/// reader keeps what it opened alive.
 using TableReader = std::function<Result<OperatorResult>(
-    const SubQueryRequest& request, ReadProbe* probe)>;
+    const SubQueryBatch& frame, size_t item, ReadProbe* probe)>;
 
 /// Opens `node`'s read path for `table`. A request frame names exactly
 /// one table, so a worker opens it once per frame and serves the frame's
@@ -405,16 +407,16 @@ class NodeRuntime {
   }
   uint64_t shed() const { return shed_.load(std::memory_order_relaxed); }
 
-  /// Encodes `requests` — one plan's sub-queries, with per-item attempt
-  /// numbers and injected latency charges — into one SubQueryBatch frame
-  /// with `query`'s codec and enqueues it on `node`, which must be one of
-  /// this runtime's nodes. Blocks under kBlock when the queue is full;
-  /// fails with kResourceExhausted under kReject. One reply per request
-  /// eventually reaches Await(query). The query must be live (between
-  /// BeginQuery and EndQuery).
+  /// Encodes `batch` — one plan's sub-queries bound for `node`, named by
+  /// `query`'s id — into one frame with `query`'s codec and enqueues it
+  /// on `node`, which must be one of this runtime's nodes;
+  /// `extra_latency_us` holds each item's injected latency charge.
+  /// Blocks under kBlock when the queue is full; fails with
+  /// kResourceExhausted under kReject. One reply per item eventually
+  /// reaches Await(query). The query must be live (between BeginQuery and
+  /// EndQuery).
   Status Dispatch(const QueryHandle& query, uint32_t node,
-                  std::span<const SubQueryRequest> requests,
-                  std::span<const uint32_t> attempts,
+                  const SubQueryBatch& batch,
                   std::span<const Micros> extra_latency_us);
 
   /// Encodes `batch` into a WriteBatch frame with `query`'s codec and
@@ -528,8 +530,8 @@ class NodeRuntime {
     Status transport;
     uint8_t trace_flags = 0;  ///< echoed into the reply frames
     uint64_t query_id = 0;    ///< as the wire named it
-    DecodedSubQueryBatch reads;    ///< kRead
-    DecodedWriteBatchFrame write;  ///< kWrite
+    DecodedFrame<SubQueryBatch> reads;  ///< kRead, served in place
+    DecodedFrame<WriteBatch> write;     ///< kWrite
   };
   DecodedRequest DecodeRequest(uint32_t node, const RequestEnvelope& env);
   /// Serves every item of one dequeued read or write frame, in order,

@@ -84,12 +84,4 @@ Result<OperatorResult> ExecuteOperator(const Table& table,
   }
 }
 
-Result<OperatorResult> ExecuteOperator(const Table& table,
-                                       const SubQueryRequest& request,
-                                       ReadProbe* probe) {
-  return ExecuteOperator(table, request.partition_key, request.op,
-                         request.arg_lo, request.arg_hi, request.arg_limit,
-                         probe);
-}
-
 }  // namespace kvscale

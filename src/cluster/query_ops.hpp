@@ -1,8 +1,9 @@
 // Per-node query operators: the body a NodeRuntime worker (or a
 // direct-transport read) executes against one partition of one table.
 //
-// Every operator returns two paired u64 result columns — the wire schema
-// of SubQueryReply — whose meaning the operator defines:
+// Every operator returns two paired u64 result columns — an item's slice
+// of SubQueryReplyBatch's col_a / col_b — whose meaning the operator
+// defines:
 //   kOpCountByType: (type_id, count), ascending by type id
 //   kOpRangeScan:   (clustering, type_id) rows, ascending clustering
 //   kOpTopK:        (clustering, type_id) rows, descending clustering
@@ -52,11 +53,6 @@ Result<OperatorResult> ExecuteOperator(const Table& table,
                                        std::string_view partition_key,
                                        uint32_t op, uint64_t arg_lo,
                                        uint64_t arg_hi, uint32_t arg_limit,
-                                       ReadProbe* probe);
-
-/// Request-framed convenience: the NodeRuntime worker handler's body.
-Result<OperatorResult> ExecuteOperator(const Table& table,
-                                       const SubQueryRequest& request,
                                        ReadProbe* probe);
 
 }  // namespace kvscale

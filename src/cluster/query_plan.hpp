@@ -87,7 +87,7 @@ struct QueryPlan {
   std::string table;
   std::vector<PlanPartition> partitions;  ///< scatter targets, in order
 
-  // -- Per-node operator (shipped verbatim in every SubQueryRequest) ------
+  // -- Per-node operator (shipped once per SubQueryBatch request frame) --
   uint32_t op = kOpCountByType;
   uint64_t arg_lo = 0;   ///< kOpRangeScan: inclusive clustering lo
   uint64_t arg_hi = 0;   ///< kOpRangeScan: inclusive clustering hi

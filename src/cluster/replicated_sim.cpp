@@ -237,19 +237,9 @@ class ReplicatedRun {
 
   double EncodeRequestBytes(uint32_t sub_id) {
     const PartitionRef& part = workload_.partitions[sub_id];
-    SubQueryRequest request;
-    request.query_id = 1;
-    request.sub_id = sub_id;
-    request.table = workload_.table;
-    request.partition_key = part.key;
-    request.expected_elements = part.elements;
-    WireBuffer buf;
-    if (base_.size_messages_with_compact_codec) {
-      codec_.Encode(request, buf);
-    } else {
-      TaggedCodec::Encode(request, buf);
-    }
-    double bytes = static_cast<double>(buf.size());
+    double bytes = static_cast<double>(SubQueryRequestBytes(
+        base_.size_messages_with_compact_codec ? &codec_ : nullptr, 1, sub_id,
+        workload_.table, part.key, part.elements));
     if (!base_.size_messages_with_compact_codec) {
       bytes = std::max(bytes, base_.serializer.bytes_per_message);
     }

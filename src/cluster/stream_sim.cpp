@@ -153,14 +153,8 @@ class StreamRun {
   void IssueSubQuery(uint32_t query, const std::string& key,
                      uint32_t elements) {
     const NodeId node = placement_.Place(key);
-    SubQueryRequest request;
-    request.query_id = query;
-    request.table = "stream";
-    request.partition_key = key;
-    request.expected_elements = elements;
-    WireBuffer buf;
-    codec_.Encode(request, buf);
-    const auto bytes = static_cast<double>(buf.size());
+    const auto bytes = static_cast<double>(
+        SubQueryRequestBytes(&codec_, query, 0, "stream", key, elements));
 
     master_cpu_->Submit(
         base_.serializer.CostFor(bytes) + base_.master_logic_per_message,

@@ -40,30 +40,30 @@ void Answer(Result<OperatorResult> columns, TransportReply& out) {
 
 }  // namespace
 
-void Transport::ServeReads(NodeId node,
-                           std::span<const SubQueryRequest> requests,
-                           std::span<const uint32_t> attempts,
+void Transport::ServeReads(NodeId node, const SubQueryBatch& batch,
                            std::span<const Micros> extra_latency_us,
                            std::deque<TransportReply>& out) {
-  if (requests.empty()) return;
+  KV_CHECK(batch.query_id == query_id_);
+  KV_CHECK(batch.attempts.size() == batch.size());
+  KV_CHECK(extra_latency_us.size() == batch.size());
   // One table per send, like one table per request frame.
-  const TableReader reader = handlers_.read(node, requests.front().table);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const SubQueryRequest& request = requests[i];
+  const TableReader reader = handlers_.read(node, batch.table);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const auto attempt = static_cast<uint32_t>(batch.attempts[i]);
     TransportReply& reply = out.emplace_back();
     reply.trace.node = node;
-    reply.trace.sub_id = request.sub_id;
-    reply.attempt = attempts[i];
+    reply.trace.sub_id = static_cast<uint32_t>(batch.sub_ids[i]);
+    reply.attempt = attempt;
     reply.trace.issued = now_us();
     reply.trace.received = reply.trace.issued;  // no queue to sit in
     SpanTracer::Scope read;
     if (spans_ != nullptr) {
       read = spans_->StartSpan("store-read", node);
-      read.Attr("partition", request.partition_key);
-      read.Attr("attempt", std::to_string(attempts[i]));
+      read.Attr("partition", batch.keys[i]);
+      read.Attr("attempt", std::to_string(attempt));
     }
     reply.trace.db_start = now_us();
-    Result<OperatorResult> columns = reader(request, &reply.probe);
+    Result<OperatorResult> columns = reader(batch, i, &reply.probe);
     reply.trace.db_end = now_us();
     if (read.active()) {
       read.Attr("blocks_decoded", std::to_string(reply.probe.blocks_decoded));
@@ -95,11 +95,9 @@ TransportReply Transport::ServeWrite(const WriteBatch& batch) {
 
 // -- InlineTransport ---------------------------------------------------------
 
-Status InlineTransport::SendReads(NodeId node,
-                                  std::span<const SubQueryRequest> requests,
-                                  std::span<const uint32_t> attempts,
+Status InlineTransport::SendReads(NodeId node, const SubQueryBatch& batch,
                                   std::span<const Micros> extra_latency_us) {
-  ServeReads(node, requests, attempts, extra_latency_us, replies_);
+  ServeReads(node, batch, extra_latency_us, replies_);
   return Status::Ok();
 }
 
@@ -136,17 +134,14 @@ Status MessageTransport::Begin() {
   return Status::Ok();
 }
 
-Status MessageTransport::SendReads(NodeId node,
-                                   std::span<const SubQueryRequest> requests,
-                                   std::span<const uint32_t> attempts,
+Status MessageTransport::SendReads(NodeId node, const SubQueryBatch& batch,
                                    std::span<const Micros> extra_latency_us) {
   if (!Stale(node)) {
-    return runtime_->Dispatch(query_, node, requests, attempts,
-                              extra_latency_us);
+    return runtime_->Dispatch(query_, node, batch, extra_latency_us);
   }
   // Read it directly — a fresh connection outside the stale pool — rather
   // than burning every attempt on kUnavailable.
-  ServeReads(node, requests, attempts, extra_latency_us, direct_);
+  ServeReads(node, batch, extra_latency_us, direct_);
   return Status::Ok();
 }
 

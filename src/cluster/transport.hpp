@@ -63,12 +63,11 @@ class Transport {
   /// blocks or sheds (kResourceExhausted) at the in-flight bound.
   virtual Status Begin() = 0;
 
-  /// Sends read sub-queries bound for `node` (one frame on the message
-  /// path), with per-item attempt numbers and injected latency charges.
-  /// A refusal (backpressure under kReject) sends nothing.
-  virtual Status SendReads(NodeId node,
-                           std::span<const SubQueryRequest> requests,
-                           std::span<const uint32_t> attempts,
+  /// Sends `batch` — read sub-queries of this query bound for `node`,
+  /// each with its attempt number — as one frame on the message path;
+  /// `extra_latency_us` holds each item's injected latency charge. A
+  /// refusal (backpressure under kReject) sends nothing.
+  virtual Status SendReads(NodeId node, const SubQueryBatch& batch,
                            std::span<const Micros> extra_latency_us) = 0;
 
   /// Sends one write batch to `batch.target`.
@@ -94,34 +93,36 @@ class Transport {
   virtual bool sampled() const = 0;
 
  protected:
-  Transport(const NodeHandlers& handlers, SpanTracer* spans)
-      : handlers_(handlers), spans_(spans) {}
+  Transport(const NodeHandlers& handlers, SpanTracer* spans,
+            uint64_t query_id)
+      : handlers_(handlers), spans_(spans), query_id_(query_id) {}
 
-  /// Serves read sub-queries bound for `node` / one write batch on the
+  /// Serves a read batch bound for `node` / one write batch on the
   /// caller's thread — the inline transport's body, and the message
   /// transport's route to a node its (older) runtime has no queue for.
-  /// The reads open `node`'s table once, park one answer per request in
-  /// `out`, and charge each request's injected latency to the clock.
-  void ServeReads(NodeId node, std::span<const SubQueryRequest> requests,
-                  std::span<const uint32_t> attempts,
+  /// The reads check that `batch` is this query's, open `node`'s table
+  /// once, park one answer per item in `out`, and charge each item's
+  /// injected latency to the clock.
+  void ServeReads(NodeId node, const SubQueryBatch& batch,
                   std::span<const Micros> extra_latency_us,
                   std::deque<TransportReply>& out);
   TransportReply ServeWrite(const WriteBatch& batch);
 
   const NodeHandlers& handlers_;
   SpanTracer* spans_;  ///< may be null
+  const uint64_t query_id_;
 };
 
 /// GatherTransport::kDirect: synchronous handler calls.
 class InlineTransport final : public Transport {
  public:
-  InlineTransport(const NodeHandlers& handlers, SpanTracer* spans)
-      : Transport(handlers, spans) {}
+  InlineTransport(const NodeHandlers& handlers, SpanTracer* spans,
+                  uint64_t query_id)
+      : Transport(handlers, spans, query_id) {}
 
   std::string_view name() const override { return "direct"; }
   Status Begin() override { return Status::Ok(); }
-  Status SendReads(NodeId node, std::span<const SubQueryRequest> requests,
-                   std::span<const uint32_t> attempts,
+  Status SendReads(NodeId node, const SubQueryBatch& batch,
                    std::span<const Micros> extra_latency_us) override;
   Status SendWrite(const WriteBatch& batch) override;
   TransportReply Await() override;
@@ -144,16 +145,14 @@ class MessageTransport final : public Transport {
   MessageTransport(std::shared_ptr<NodeRuntime> runtime, uint64_t query_id,
                    NodeRuntime::QueryOptions options,
                    const NodeHandlers& handlers, SpanTracer* spans)
-      : Transport(handlers, spans),
+      : Transport(handlers, spans, query_id),
         runtime_(std::move(runtime)),
-        query_id_(query_id),
         options_(options) {}
   ~MessageTransport() override;
 
   std::string_view name() const override { return "message"; }
   Status Begin() override;
-  Status SendReads(NodeId node, std::span<const SubQueryRequest> requests,
-                   std::span<const uint32_t> attempts,
+  Status SendReads(NodeId node, const SubQueryBatch& batch,
                    std::span<const Micros> extra_latency_us) override;
   Status SendWrite(const WriteBatch& batch) override;
   TransportReply Await() override;
@@ -172,7 +171,6 @@ class MessageTransport final : public Transport {
   bool Stale(NodeId node) const { return node >= runtime_->node_count(); }
 
   std::shared_ptr<NodeRuntime> runtime_;
-  const uint64_t query_id_;
   const NodeRuntime::QueryOptions options_;
   /// The admitted query's runtime state: null before Begin admits it and
   /// after End releases it.

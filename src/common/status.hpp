@@ -5,6 +5,7 @@
 // to keep error paths explicit in performance-sensitive code (E.27 style).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -28,6 +29,12 @@ enum class StatusCode {
   kInternal,        ///< invariant violation that is not the caller's fault
   kFailedPrecondition, ///< system state forbids the operation (retry never helps)
 };
+
+/// True when `code` names a StatusCode enumerator. A status read off the
+/// wire arrives as a u64; anything else is a corrupt frame, never a code.
+inline bool IsKnownStatusCode(uint64_t code) {
+  return code <= static_cast<uint64_t>(StatusCode::kFailedPrecondition);
+}
 
 /// Human-readable name of a StatusCode ("Ok", "NotFound", ...).
 std::string_view StatusCodeName(StatusCode code);

@@ -112,19 +112,19 @@ void EncodeSubQueryBatch(std::span<const SubQueryRequest> requests,
   EncodeMessageFrame(batch, batch.query_id, trace_flags, kind, registry, out);
 }
 
-Result<DecodedSubQueryBatch> DecodeSubQueryBatch(
+Result<DecodedFrame<SubQueryBatch>> DecodeSubQueryBatch(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry) {
   auto decoded = DecodeMessageFrame<SubQueryBatch>(frame, kind, registry);
   if (!decoded.ok()) return decoded.status();
-  SubQueryBatch& batch = decoded.value().msg;
+  const SubQueryBatch& batch = decoded.value().msg;
   if (batch.query_id != decoded.value().query_id) {
     return Status::Corruption("batch: payload query_id " +
                               std::to_string(batch.query_id) +
                               " disagrees with the header's " +
                               std::to_string(decoded.value().query_id));
   }
-  const size_t n = batch.sub_ids.size();
+  const size_t n = batch.size();
   if (n == 0) return Status::Corruption("batch: empty frame");
   if (batch.attempts.size() != n || batch.keys.size() != n ||
       batch.expected_elements.size() != n) {
@@ -147,25 +147,7 @@ Result<DecodedSubQueryBatch> DecodeSubQueryBatch(
                                 std::to_string(batch.sub_ids[i]));
     }
   }
-  DecodedSubQueryBatch out;
-  out.query_id = batch.query_id;
-  out.trace_flags = decoded.value().trace_flags;
-  out.requests.resize(n);
-  out.attempts.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    SubQueryRequest& req = out.requests[i];
-    req.query_id = batch.query_id;
-    req.sub_id = static_cast<uint32_t>(batch.sub_ids[i]);
-    req.table = batch.table;
-    req.partition_key = std::move(batch.keys[i]);
-    req.expected_elements = static_cast<uint32_t>(batch.expected_elements[i]);
-    req.op = static_cast<uint32_t>(batch.op);
-    req.arg_lo = batch.arg_lo;
-    req.arg_hi = batch.arg_hi;
-    req.arg_limit = batch.arg_limit;
-    out.attempts.push_back(static_cast<uint32_t>(batch.attempts[i]));
-  }
-  return out;
+  return decoded;
 }
 
 namespace {
@@ -206,6 +188,12 @@ Result<DecodedFrame<SubQueryReplyBatch>> DecodeReplyBatchPayload(
         batch.attempts[i] > std::numeric_limits<uint32_t>::max()) {
       return Status::Corruption("reply frame: item id out of range");
     }
+    // Read back as a StatusCode, an unnamed value would fold as data (a
+    // status of 2^32 truncates to kOk).
+    if (!IsKnownStatusCode(batch.statuses[i])) {
+      return Status::Corruption("reply frame: unknown status " +
+                                std::to_string(batch.statuses[i]));
+    }
   }
   if (batch.a_ends.back() != batch.col_a.size() ||
       batch.b_ends.back() != batch.col_b.size()) {
@@ -226,12 +214,6 @@ std::span<const uint64_t> DecodedReplyBatch::col_b(size_t item) const {
   const uint64_t begin = item == 0 ? 0 : batch.b_ends[item - 1];
   return std::span<const uint64_t>(batch.col_b)
       .subspan(begin, batch.b_ends[item] - begin);
-}
-
-void EncodeReplyBatchFrame(const SubQueryReplyBatch& batch,
-                           uint8_t trace_flags, WireCodecKind kind,
-                           const CompactCodec& registry, WireBuffer& out) {
-  EncodeMessageFrame(batch, batch.query_id, trace_flags, kind, registry, out);
 }
 
 Result<DecodedReplyBatch> DecodeReplyBatchFrame(
@@ -314,7 +296,7 @@ void EncodeReplyFrame(const SubQueryReply& reply, uint32_t attempt,
   batch.col_a = reply.type_ids;
   batch.col_b = reply.counts;
   batch.checksums = {ReplyItemChecksum(batch, 0)};
-  EncodeReplyBatchFrame(batch, trace_flags, kind, registry, out);
+  EncodeMessageFrame(batch, batch.query_id, trace_flags, kind, registry, out);
 }
 
 Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
@@ -343,13 +325,7 @@ Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
   return out;
 }
 
-void EncodeWriteBatchFrame(const WriteBatch& batch, uint8_t trace_flags,
-                           WireCodecKind kind, const CompactCodec& registry,
-                           WireBuffer& out) {
-  EncodeMessageFrame(batch, batch.query_id, trace_flags, kind, registry, out);
-}
-
-Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
+Result<DecodedFrame<WriteBatch>> DecodeWriteBatchFrame(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry) {
   auto decoded = DecodeMessageFrame<WriteBatch>(frame, kind, registry);
@@ -391,10 +367,7 @@ Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
   if (WriteBatchChecksum(batch) != batch.checksum) {
     return Status::Corruption("write batch: checksum mismatch");
   }
-  DecodedWriteBatchFrame out;
-  out.trace_flags = decoded.value().trace_flags;
-  out.batch = std::move(decoded.value().msg);
-  return out;
+  return decoded;
 }
 
 Result<MigrationBlock> DecodeMigrationBlockFrame(

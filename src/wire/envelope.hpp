@@ -162,43 +162,30 @@ Result<DecodedFrame<M>> DecodeMessageFrame(std::span<const std::byte> frame,
                          std::move(decoded).value()};
 }
 
-/// A decoded and validated SubQueryBatch frame: the header's trace
-/// context plus the requests the batch's columns describe, with their
-/// attempt ordinals.
-struct DecodedSubQueryBatch {
-  uint64_t query_id = 0;
-  uint8_t trace_flags = 0;
-  std::vector<SubQueryRequest> requests;
-  std::vector<uint32_t> attempts;  ///< parallel to `requests`
-};
-
 /// Encodes `requests` as one SubQueryBatch frame: the plan-level fields
 /// (query_id, table, op, arguments) once, the per-item sub_id, attempt
 /// (from `attempts`), key and expected_elements as columns. Every request
 /// must share the plan-level fields and `attempts` must parallel
-/// `requests` (both checked). A batch of one is how single sub-queries
-/// travel too.
+/// `requests` (both checked). An adapter with no live caller — a gather
+/// fills its SubQueryBatch directly and frames it with
+/// EncodeMessageFrame, byte for byte the same frame — kept for the
+/// benchmark's replay of the request encode and for sizing studies that
+/// start from per-message SubQueryRequests.
 void EncodeSubQueryBatch(std::span<const SubQueryRequest> requests,
                          std::span<const uint32_t> attempts,
                          uint8_t trace_flags, WireCodecKind kind,
                          const CompactCodec& registry, WireBuffer& out);
 
-/// Decodes and validates a SubQueryBatch frame. Beyond message decoding
-/// it enforces batch-level invariants: the payload's query_id matches the
-/// header's, at least one item, item columns of equal length, no
-/// duplicate sub_ids (a duplicate would double-fold a partial result on
-/// the master), a known operator, and sub_id / attempt /
-/// expected_elements values that fit uint32. Any violation is
-/// kCorruption.
-Result<DecodedSubQueryBatch> DecodeSubQueryBatch(
+/// Decodes and validates a SubQueryBatch frame, which a node then serves
+/// in place. Beyond message decoding it enforces batch-level invariants:
+/// the payload's query_id matches the header's, at least one item, item
+/// columns of equal length, no duplicate sub_ids (a duplicate would
+/// double-fold a partial result on the master), a known operator, and
+/// sub_id / attempt / expected_elements values that fit uint32. Any
+/// violation is kCorruption.
+Result<DecodedFrame<SubQueryBatch>> DecodeSubQueryBatch(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry);
-
-/// Encodes a SubQueryReplyBatch as a reply frame under the batch's
-/// query_id.
-void EncodeReplyBatchFrame(const SubQueryReplyBatch& batch,
-                           uint8_t trace_flags, WireCodecKind kind,
-                           const CompactCodec& registry, WireBuffer& out);
 
 /// A decoded and validated reply frame, checked against the request
 /// frame it answers.
@@ -224,7 +211,8 @@ struct DecodedReplyBatch {
 /// answers: `sub_ids` / `attempts` are that request's items. Beyond the
 /// header and payload checks (query_id agreement with the header and
 /// with `expected_query_id`, parallel columns of equal length, result
-/// offsets that fit the columns), the frame must hold at least one and
+/// offsets that fit the columns, ids that fit uint32, statuses that name
+/// a StatusCode), the frame must hold at least one and
 /// at most sub_ids.size() items, each a sub-query of the request with
 /// the request's attempt for it, none twice. Any violation is
 /// kCorruption for the whole frame. Per-item checksums are reported in
@@ -233,6 +221,12 @@ Result<DecodedReplyBatch> DecodeReplyBatchFrame(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry, uint64_t expected_query_id,
     std::span<const uint32_t> sub_ids, std::span<const uint32_t> attempts);
+
+// The single-reply codec below has no live caller: nodes answer with
+// SubQueryReplyBatch frames (EncodeMessageFrame) that the master decodes
+// with DecodeReplyBatchFrame. It stays for the benchmark's replay of the
+// reply encode/decode, for bench/micro_serialization and for the fuzz
+// tests, until the benchmark replays the live reply frames instead.
 
 /// A decoded and validated single-reply frame with its header context.
 struct DecodedReplyFrame {
@@ -256,24 +250,14 @@ Result<DecodedReplyFrame> DecodeReplyFrame(std::span<const std::byte> frame,
                                            WireCodecKind kind,
                                            const CompactCodec& registry);
 
-/// A decoded and validated WriteBatch frame with its header context.
-struct DecodedWriteBatchFrame {
-  uint8_t trace_flags = 0;
-  WriteBatch batch;
-};
-
-/// Encodes one WriteBatch as a frame under the batch's query_id.
-void EncodeWriteBatchFrame(const WriteBatch& batch, uint8_t trace_flags,
-                           WireCodecKind kind, const CompactCodec& registry,
-                           WireBuffer& out);
-
-/// Decodes and validates a WriteBatch frame. Beyond message decoding it
+/// Decodes and validates a WriteBatch frame (sent with EncodeMessageFrame
+/// under the batch's query_id). Beyond message decoding it
 /// enforces batch invariants: header/payload query_id agreement, at
 /// least one key, all five column vectors the same length, type ids that
 /// fit uint32, tombstone flags that are 0/1, and a checksum matching
 /// WriteBatchChecksum (every field). Any violation is kCorruption — a
 /// damaged batch must fail before any column touches a store.
-Result<DecodedWriteBatchFrame> DecodeWriteBatchFrame(
+Result<DecodedFrame<WriteBatch>> DecodeWriteBatchFrame(
     std::span<const std::byte> frame, WireCodecKind kind,
     const CompactCodec& registry);
 

@@ -108,4 +108,22 @@ SubQueryRequest MakeRepresentativeSubQuery(uint64_t query_id, uint32_t sub_id,
   return req;
 }
 
+size_t SubQueryRequestBytes(const CompactCodec* registry, uint64_t query_id,
+                            uint32_t sub_id, std::string_view table,
+                            std::string_view key, uint32_t elements) {
+  SubQueryRequest request;
+  request.query_id = query_id;
+  request.sub_id = sub_id;
+  request.table = table;
+  request.partition_key = key;
+  request.expected_elements = elements;
+  WireBuffer buf;
+  if (registry != nullptr) {
+    registry->Encode(request, buf);
+  } else {
+    TaggedCodec::Encode(request, buf);
+  }
+  return buf.size();
+}
+
 }  // namespace kvscale

@@ -1,16 +1,19 @@
 // RPC message set of the master/slave query prototype.
 //
-// These are the messages exchanged in the paper's four stages:
+// These are the messages exchanged in the paper's four stages, in the
+// simulators' one-message-per-key form:
 //   master --SubQueryRequest--> slave        (master-to-slaves)
 //   slave  --PartialResult----> master       (slaves-to-master)
-// plus the batched request/reply frames, write batches and
-// partition-migration blocks of the in-process cluster. Each frame
-// (envelope.hpp) carries exactly one of these messages.
+// plus the in-process cluster's frames: SubQueryBatch requests answered
+// by SubQueryReplyBatch replies, write batches and partition-migration
+// blocks. Each frame (envelope.hpp) carries exactly one of these
+// messages.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "wire/codec.hpp"
@@ -37,10 +40,12 @@ inline constexpr uint32_t kQueryOpCount = 3;
 inline bool IsKnownQueryOp(uint64_t op) { return op < kQueryOpCount; }
 
 /// Asks one slave to run one operator over a single partition (one
-/// D8tree cube). The simulators size the paper's one-message-per-key
-/// requests with it; on the real path the master builds one per
-/// sub-query and a node's read handler serves one, but they travel
-/// coalesced per node as a SubQueryBatch.
+/// D8tree cube): the simulators' per-message request, which sizes the
+/// paper's one-message-per-key regime. The real path never builds one: a
+/// gather appends each attempt straight into its node's SubQueryBatch,
+/// and a node serves that batch in place. EncodeSubQueryBatch
+/// (envelope.hpp) still turns a list of these into a batch frame, for
+/// sizing and replay studies.
 struct SubQueryRequest {
   static constexpr std::string_view kTypeName = "kvscale.SubQueryRequest";
 
@@ -69,11 +74,13 @@ struct SubQueryRequest {
 };
 
 /// Master -> slave: the sub-queries of one plan bound for one node, as
-/// one message. The plan-level fields travel once; item i is
-/// (sub_ids[i], attempts[i], keys[i], expected_elements[i]), and each
-/// item column value fits uint32 (the decoder checks it). `op` is u64 on
-/// the wire so an out-of-range id reaches the IsKnownQueryOp gate instead
-/// of being truncated into a known one.
+/// one message — the only form a read request takes on the real path,
+/// from the master's scatter to the node's store. The plan-level fields
+/// travel once; item i is (sub_ids[i], attempts[i], keys[i],
+/// expected_elements[i]), and each item column value fits uint32 (the
+/// decoder checks it). `op` is u64 on the wire so an out-of-range id
+/// reaches the IsKnownQueryOp gate instead of being truncated into a
+/// known one.
 struct SubQueryBatch {
   static constexpr std::string_view kTypeName = "kvscale.SubQueryBatch";
 
@@ -87,6 +94,18 @@ struct SubQueryBatch {
   std::vector<uint64_t> attempts;
   std::vector<std::string> keys;             ///< partition key per item
   std::vector<uint64_t> expected_elements;
+
+  /// Items in the batch (the decoder checks every item column agrees).
+  size_t size() const { return sub_ids.size(); }
+
+  /// Appends one item to the four item columns.
+  void Append(uint32_t sub_id, uint32_t attempt, std::string key,
+              uint32_t elements) {
+    sub_ids.push_back(sub_id);
+    attempts.push_back(attempt);
+    keys.push_back(std::move(key));
+    expected_elements.push_back(elements);
+  }
 
   template <typename V>
   void Visit(V&& v) {
@@ -308,5 +327,13 @@ void RegisterClusterMessages(CompactCodec& codec);
 /// count.
 SubQueryRequest MakeRepresentativeSubQuery(uint64_t query_id, uint32_t sub_id,
                                            uint32_t elements);
+
+/// The encoded size of one simulated request — a SubQueryRequest for
+/// partition `key` of `table` — with `registry`'s compact codec, or with
+/// the tagged codec when `registry` is null. The simulators charge the
+/// paper's one-message-per-key regime with it.
+size_t SubQueryRequestBytes(const CompactCodec* registry, uint64_t query_id,
+                            uint32_t sub_id, std::string_view table,
+                            std::string_view key, uint32_t elements);
 
 }  // namespace kvscale

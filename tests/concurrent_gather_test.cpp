@@ -101,7 +101,7 @@ TEST(AdmissionControlTest, RejectPolicyShedsAtTheLimitAndRearms) {
   NodeRuntime runtime(
       1, options,
       [](uint32_t, const std::string&) -> TableReader {
-        return [](const SubQueryRequest&,
+        return [](const SubQueryBatch&, size_t,
                   ReadProbe*) -> Result<OperatorResult> {
           return OperatorResult{};
         };
@@ -139,7 +139,7 @@ TEST(AdmissionControlTest, BlockPolicyWaitsForASlot) {
   NodeRuntime runtime(
       1, options,
       [](uint32_t, const std::string&) -> TableReader {
-        return [](const SubQueryRequest&,
+        return [](const SubQueryBatch&, size_t,
                   ReadProbe*) -> Result<OperatorResult> {
           return OperatorResult{};
         };
@@ -168,7 +168,7 @@ TEST(AdmissionControlTest, PerQueryClocksAreIsolated) {
   NodeRuntime runtime(
       1, options,
       [](uint32_t, const std::string&) -> TableReader {
-        return [](const SubQueryRequest&,
+        return [](const SubQueryBatch&, size_t,
                   ReadProbe*) -> Result<OperatorResult> {
           return OperatorResult{};
         };

@@ -128,28 +128,23 @@ TEST(NodeRuntimeTest, DispatchRoundTripsOneSubQuery) {
   NodeRuntime runtime(
       2, options,
       [](uint32_t, const std::string&) -> TableReader {
-        return [](const SubQueryRequest& req,
+        return [](const SubQueryBatch& frame, size_t item,
                   ReadProbe* probe) -> Result<OperatorResult> {
-          probe->columns_returned = req.expected_elements;
-          return OperatorResult{{3}, {req.expected_elements}};
+          probe->columns_returned = frame.expected_elements[item];
+          return OperatorResult{{3}, {frame.expected_elements[item]}};
         };
       },
       registry, nullptr, &metrics, nullptr);
   auto query = runtime.BeginQuery(42, NodeRuntime::QueryOptions{});
   ASSERT_TRUE(query.ok());
 
-  SubQueryRequest req;
-  req.query_id = 42;
-  req.sub_id = 7;
-  req.table = "t";
-  req.partition_key = "p7";
-  req.expected_elements = 11;
-  const uint32_t attempt = 0;
+  SubQueryBatch batch;
+  batch.query_id = 42;
+  batch.table = "t";
+  batch.Append(/*sub_id=*/7, /*attempt=*/0, "p7", /*elements=*/11);
   const Micros extra = 0.0;
   ASSERT_TRUE(runtime
-                  .Dispatch(query.value(), 1,
-                            std::span<const SubQueryRequest>(&req, 1),
-                            std::span<const uint32_t>(&attempt, 1),
+                  .Dispatch(query.value(), 1, batch,
                             std::span<const Micros>(&extra, 1))
                   .ok());
 
@@ -192,28 +187,27 @@ TEST(NodeRuntimeTest, DispatchRoundTripsOneSubQuery) {
 /// node 0 of `runtime` as one request frame under `query`.
 void DispatchOneFrame(NodeRuntime& runtime,
                       const NodeRuntime::QueryHandle& query, size_t count) {
-  std::vector<SubQueryRequest> requests(count);
+  SubQueryBatch batch;
+  batch.query_id = query->query_id;
+  batch.table = "t";
   for (size_t i = 0; i < count; ++i) {
-    requests[i].query_id = query->query_id;
-    requests[i].sub_id = static_cast<uint32_t>(i);
-    requests[i].table = "t";
-    requests[i].partition_key = "p" + std::to_string(i);
-    requests[i].expected_elements = static_cast<uint32_t>(i);
+    const auto sub_id = static_cast<uint32_t>(i);
+    batch.Append(sub_id, 0, "p" + std::to_string(i), sub_id);
   }
-  const std::vector<uint32_t> attempts(count, 0);
   const std::vector<Micros> extras(count, 0.0);
-  ASSERT_TRUE(runtime.Dispatch(query, 0, requests, attempts, extras).ok());
+  ASSERT_TRUE(runtime.Dispatch(query, 0, batch, extras).ok());
 }
 
 /// Answers sub-query i with `width` rows (i, i + k).
 SubQueryHandler WideHandler(size_t width) {
   return [width](uint32_t, const std::string&) -> TableReader {
-    return [width](const SubQueryRequest& req,
+    return [width](const SubQueryBatch& frame, size_t item,
                    ReadProbe*) -> Result<OperatorResult> {
+      const uint64_t sub_id = frame.sub_ids[item];
       OperatorResult out;
       for (size_t k = 0; k < width; ++k) {
-        out.col_a.push_back(req.sub_id);
-        out.col_b.push_back(req.sub_id + k);
+        out.col_a.push_back(sub_id);
+        out.col_b.push_back(sub_id + k);
       }
       return out;
     };
@@ -334,9 +328,9 @@ TEST(NodeRuntimeTest, RejectPolicyShedsWhenQueueAndWorkerAreBusy) {
   NodeRuntime runtime(
       1, options,
       [&](uint32_t, const std::string&) -> TableReader {
-        return [&](const SubQueryRequest& req,
+        return [&](const SubQueryBatch& frame, size_t item,
                    ReadProbe*) -> Result<OperatorResult> {
-          if (req.sub_id == 0) {
+          if (frame.sub_ids[item] == 0) {
             worker_started.count_down();
             release_worker.wait();
           }
@@ -348,16 +342,12 @@ TEST(NodeRuntimeTest, RejectPolicyShedsWhenQueueAndWorkerAreBusy) {
   ASSERT_TRUE(query.ok());
 
   auto dispatch_one = [&](uint32_t sub_id) {
-    SubQueryRequest req;
-    req.query_id = 9;
-    req.sub_id = sub_id;
-    req.table = "t";
-    req.partition_key = "p" + std::to_string(sub_id);
-    const uint32_t attempt = 0;
+    SubQueryBatch batch;
+    batch.query_id = 9;
+    batch.table = "t";
+    batch.Append(sub_id, 0, "p" + std::to_string(sub_id), 0);
     const Micros extra = 0.0;
-    return runtime.Dispatch(query.value(), 0,
-                            std::span<const SubQueryRequest>(&req, 1),
-                            std::span<const uint32_t>(&attempt, 1),
+    return runtime.Dispatch(query.value(), 0, batch,
                             std::span<const Micros>(&extra, 1));
   };
 
@@ -390,10 +380,11 @@ struct CountingOpener {
     return [this](uint32_t, const std::string& table) -> TableReader {
       EXPECT_EQ(table, "t");
       const uint64_t open = opens.fetch_add(1) + 1;
-      return [this, open](const SubQueryRequest& req,
+      return [this, open](const SubQueryBatch& frame, size_t item,
                           ReadProbe*) -> Result<OperatorResult> {
-        on_item(req.sub_id);
-        return OperatorResult{{open}, {req.sub_id}};
+        const auto sub_id = static_cast<uint32_t>(frame.sub_ids[item]);
+        on_item(sub_id);
+        return OperatorResult{{open}, {sub_id}};
       };
     };
   }
@@ -917,6 +908,31 @@ TEST(MessageGatherTest, TaggedCodecCostsMoreBytesThanCompact) {
   // The Section V-B gap: self-describing frames dwarf registered-id ones.
   EXPECT_GT(t.wire_bytes_sent, 2 * c.wire_bytes_sent);
   EXPECT_GT(t.wire_bytes_received, c.wire_bytes_received);
+}
+
+TEST(MessageGatherTest, BatchedCountGatherSendsPinnedRequestBytes) {
+  // A fixed batched count gather in a fresh cluster: 2000 one-column
+  // partitions on 4 nodes, one request frame per node. The request bytes
+  // hold no clock stamp, so they are a pure function of the plan, the
+  // placement and the codec: any move here is a wire format change.
+  struct Case {
+    WireCodecKind codec;
+    uint64_t bytes_sent;
+  };
+  for (const Case& c : {Case{WireCodecKind::kCompact, 18858},
+                        Case{WireCodecKind::kTagged, 65624}}) {
+    InProcessCluster cluster(4, PlacementKind::kDhtRandom, StoreOptions{}, 7);
+    const WorkloadSpec workload = LoadUniform(cluster, 2000, 1);
+    GatherOptions options;
+    options.transport = GatherTransport::kMessage;
+    options.codec = c.codec;
+    options.batch = true;
+    const GatherResult result = cluster.CountByTypeAll(workload, options);
+    const std::string label(WireCodecName(c.codec));
+    EXPECT_EQ(result.completed, 2000u) << label;
+    EXPECT_EQ(result.wire_frames_sent, 4u) << label;
+    EXPECT_EQ(result.wire_bytes_sent, c.bytes_sent) << label;
+  }
 }
 
 }  // namespace

@@ -83,6 +83,26 @@ bool Equal(const SubQueryRequest& a, const SubQueryRequest& b) {
          a.arg_limit == b.arg_limit;
 }
 
+/// Item `i` of a decoded request frame, read back from its columns as the
+/// request it was encoded from.
+SubQueryRequest RequestAt(const SubQueryBatch& batch, size_t i) {
+  SubQueryRequest req;
+  req.query_id = batch.query_id;
+  req.sub_id = static_cast<uint32_t>(batch.sub_ids[i]);
+  req.table = batch.table;
+  req.partition_key = batch.keys[i];
+  req.expected_elements = static_cast<uint32_t>(batch.expected_elements[i]);
+  req.op = static_cast<uint32_t>(batch.op);
+  req.arg_lo = batch.arg_lo;
+  req.arg_hi = batch.arg_hi;
+  req.arg_limit = batch.arg_limit;
+  return req;
+}
+
+std::vector<uint64_t> Widen(const std::vector<uint32_t>& values) {
+  return {values.begin(), values.end()};
+}
+
 bool Equal(const PartialResult& a, const PartialResult& b) {
   return a.query_id == b.query_id && a.sub_id == b.sub_id &&
          a.node == b.node && a.types == b.types && a.counts == b.counts &&
@@ -178,12 +198,13 @@ TEST_P(WireFuzzTest, BatchFrameRoundTripsBothCodecs) {
       EncodeSubQueryBatch(batch, attempts, trace_flags, kind, codec, frame);
       auto decoded = DecodeSubQueryBatch(frame.data(), kind, codec);
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-      ASSERT_EQ(decoded.value().requests.size(), n);
+      const SubQueryBatch& items = decoded.value().msg;
+      ASSERT_EQ(items.size(), n);
       EXPECT_EQ(decoded.value().query_id, query_id);
       EXPECT_EQ(decoded.value().trace_flags, trace_flags);
-      EXPECT_EQ(decoded.value().attempts, attempts);
+      EXPECT_EQ(items.attempts, Widen(attempts));
       for (size_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(Equal(decoded.value().requests[i], batch[i]));
+        EXPECT_TRUE(Equal(RequestAt(items, i), batch[i]));
       }
     }
   }
@@ -598,10 +619,11 @@ TEST_P(WireFuzzTest, OnePlanBatchesRoundTripThroughBothCodecs) {
 
       auto decoded = DecodeSubQueryBatch(frame.data(), kind, codec);
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-      EXPECT_EQ(decoded.value().attempts, attempts);
-      ASSERT_EQ(decoded.value().requests.size(), n);
+      const SubQueryBatch& items = decoded.value().msg;
+      EXPECT_EQ(items.attempts, Widen(attempts));
+      ASSERT_EQ(items.size(), n);
       for (size_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(Equal(decoded.value().requests[i], requests[i])) << i;
+        EXPECT_TRUE(Equal(RequestAt(items, i), requests[i])) << i;
       }
     }
   }
@@ -697,14 +719,15 @@ TEST_P(WireFuzzTest, WriteFramesRoundTripAndRejectEveryTruncation) {
     for (const WireCodecKind kind :
          {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
       WireBuffer frame;
-      EncodeWriteBatchFrame(batch, 0, kind, codec, frame);
+      EncodeMessageFrame(batch, batch.query_id, 0, kind, codec, frame);
       auto decoded = DecodeWriteBatchFrame(frame.data(), kind, codec);
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-      EXPECT_EQ(decoded.value().batch.attempt, batch.attempt);
-      EXPECT_EQ(decoded.value().batch.keys, batch.keys);
-      EXPECT_EQ(decoded.value().batch.clusterings, batch.clusterings);
-      EXPECT_EQ(decoded.value().batch.payloads, batch.payloads);
-      EXPECT_EQ(decoded.value().batch.checksum, batch.checksum);
+      EXPECT_EQ(decoded.value().query_id, batch.query_id);
+      EXPECT_EQ(decoded.value().msg.attempt, batch.attempt);
+      EXPECT_EQ(decoded.value().msg.keys, batch.keys);
+      EXPECT_EQ(decoded.value().msg.clusterings, batch.clusterings);
+      EXPECT_EQ(decoded.value().msg.payloads, batch.payloads);
+      EXPECT_EQ(decoded.value().msg.checksum, batch.checksum);
       if (round == 0) {
         const auto data = frame.data();
         for (size_t cut = 0; cut < data.size(); ++cut) {
@@ -790,7 +813,7 @@ TEST_P(WireFuzzTest, OneBitFlipInAnyWriteBatchFieldIsCaught) {
       for (const WireCodecKind kind :
            {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
         WireBuffer frame;
-        EncodeWriteBatchFrame(damaged, 0, kind, codec, frame);
+        EncodeMessageFrame(damaged, damaged.query_id, 0, kind, codec, frame);
         auto decoded = DecodeWriteBatchFrame(frame.data(), kind, codec);
         EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
             << WireCodecName(kind) << ": " << c.field;
@@ -899,7 +922,7 @@ std::vector<std::byte> ReplyBatchFrame(const SubQueryReplyBatch& batch,
                                        WireCodecKind kind,
                                        const CompactCodec& codec) {
   WireBuffer out;
-  EncodeReplyBatchFrame(batch, 0, kind, codec, out);
+  EncodeMessageFrame(batch, batch.query_id, 0, kind, codec, out);
   return {out.data().begin(), out.data().end()};
 }
 
@@ -1033,6 +1056,42 @@ TEST(FrameEnvelopeTest, ReplyBatchesThatDisagreeWithTheRequestAreRejected) {
         codec, 5, req_subs, req_attempts);
     ASSERT_FALSE(truncated.ok());
     EXPECT_EQ(truncated.status().code(), StatusCode::kCorruption);
+  }
+}
+
+// A reply status is read back as a StatusCode, so a value no enumerator
+// names is a corrupt frame even under a valid item checksum: 2^32 would
+// truncate to kOk and fold as data, 10 would be an unnamed code. Both
+// reply decoders share the check.
+TEST(FrameEnvelopeTest, ReplyStatusesOutsideStatusCodeAreRejected) {
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  Rng rng(0x57a7);
+  const std::vector<uint32_t> subs = {4};
+  const std::vector<uint32_t> attempts = {1};
+  const uint64_t last_named =
+      static_cast<uint64_t>(StatusCode::kFailedPrecondition);
+  for (const uint64_t status : {uint64_t{1} << 32, uint64_t{10}, last_named}) {
+    SubQueryReplyBatch batch = MakeReplyBatch(5, subs, attempts, {2}, rng);
+    batch.statuses[0] = status;
+    batch.checksums[0] = ReplyItemChecksum(batch, 0);
+    for (const WireCodecKind kind :
+         {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+      const std::vector<std::byte> frame = ReplyBatchFrame(batch, kind, codec);
+      auto decoded = DecodeReplyBatchFrame(frame, kind, codec, 5, subs,
+                                           attempts);
+      auto single = DecodeReplyFrame(frame, kind, codec);
+      if (status == last_named) {
+        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+        EXPECT_TRUE(decoded.value().intact[0]);
+        ASSERT_TRUE(single.ok()) << single.status().ToString();
+        continue;
+      }
+      ASSERT_FALSE(decoded.ok()) << status;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption) << status;
+      ASSERT_FALSE(single.ok()) << status;
+      EXPECT_EQ(single.status().code(), StatusCode::kCorruption) << status;
+    }
   }
 }
 

@@ -276,14 +276,16 @@ TEST(WriteMessageTest, BatchFrameRoundTripsBothCodecs) {
   for (const WireCodecKind kind :
        {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
     WireBuffer buf;
-    EncodeWriteBatchFrame(batch, /*trace_flags=*/0, kind, codec, buf);
+    EncodeMessageFrame(batch, batch.query_id, /*trace_flags=*/0, kind, codec,
+                       buf);
     auto decoded = DecodeWriteBatchFrame(buf.data(), kind, codec);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded.value().batch.attempt, 2u);
-    EXPECT_EQ(decoded.value().batch.keys, batch.keys);
-    EXPECT_EQ(decoded.value().batch.payloads, batch.payloads);
-    EXPECT_EQ(decoded.value().batch.tombstones, batch.tombstones);
-    EXPECT_EQ(decoded.value().batch.checksum, batch.checksum);
+    EXPECT_EQ(decoded.value().query_id, 91u);
+    EXPECT_EQ(decoded.value().msg.attempt, 2u);
+    EXPECT_EQ(decoded.value().msg.keys, batch.keys);
+    EXPECT_EQ(decoded.value().msg.payloads, batch.payloads);
+    EXPECT_EQ(decoded.value().msg.tombstones, batch.tombstones);
+    EXPECT_EQ(decoded.value().msg.checksum, batch.checksum);
   }
 }
 
@@ -292,7 +294,8 @@ TEST(WriteMessageTest, BatchDecoderRejectsBadShapes) {
   RegisterClusterMessages(codec);
   const auto expect_corrupt = [&](const WriteBatch& bad) {
     WireBuffer buf;
-    EncodeWriteBatchFrame(bad, 0, WireCodecKind::kCompact, codec, buf);
+    EncodeMessageFrame(bad, bad.query_id, 0, WireCodecKind::kCompact, codec,
+                       buf);
     auto decoded =
         DecodeWriteBatchFrame(buf.data(), WireCodecKind::kCompact, codec);
     ASSERT_FALSE(decoded.ok());
@@ -342,8 +345,8 @@ TEST(WriteMessageTest, ReplyRoundTripsAndRejectsUnsortedFailures) {
     batch.col_b = std::move(syncs);
     batch.checksums = {ReplyItemChecksum(batch, 0)};
     WireBuffer buf;
-    EncodeReplyBatchFrame(batch, /*trace_flags=*/0, WireCodecKind::kCompact,
-                          codec, buf);
+    EncodeMessageFrame(batch, batch.query_id, /*trace_flags=*/0,
+                       WireCodecKind::kCompact, codec, buf);
     const uint32_t sub_id = 4;
     const uint32_t attempt = 1;
     auto decoded = DecodeReplyBatchFrame(
@@ -376,6 +379,49 @@ TEST(WriteMessageTest, ReplyRoundTripsAndRejectsUnsortedFailures) {
   expect_corrupt({1, 7}, {0}, "out of range: would be silently acked");
   expect_corrupt({1}, {}, "no sync tally");
   expect_corrupt({1}, {0, 1}, "two sync tallies");
+}
+
+TEST(SubQueryBatchTest, AdapterFrameIsByteIdenticalToTheLiveFrame) {
+  // A gather appends its attempts straight into a SubQueryBatch and frames
+  // it with EncodeMessageFrame; EncodeSubQueryBatch builds the same frame
+  // from per-message requests. Both must put the same bytes on the wire.
+  CompactCodec codec;
+  RegisterClusterMessages(codec);
+  std::vector<SubQueryRequest> requests;
+  std::vector<uint32_t> attempts;
+  SubQueryBatch batch;
+  batch.query_id = 77;
+  batch.table = "alya.particles_d8";
+  batch.op = kOpRangeScan;
+  batch.arg_lo = 5;
+  batch.arg_hi = 900;
+  batch.arg_limit = 64;
+  for (uint32_t i = 0; i < 5; ++i) {
+    SubQueryRequest req = SampleRequest();
+    req.sub_id = 3 * i + 1;
+    req.partition_key = "d8:5:" + std::to_string(1000 + i);
+    req.expected_elements = 100 * i;
+    req.op = kOpRangeScan;
+    req.arg_lo = 5;
+    req.arg_hi = 900;
+    req.arg_limit = 64;
+    requests.push_back(req);
+    attempts.push_back(i % 3);
+    batch.Append(req.sub_id, i % 3, req.partition_key, req.expected_elements);
+  }
+  for (const WireCodecKind kind :
+       {WireCodecKind::kTagged, WireCodecKind::kCompact}) {
+    WireBuffer adapter;
+    EncodeSubQueryBatch(requests, attempts, kTraceSampled, kind, codec,
+                        adapter);
+    WireBuffer live;
+    EncodeMessageFrame(batch, batch.query_id, kTraceSampled, kind, codec,
+                       live);
+    const std::vector<std::byte> a(adapter.data().begin(),
+                                   adapter.data().end());
+    const std::vector<std::byte> b(live.data().begin(), live.data().end());
+    EXPECT_EQ(a, b) << WireCodecName(kind);
+  }
 }
 
 TEST(CompactCodecTest, RejectsTypeIdMismatch) {
